@@ -1,17 +1,18 @@
 """CLI-level benchmark of pearceydet: one workload, one seed, one JSON result line.
 
-    python3 bench/run.py --workload scan_stats --seed 1 --seconds 50 --trace 0
+    python3 bench/run.py --workload scan_stats --seed 1 --seconds 45 --trace 0
 
 Run from the root of a checkout; the package is imported from its `src/`.
 One client drives `pearceydet.cli.main` in a closed loop, in this process:
 every op is three CLI invocations (see `workloads.py`), each written to a
 file under `bench/out/` and read back.  After untimed warm-up ops the run
 repeats the seeded op list in whole cycles until `--seconds` have passed and
-the op count reaches the workload's minimum.  The outputs are checked
-against `reference.py` after the timed phase.
+the count of completed ops reaches the workload's minimum.  The outputs are
+checked against `reference.py` after the timed phase.
 
-`--trace 0` reports the end-to-end metrics: op throughput and latency, the
-set-up time of a fresh interpreter (median of several) and peak memory.
+`--trace 0` reports the end-to-end metrics: throughput and latency of the ops
+that completed (exit code 0), the set-up time of a fresh interpreter (median
+of several) and peak memory.
 `--trace 1` reports the per-layer metrics of `tracing.py` instead.  The last
 line of standard output is the result JSON; the lines before it describe the
 environment and the run.  The exit code is nonzero, with no result line, when
@@ -21,8 +22,11 @@ import os
 
 # One BLAS/OpenMP thread, set before numpy loads here and inherited by the
 # set-up interpreters: two OpenBLAS threads on two cores made op latency
-# swing by a quarter between processes.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+# swing by a quarter between processes.  PEARCEY_THREADS=1 keeps the CLI's
+# grid points sequential, so the run stays one client and the tracer's
+# single span stack sees one thread.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "PEARCEY_THREADS")
+for _var in THREAD_VARS:
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
@@ -48,7 +52,9 @@ import scipy  # noqa: E402
 
 import workloads as wl  # noqa: E402
 
-SETUP_REPS = 3
+# Set-up probes per untraced run: with three, setup_s spread by 0.24 of its
+# median over ten runs, next to a bound of 0.25.
+SETUP_REPS = 7
 WARMUP_OPS = 2
 SETUP_TIMEOUT_S = 120
 # Tail percentile per workload, with the op count that leaves at least ten
@@ -93,8 +99,7 @@ def environment() -> dict:
     return {"nproc": os.cpu_count(), "affinity": len(os.sched_getaffinity(0)),
             "python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__, "blas": f"{blas['name']} {blas['version']}",
-            "threads": {v: os.environ.get(v) for v in
-                        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+            "threads": {v: os.environ.get(v) for v in THREAD_VARS},
             "git_sha": _git_sha()}
 
 
@@ -153,25 +158,24 @@ def check_outputs(ops: list[wl.Op], outputs: list[dict]) -> tuple[int, dict[int,
     return wrong, findings
 
 
-def run(workload: str, seed: int, seconds: float, trace: bool, *,
-        setup_reps: int = SETUP_REPS) -> dict:
+def run(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     """One run: set-up probes (untraced only), warm-up, timed cycles, checks."""
     ops = wl.make_ops(workload, seed)
     tmp = OUT / f"tmp-{os.getpid()}"
     tmp.mkdir(parents=True, exist_ok=True)
     try:
-        return _run(workload, ops, seconds, trace, tmp, setup_reps)
+        return _run(workload, ops, seconds, trace, tmp)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def _run(workload, ops, seconds, trace, tmp, setup_reps) -> dict:
+def _run(workload, ops, seconds, trace, tmp) -> dict:
     import pearceydet
     from pearceydet.cli import main
     if Path(pearceydet.__file__).resolve().parent.parent != SRC:
         raise BenchError(f"pearceydet imported from {pearceydet.__file__}, not {SRC}")
 
-    setup = [] if trace else setup_seconds(ops[0], tmp, setup_reps)
+    setup = [] if trace else setup_seconds(ops[0], tmp, SETUP_REPS)
     for op in ops[:WARMUP_OPS]:
         run_op(main, op, tmp)
 
@@ -182,20 +186,26 @@ def _run(workload, ops, seconds, trace, tmp, setup_reps) -> dict:
         call = tracer.wrap(run_op, "cli.op")
         tracer.install()
     outputs: list[dict] = [{} for _ in ops]   # per op: output texts -> times seen
-    latencies, by_op, failed_rc = [], [[] for _ in ops], 0
+    # Latencies of completed ops only: an op that exits nonzero is neither
+    # throughput nor a latency sample.
+    latencies, by_op, attempted, failed_rc = [], [[] for _ in ops], 0, 0
     t_start = time.perf_counter()
     try:
         while True:
             for idx, op in enumerate(ops):
                 t0 = time.perf_counter()
                 rc, texts = call(main, op, tmp)
-                latencies.append(time.perf_counter() - t0)
-                by_op[idx].append(latencies[-1])
+                dt = time.perf_counter() - t0
+                attempted += 1
                 if rc != 0:
                     failed_rc += 1
-                else:
-                    outputs[idx][tuple(texts)] = outputs[idx].get(tuple(texts), 0) + 1
+                    continue
+                latencies.append(dt)
+                by_op[idx].append(dt)
+                outputs[idx][tuple(texts)] = outputs[idx].get(tuple(texts), 0) + 1
             elapsed = time.perf_counter() - t_start
+            if not latencies:
+                raise BenchError("no op of the first cycle completed")
             if elapsed >= seconds and len(latencies) >= MIN_OPS[workload]:
                 break
     finally:
@@ -204,7 +214,7 @@ def _run(workload, ops, seconds, trace, tmp, setup_reps) -> dict:
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     wrong, findings = check_outputs(ops, outputs)
-    attempted = len(latencies)
+    completed = len(latencies)
     lat_ms = np.array(latencies) * 1e3
     pct = TAIL_PERCENTILE[workload]
     p50, tail = (float(v) for v in np.percentile(lat_ms, [50, pct]))
@@ -213,17 +223,19 @@ def _run(workload, ops, seconds, trace, tmp, setup_reps) -> dict:
         result["metrics"] = tracer.metrics(attempted)
     else:
         result["metrics"] = {
-            "ops_per_s": {"value": attempted / elapsed, "unit": "1/s"},
+            "ops_per_s": {"value": completed / elapsed, "unit": "1/s"},
             "op_p50_ms": {"value": p50, "unit": "ms"},
             "op_tail_ms": {"value": tail, "unit": "ms"},
             "setup_s": {"value": statistics.median(setup), "unit": "s"},
             "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"},
         }
-    info = {"workload": workload, "cycle": len(ops), "ops": attempted, "timed_s": elapsed,
-            "ops_per_s": attempted / elapsed, "op_p50_ms": p50, "tail_percentile": pct,
+    info = {"workload": workload, "cycle": len(ops), "ops": attempted, "completed": completed,
+            "timed_s": elapsed, "ops_per_s": completed / elapsed, "op_p50_ms": p50,
+            "tail_percentile": pct,
             "ops_beyond_tail": int((lat_ms > tail).sum()), "setup_runs_s": setup,
             "findings": {str(k): v for k, v in findings.items()},
-            "op_median_ms": [round(statistics.median(v) * 1e3, 3) for v in by_op],
+            "op_median_ms": [round(statistics.median(v) * 1e3, 3) if v else None
+                             for v in by_op],
             "params": [{p.kind: p.params for p in op.parts} for op in ops]}
     return {"result": result, "info": info, "tracer": tracer}
 
@@ -254,7 +266,7 @@ def main(argv=None) -> int:
     for name, m in result["metrics"].items():
         extra = ""
         if name == "op_tail_ms":
-            extra = f"  (p{info['tail_percentile']} of {info['ops']} ops)"
+            extra = f"  (p{info['tail_percentile']} of {info['completed']} ops)"
         print(f"# {name} = {m['value']:.6g} {m['unit']}{extra}")
     print(json.dumps(result), flush=True)
     return 0

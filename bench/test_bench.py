@@ -117,6 +117,7 @@ def test_scan_checker(tmp_path, refs):
     assert check(_edit_csv(text, 3, "f_num", lambda f: f + 1e-6))
     assert check(_edit_csv(text, 0, "f_num", lambda f: -f))
     assert check(_drop_row(text, 2))
+    assert check(_edit_meta(text, "tol", "1e-06"))
 
 
 def test_stats_checker(tmp_path, refs):
@@ -164,11 +165,12 @@ def test_oracles_checker(tmp_path, refs):
 @pytest.fixture
 def short_runs(monkeypatch):
     monkeypatch.setattr(bench_run, "MIN_OPS", dict.fromkeys(wl.WORKLOADS, 1))
+    monkeypatch.setattr(bench_run, "SETUP_REPS", 1)
 
 
 @pytest.mark.parametrize("workload", wl.WORKLOADS)
 def test_smoke_run(workload, short_runs):
-    out = bench_run.run(workload, 5, 0.1, False, setup_reps=1)
+    out = bench_run.run(workload, 5, 0.1, False)
     result = out["result"]
     assert result["correct"] and result["failed"] == 0
     assert result["attempted"] == wl.OPS_PER_CYCLE
@@ -186,6 +188,25 @@ def test_wrong_output_counts_as_failed(short_runs, monkeypatch):
     result = bench_run.run("scan_stats", 5, 0.1, True)["result"]
     assert not result["correct"]
     assert result["failed"] == result["attempted"] == wl.OPS_PER_CYCLE
+
+
+def test_nonzero_exit_counts_as_failed_not_completed(short_runs, monkeypatch):
+    honest = bench_run.run_op
+
+    def first_fails(main_fn, op, tmp):
+        if op == first:
+            return 1, []
+        return honest(main_fn, op, tmp)
+
+    first = wl.make_ops("trajectory_oracles", 5)[0]
+    monkeypatch.setattr(bench_run, "run_op", first_fails)
+    out = bench_run.run("trajectory_oracles", 5, 0.1, False)
+    assert out["result"]["correct"]
+    assert out["result"]["attempted"] == wl.OPS_PER_CYCLE
+    assert out["result"]["failed"] == 1
+    assert out["info"]["completed"] == wl.OPS_PER_CYCLE - 1
+    ops_per_s = out["result"]["metrics"]["ops_per_s"]["value"]
+    assert ops_per_s == pytest.approx((wl.OPS_PER_CYCLE - 1) / out["info"]["timed_s"])
 
 
 def test_traced_counts_repeat(short_runs):
