@@ -191,31 +191,24 @@ def mgf_prefactor(nu: float, s: float, rho: float) -> float:
     return math.exp(log_val)
 
 
-def clt_distance(s: float, rho: float, t_grid: np.ndarray, *,
-                 logdet_fn=None) -> float:
+def clt_distance(s: float, rho: float, t_grid: np.ndarray) -> float:
     """sup_t | E exp(t (N - mu)/sigma) - exp(t^2/2) | via the deformed determinant.
 
     The expectation is exp(F(s; gamma(nu), rho) - t mu / sigma) at
-    nu = -t / (2 pi sigma); ``logdet_fn(s, gamma)`` supplies F (defaults to the
-    converged Fredholm evaluation).
+    nu = -t / (2 pi sigma), F converged to 1e-8 over the whole gamma grid at
+    once (one Nystrom matrix per order).
     """
     if s < 4:
         raise DomainError(f"clt_distance validated for s >= 4, got {s}")
-    if logdet_fn is None:
-        from .fredholm import logdet_converged
-
-        def logdet_fn(s_val: float, gam: float) -> float:
-            return logdet_converged(s_val, ModelParams(0.0, rho), 1e-8, gamma=gam).f
+    from .fredholm import _logdet_converged_many
 
     stats = counting_stats(s, rho)
     sigma = math.sqrt(stats.sigma2)
+    ts = [t for t in np.asarray(t_grid, float) if t != 0.0]
+    nus = [-t / (2.0 * math.pi * sigma) for t in ts]
+    gammas = [-math.expm1(-2.0 * math.pi * nu) for nu in nus]
     worst = 0.0
-    for t in np.asarray(t_grid, float):
-        if t == 0.0:
-            continue
-        nu = -t / (2.0 * math.pi * sigma)
-        gam = -math.expm1(-2.0 * math.pi * nu)
-        f_val = logdet_fn(s, gam)
-        mgf = math.exp(f_val - t * stats.mu / sigma)
+    for t, res in zip(ts, _logdet_converged_many(s, rho, gammas, 1e-8)):
+        mgf = math.exp(res.f - t * stats.mu / sigma)
         worst = max(worst, abs(mgf - math.exp(t * t / 2.0)))
     return worst

@@ -109,7 +109,10 @@ def _cmd_kernel(args) -> None:
 
     pts = [(x, y) for x in xs for y in xs]
     rows = _grid_map(one, pts)
-    _emit(args, rows, {"grid_points": len(pts), "oracle": oracle})
+    diagnostics = {"grid_points": len(pts)}
+    if args.oracle is None:         # config names the oracle only when it was given
+        diagnostics["oracle"] = oracle
+    _emit(args, rows, diagnostics)
 
 
 def _default_tol(gamma: float) -> float:

@@ -1,8 +1,12 @@
 """Nystrom discretization of det(I - gamma K) on (-s, s) and derived statistics.
 
-The determinant uses the symmetrized weighting D^{1/2} K D^{1/2} (equal to the
-plain weighting in determinant but better conditioned), partial-pivot LU with
-explicit sign bookkeeping, and order doubling for convergence control.
+Every routine builds its operator through one builder, ``_nystrom``: the
+cached Gauss-Legendre rule of order n scaled to (-s, s), and one dense K over
+the nodes plus any extra points (the ends +-s, an anchor).  One K at fixed
+(s, rho, n) serves every gamma.  The determinant uses the symmetrized
+weighting D^{1/2} K D^{1/2} (equal to the plain weighting in determinant but
+better conditioned), partial-pivot LU with explicit sign bookkeeping, and
+order doubling over a whole gamma grid for convergence control.
 
 ``gamma`` is accepted slightly outside [0, 1]: the moment-generating-function
 route differentiates F(s; 1 - e^{-2 pi nu}, rho) at nu = 0 and the CLT check
@@ -13,12 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
 
 from .errors import ConvergenceError, DomainError, SignError
-from .kernel import KernelSession, _diag_and_slope, _kernel_matrix_from_session
+# _diag_and_slope is unused here; the benchmark's tracer looks it up on this module
+from .kernel import _diag_and_slope, _kernel_matrix_from_session  # noqa: F401
 from .params import ModelParams
 
 _S_MAX = 12.0
@@ -40,18 +46,21 @@ class DetResult:
     f: float
     order: int
     err_est: float
-    sign_ok: bool
 
 
+@lru_cache(maxsize=16)
 def gauss_legendre(n: int) -> QuadratureRule:
     """Gauss-Legendre rule on (-1, 1) by Newton iteration on the recurrence.
 
     Nodes/weights are accurate to ~1e-15; the weights sum to 2 to 1e-14.
+    Rules are cached and shared, so their arrays are read-only.
     """
     if not 1 <= n <= _N_MAX:
         raise DomainError(f"gauss_legendre order must be in [1, {_N_MAX}], got {n}")
     if n == 1:
-        return QuadratureRule(np.zeros(1), np.full(1, 2.0), 1)
+        x, w = np.zeros(1), np.full(1, 2.0)
+        x.flags.writeable = w.flags.writeable = False
+        return QuadratureRule(x, w, 1)
     k = np.arange(n)
     x = np.cos(math.pi * (k + 0.75) / (n + 0.5))
     for _ in range(100):
@@ -71,10 +80,12 @@ def gauss_legendre(n: int) -> QuadratureRule:
     dp = n * (x * p - p_prev) / (x * x - 1.0)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     order = np.argsort(x)
-    return QuadratureRule(x[order], w[order], n)
+    x, w = x[order], w[order]
+    x.flags.writeable = w.flags.writeable = False
+    return QuadratureRule(x, w, n)
 
 
-def _check_args(s: float, params: ModelParams | None, gamma: float, n: int) -> None:
+def _check_args(s: float, gamma: float, n: int) -> None:
     if s <= 0:
         raise DomainError(f"s must be positive, got {s}")
     if s > _S_MAX:
@@ -96,58 +107,74 @@ def _logdet_lu(m: np.ndarray) -> float:
     return float(np.log(np.abs(diag)).sum())
 
 
-def _nystrom_pieces(s: float, rho: float, n: int, session: KernelSession | None = None):
+def _nystrom(s: float, rho: float, n: int, extra=()):
+    """Nodes x and weights w of the order-n rule on (-s, s), and K over x then ``extra``.
+
+    K is one square over all the points, so each P/Q bundle is computed once:
+    K[:n, :n] is the Nystrom matrix, the same bits whatever ``extra`` holds,
+    and the other rows and columns hold K at the extra points.
+    """
     rule = gauss_legendre(n)
     x = s * rule.nodes
     w = s * rule.weights
-    session = session or KernelSession(rho)
-    k = _kernel_matrix_from_session(session, x, x)
-    return x, w, k, session
+    pts = np.concatenate([x, extra])
+    return x, w, _kernel_matrix_from_session(rho, pts, pts, split=n)
+
+
+def _symmetrized(w: np.ndarray, k: np.ndarray) -> np.ndarray:
+    sqrt_w = np.sqrt(w)
+    return sqrt_w[:, None] * k * sqrt_w[None, :]
 
 
 def fredholm_logdet(s: float, params: ModelParams, n: int, *,
                     gamma: float | None = None) -> DetResult:
     """F(s; gamma, rho) = ln det(I - gamma K) at fixed Nystrom order n."""
     g = params.gamma if gamma is None else gamma
-    _check_args(s, params, g, n)
+    _check_args(s, g, n)
     if g == 0.0:
-        return DetResult(0.0, n, 0.0, True)
-    x, w, k, _ = _nystrom_pieces(s, params.rho, n)
-    sqrt_w = np.sqrt(w)
-    m = np.eye(n) - g * (sqrt_w[:, None] * k * sqrt_w[None, :])
-    return DetResult(_logdet_lu(m), n, math.nan, True)
+        return DetResult(0.0, n, 0.0)
+    _, w, k = _nystrom(s, params.rho, n)
+    return DetResult(_logdet_lu(np.eye(n) - g * _symmetrized(w, k)), n, math.nan)
 
 
 def logdet_converged(s: float, params: ModelParams, tol: float = 1e-10, *,
                      gamma: float | None = None, n_start: int = 16) -> DetResult:
     """Double n from 16 until |F_{2n} - F_n| < tol; error estimate is that difference."""
+    g = params.gamma if gamma is None else gamma
+    return _logdet_converged_many(s, params.rho, [g], tol, n_start)[0]
+
+
+def _logdet_converged_many(s: float, rho: float, gammas, tol: float,
+                           n_start: int = 16) -> list[DetResult]:
+    """``logdet_converged`` at every gamma of a grid, one K per order for all of them."""
     if tol < 1e-12:
         raise DomainError(f"tol = {tol} below the achievable 1e-12 floor")
-    g = params.gamma if gamma is None else gamma
-    if g == 0.0:
-        return DetResult(0.0, n_start, 0.0, True)
+    done = [DetResult(0.0, n_start, 0.0) if g == 0.0 else None for g in gammas]
+    prev: list[float | None] = [None] * len(done)
     n = n_start
-    prev: DetResult | None = None
-    try:
-        prev = fredholm_logdet(s, params, n, gamma=gamma)
-    except SignError:
-        # a coarse Nystrom stage can push an eigenvalue of the discretized
-        # kernel past 1/gamma; finer stages recover
-        prev = None
-    while 2 * n <= _N_MAX:
+    while True:
+        todo = [i for i, r in enumerate(done) if r is None]
+        if not todo:
+            return done
+        if n > max(_N_MAX, n_start):    # an n_start past the cap reaches _check_args
+            raise ConvergenceError(f"logdet did not converge to {tol} by n = {_N_MAX} "
+                                   f"at s = {s}, gamma = {gammas[todo[0]]}")
+        for i in todo:
+            _check_args(s, gammas[i], n)
+        _, w, k = _nystrom(s, rho, n)
+        a = _symmetrized(w, k)
+        for i in todo:
+            try:
+                f = _logdet_lu(np.eye(n) - gammas[i] * a)
+            except SignError:
+                # a coarse Nystrom stage can push an eigenvalue of the discretized
+                # kernel past 1/gamma; finer stages recover
+                prev[i] = None
+                continue
+            if prev[i] is not None and abs(f - prev[i]) < tol:
+                done[i] = DetResult(f, n, abs(f - prev[i]))
+            prev[i] = f
         n *= 2
-        try:
-            cur = fredholm_logdet(s, params, n, gamma=gamma)
-        except SignError:
-            prev = None
-            continue
-        if prev is not None:
-            err = abs(cur.f - prev.f)
-            if err < tol:
-                return DetResult(cur.f, n, err, True)
-        prev = cur
-    raise ConvergenceError(
-        f"logdet did not converge to {tol} by n = {_N_MAX} at s = {s}, gamma = {g}")
 
 
 def resolvent_boundary_trace(s: float, params: ModelParams, n: int, *,
@@ -159,27 +186,20 @@ def resolvent_boundary_trace(s: float, params: ModelParams, n: int, *,
     the node values obtained from one dense solve per boundary point.
     """
     g = params.gamma if gamma is None else gamma
-    _check_args(s, params, g, n)
+    _check_args(s, g, n)
     if g == 0.0:
         return 0.0
-    x, w, k, session = _nystrom_pieces(s, params.rho, n)
-    ends = np.array([s, -s])
-    k_nodes_ends = _kernel_matrix_from_session(session, x, ends)      # K(x_i, ±s)
-    k_ends_nodes = _kernel_matrix_from_session(session, ends, x)      # K(±s, x_j)
-    diag_ends = _diag_and_slope(session, ends)[0].real                # K(±s, ±s)
-    a = np.eye(n) - g * (k * w[None, :])
-    r_nodes = np.linalg.solve(a, g * k_nodes_ends)                    # R(x_i, ±s)
-    total = 0.0
-    for idx in range(2):
-        r_end = g * diag_ends[idx] + g * (k_ends_nodes[idx] * w) @ r_nodes[:, idx]
-        total -= r_end
-    return float(total)
+    _, w, k = _nystrom(s, params.rho, n, (s, -s))
+    a = np.eye(n) - g * (k[:n, :n] * w[None, :])
+    r_nodes = np.linalg.solve(a, g * k[:n, n:])                       # R(x_i, ±s)
+    r_ends = [g * k[n + i, n + i] + g * (k[n + i, :n] * w) @ r_nodes[:, i] for i in range(2)]
+    return float(-sum(r_ends))
 
 
 def moments_trace(s: float, rho: float, n: int) -> tuple[float, float]:
     """(E N(s), Var N(s)) from the determinantal trace formulas tr(WK), tr(WK)^2."""
-    _check_args(s, None, 1.0, n)
-    x, w, k, _ = _nystrom_pieces(s, rho, n)
+    _check_args(s, 1.0, n)
+    _, w, k = _nystrom(s, rho, n)
     wk = w[:, None] * k
     mean = float(np.trace(wk))
     var = mean - float(np.trace(wk @ wk))
@@ -192,13 +212,16 @@ def moments_mgf(s: float, rho: float, n: int, *, steps: tuple[float, float] = (1
 
     Central second-order differences at the two step sizes with one Richardson
     sweep; mean = -G'(0)/(2 pi), variance = G''(0)/(4 pi^2) for G(nu) = F(gamma(nu)).
+    One K serves all four evaluations.
     """
-    _check_args(s, None, 1.0, n)
-    params = ModelParams(0.0, rho)
+    _check_args(s, 1.0, n)
+    _, w, k = _nystrom(s, rho, n)
+    a = _symmetrized(w, k)
 
     def g_of(nu: float) -> float:
         gam = -math.expm1(-2.0 * math.pi * nu)
-        return fredholm_logdet(s, params, n, gamma=gam).f
+        _check_args(s, gam, n)
+        return _logdet_lu(np.eye(n) - gam * a)
 
     d1 = []
     d2 = []

@@ -235,9 +235,8 @@ def resolvent_anchor_state(s0: float, params: ModelParams, n: int = 256) -> HamS
     with theta3(s0; rho) beyond ~18 (e.g. s0 = 10 at rho = 1) sit near the
     sweep-to-0.5 cliff -- prefer s0 around 8 for long sweeps at large rho.
     """
-    from .fredholm import gauss_legendre, resolvent_boundary_trace
-    from .kernel import KernelSession, _kernel_matrix_from_session
-    from .pearcey import _p_bundle, tilde_psi_matrices
+    from .fredholm import _nystrom, resolvent_boundary_trace
+    from .kernel import _p_bundle, tilde_psi_matrices
 
     if not _S_ANCHOR_MIN <= s0 <= _S_ANCHOR_MAX:
         raise DomainError(f"anchor must lie in [{_S_ANCHOR_MIN}, {_S_ANCHOR_MAX}]")
@@ -247,12 +246,9 @@ def resolvent_anchor_state(s0: float, params: ModelParams, n: int = 256) -> HamS
     if g == 0.0:
         return asymptotic_state(s0, params)
 
-    rule = gauss_legendre(n)
-    x = s0 * rule.nodes
-    w = s0 * rule.weights
-    sess = KernelSession(rho)
-    kmat = _kernel_matrix_from_session(sess, x, x)
-    pts = np.concatenate([x, [s0]])
+    x, w, k = _nystrom(s0, rho, n, (s0,))                  # K over (x, s0)
+    kmat = k[:n, :n]
+    pts = np.append(x, s0)
     f_all = 2.0 * math.pi * _p_bundle(pts, rho).T          # rows: (P0, P0', P0'') * 2pi
     mats = tilde_psi_matrices(pts, rho)
     det_ref = np.linalg.det(tilde_psi_matrices(np.array([0.0]), rho))[0]
@@ -264,10 +260,8 @@ def resolvent_anchor_state(s0: float, params: ModelParams, n: int = 256) -> HamS
     f_nodes += np.linalg.solve(a_fwd, f_all[:n] - a_fwd @ f_nodes)
     h_nodes = np.linalg.solve(a_dual, h_all[:n])
     h_nodes += np.linalg.solve(a_dual, h_all[:n] - a_dual @ h_nodes)
-    k_end_row = _kernel_matrix_from_session(sess, np.array([s0]), x)[0]
-    k_end_col = _kernel_matrix_from_session(sess, x, np.array([s0]))[:, 0]
-    f_end = f_all[n] + g * (k_end_row * w) @ f_nodes
-    h_end = h_all[n] + g * (k_end_col * w) @ h_nodes
+    f_end = f_all[n] + g * (k[n, :n] * w) @ f_nodes
+    h_end = h_all[n] + g * (k[:n, n] * w) @ h_nodes
 
     kappa3 = rho ** 3 / 54.0 - rho / 6.0
     c0 = 1j * math.sqrt(2.0 * math.pi / 3.0) * math.exp(rho * rho / 6.0)
@@ -530,7 +524,7 @@ def identity_report(traj: Trajectory, params: ModelParams) -> dict[str, np.ndarr
 
 def integral_representation_check(s_lo: float, s_hi: float, params: ModelParams, *,
                                   s_anchor: float = 10.0, traj: Trajectory | None = None,
-                                  logdet_fn=None, det_tol: float = 1e-9,
+                                  det_tol: float = 1e-9,
                                   ode_tol: float = 1e-10) -> dict[str, float]:
     """|[F(s_hi) - F(s_lo)] - 2 int_{s_lo}^{s_hi} H| with Simpson over dense samples."""
     if not 0.3 <= s_lo < s_hi <= _S_ANCHOR_MAX:
@@ -540,16 +534,13 @@ def integral_representation_check(s_lo: float, s_hi: float, params: ModelParams,
     if traj is None:
         traj = asymptotic_trajectory(params, s_from=max(s_anchor, s_hi), s_to=s_lo,
                                      tol=ode_tol)
-    if logdet_fn is None:
-        from .fredholm import logdet_converged
-
-        def logdet_fn(s_val: float) -> float:
-            return logdet_converged(s_val, params, det_tol).f
+    from .fredholm import logdet_converged
 
     grid = np.linspace(s_lo, s_hi, 801)
     h_vals = traj.h_at(grid).real
     integral = 2.0 * float(simpson(h_vals, x=grid))
-    delta_f = logdet_fn(s_hi) - logdet_fn(s_lo)
+    delta_f = (logdet_converged(s_hi, params, det_tol).f
+               - logdet_converged(s_lo, params, det_tol).f)
     return {"discrepancy": abs(delta_f - integral), "delta_f": delta_f,
             "integral": integral}
 

@@ -20,6 +20,11 @@ Q equation).  Two independent oracles are provided:
   both integrands decaying like exp(-c z^{4/3}); truncation at Z = 25 is
   far below double precision for |x|, |y| <= 12.
 * ``kernel_rh`` - the 3x3 matrix representation through tilde_psi.
+
+Every dense K is assembled by ``_kernel_matrix_from_session``, which computes
+the P bundle at the rows and the Q bundle at the columns once per call; a
+square call over all the points a computation needs therefore computes each
+bundle once, and nothing is cached between calls.
 """
 from __future__ import annotations
 
@@ -45,33 +50,6 @@ def _real_checked(values: np.ndarray, what: str) -> np.ndarray:
     return np.ascontiguousarray(values.real)
 
 
-class KernelSession:
-    """Caches P/Q derivative bundles per (rho, evaluation array).
-
-    One session per kernel-matrix assembly; the cache is keyed by the
-    bit-exact argument array, so repeated assemblies at the same nodes reuse
-    the (relatively expensive) contour quadratures.
-    """
-
-    def __init__(self, rho: float):
-        self.rho = float(rho)
-        self._cache: dict[tuple[str, bytes], np.ndarray] = {}
-
-    def p_bundle(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        key = ("p", x.tobytes())
-        if key not in self._cache:
-            self._cache[key] = _p_bundle(x, self.rho)
-        return self._cache[key]
-
-    def q_bundle(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        key = ("q", y.tobytes())
-        if key not in self._cache:
-            self._cache[key] = _q_bundle(y, self.rho)
-        return self._cache[key]
-
-
 def _nat_band(x: float, y: float) -> bool:
     return abs(x - y) < DIAG_BAND_HALF_WIDTH
 
@@ -82,20 +60,19 @@ def kernel_rational(x: float, y: float, rho: float) -> float:
         raise DomainError(
             f"|x - y| = {abs(x - y):.2e} is inside the diagonal band; "
             "use kernel_diagonal_band")
-    session = KernelSession(rho)
-    return _kernel_matrix_from_session(session, np.array([x]), np.array([y]))[0, 0]
+    return _kernel_matrix_from_session(rho, np.array([x]), np.array([y]))[0, 0]
 
 
-def _diag_and_slope(session: KernelSession, x: np.ndarray):
+def _diag_and_slope(rho: float, x: np.ndarray, p=None, q=None):
     """Exact diagonal K(x,x) and the Taylor slope in (y - x).
 
     With N the rational numerator, K(x,x) = -dN/dy(x,x) and the first-order
     coefficient is -(1/2) d2N/dy2 (x,x); both y-derivatives of Q beyond order
-    two are eliminated through Q''' = -y Q + rho Q'.
+    two are eliminated through Q''' = -y Q + rho Q'.  ``p`` and ``q`` are
+    the P and Q bundles at x when the caller has them already.
     """
-    rho = session.rho
-    p0, p1, p2 = session.p_bundle(x)
-    q0, q1, q2 = session.q_bundle(x)
+    p0, p1, p2 = _p_bundle(x, rho) if p is None else p
+    q0, q1, q2 = _q_bundle(x, rho) if q is None else q
     diag = x * p0 * q0 + p1 * q2 - p2 * q1
     # d2N/dy2(x,x) = -PQ - x P Q' + x P'Q - rho P'Q' + P''Q''
     d2 = -p0 * q0 - x * p0 * q1 + x * p1 * q0 - rho * p1 * q1 + p2 * q2
@@ -104,8 +81,7 @@ def _diag_and_slope(session: KernelSession, x: np.ndarray):
 
 def kernel_diagonal_band(x: float, y: float, rho: float) -> float:
     """Two-term Taylor evaluation valid for |x - y| < 1e-3 (exact on the diagonal)."""
-    session = KernelSession(rho)
-    diag, slope = _diag_and_slope(session, np.array([float(x)]))
+    diag, slope = _diag_and_slope(rho, np.array([float(x)]))
     val = diag[0] + slope[0] * (y - x)
     return float(_real_checked(np.array([val]), "kernel_diagonal_band")[0])
 
@@ -117,14 +93,28 @@ def kernel_point(x: float, y: float, rho: float) -> float:
     return kernel_rational(x, y, rho)
 
 
-def _kernel_matrix_from_session(session: KernelSession, x: np.ndarray,
-                                y: np.ndarray) -> np.ndarray:
-    """Dense K(x_i, y_j) with the band branch applied entrywise."""
+def _batched(bundle, pts: np.ndarray, rho: float, split: int | None) -> np.ndarray:
+    if split is None or split >= len(pts):
+        return bundle(pts, rho)
+    return np.concatenate([bundle(pts[:split], rho), bundle(pts[split:], rho)], axis=1)
+
+
+def _kernel_matrix_from_session(rho: float, x: np.ndarray, y: np.ndarray, *,
+                                split: int | None = None) -> np.ndarray:
+    """Dense K(x_i, y_j) with the band branch applied entrywise.
+
+    Pass the same array as x and y for a square: the Q bundle then serves the
+    diagonal too.  ``split`` computes the bundles of a square in two batches,
+    the first ``split`` points and the rest, so that the block over the first
+    batch is bitwise the same with or without the points after it (a
+    multi-threaded BLAS rounds a batch differently by its size).
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    rho = session.rho
-    p0, p1, p2 = session.p_bundle(x)
-    q0, q1, q2 = session.q_bundle(y)
+    p = _batched(_p_bundle, x, rho, split)
+    q = _batched(_q_bundle, y, rho, split)
+    p0, p1, p2 = p
+    q0, q1, q2 = q
     num = (np.multiply.outer(p0, q2) - np.multiply.outer(p1, q1)
            + np.multiply.outer(p2, q0) - rho * np.multiply.outer(p0, q0))
     dxy = np.subtract.outer(x, y)
@@ -132,23 +122,16 @@ def _kernel_matrix_from_session(session: KernelSession, x: np.ndarray,
     safe = np.where(band, 1.0, dxy)
     k = num / safe
     if band.any():
-        diag, slope = _diag_and_slope(session, x)
+        diag, slope = _diag_and_slope(rho, x, p, q if y is x else None)
         taylor = diag[:, None] - slope[:, None] * dxy
         k = np.where(band, taylor, k)
     return _real_checked(k, "kernel matrix")
 
 
-def kernel_matrix(x: np.ndarray, rho: float, session: KernelSession | None = None) -> np.ndarray:
+def kernel_matrix(x: np.ndarray, rho: float) -> np.ndarray:
     """K(x_i, x_j) on a node array (the Nystrom building block)."""
-    session = session or KernelSession(rho)
-    return _kernel_matrix_from_session(session, x, x)
-
-
-def kernel_rect(x: np.ndarray, y: np.ndarray, rho: float,
-                session: KernelSession | None = None) -> np.ndarray:
-    """K(x_i, y_j) on a rectangle of points."""
-    session = session or KernelSession(rho)
-    return _kernel_matrix_from_session(session, np.asarray(x, float), np.asarray(y, float))
+    x = np.asarray(x, dtype=float)
+    return _kernel_matrix_from_session(rho, x, x)
 
 
 def kernel_integral(x: float, y: float, rho: float, *, z_max: float = _INTEGRAL_Z,

@@ -82,6 +82,16 @@ class TestKernelGrid:
         for col in ("k_rational", "k_integral", "k_rh"):
             assert col in header
 
+    def test_metadata_keys_written_once(self, capsys):
+        # the oracle is named whether or not --oracle is given, but only once
+        for oracle in ([], ["--oracle", "all"]):
+            code, out, _ = run_cli(["kernel", "--s-min", "-1", "--s-max", "1",
+                                    "--s-steps", "2"] + oracle, capsys)
+            assert code == 0
+            keys = [ln.split(":")[0] for ln in out.splitlines() if ln.startswith("# ")]
+            assert len(keys) == len(set(keys))
+            assert "# oracle" in keys
+
 
 class TestUsage:
     def test_unknown_command_exit_2(self):

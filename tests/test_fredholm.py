@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from pearceydet import asymptotics as asym
 from pearceydet import fredholm as fr
+from pearceydet import kernel as kn
 from pearceydet.errors import DomainError
 from pearceydet.kernel import kernel_diagonal_band
 from pearceydet.params import ModelParams
@@ -44,6 +46,13 @@ class TestGaussLegendre:
             exact = (poly.integ()(1.0) - poly.integ()(-1.0))
             quad = (rule.weights * poly(rule.nodes)).sum()
             assert quad == pytest.approx(exact, abs=1e-13)
+
+    def test_cached_rule_is_read_only(self):
+        rule = fr.gauss_legendre(8)
+        assert fr.gauss_legendre(8) is rule
+        for arr in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestLogdet:
@@ -137,3 +146,26 @@ class TestMoments:
         mean, _ = fr.moments_mgf(s, rho, 32)
         assert mean == pytest.approx(2 * s * kernel_diagonal_band(0.0, 0.0, rho),
                                      abs=1e-4)
+
+
+class TestAssemblies:
+    def test_one_square_per_operator_and_order(self, monkeypatch):
+        # each square K assembled, by its size; 1x1 point evaluations are not squares
+        squares = []
+        real = kn._kernel_matrix_from_session
+
+        def counting(first, x, y, **kwargs):
+            if x is y and np.size(x) > 1:
+                squares.append(np.size(x))
+            return real(first, x, y, **kwargs)
+
+        monkeypatch.setattr(kn, "_kernel_matrix_from_session", counting)
+        monkeypatch.setattr(fr, "_kernel_matrix_from_session", counting)
+        fr.moments_mgf(6.0, 0.0, 64)
+        assert squares == [64]
+        squares.clear()
+        asym.clt_distance(8.0, 0.0, np.linspace(-0.5, 0.5, 11))
+        assert squares == [16, 32, 64]
+        squares.clear()
+        fr.resolvent_boundary_trace(5.0, ModelParams(0.5, 0.0), 64)
+        assert squares == [66]

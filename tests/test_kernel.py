@@ -18,10 +18,9 @@ class TestRationalForm:
 
     def test_numerator_vanishes_on_diagonal(self):
         # finiteness of K on the diagonal forces N(x,x) = 0
-        session = kn.KernelSession(0.0)
         for x in (0.0, 1.0, -2.0):
-            p0, p1, p2 = session.p_bundle(np.array([x]))
-            q0, q1, q2 = session.q_bundle(np.array([x]))
+            p0, p1, p2 = kn._p_bundle(np.array([x]), 0.0)
+            q0, q1, q2 = kn._q_bundle(np.array([x]), 0.0)
             num = p0 * q2 - p1 * q1 + p2 * q0
             assert abs(num[0]) < 1e-10
 
@@ -49,8 +48,7 @@ class TestDiagonalBand:
 
     def test_density_positive(self):
         for rho in (-1.0, 0.0, 1.0):
-            session = kn.KernelSession(rho)
-            diag, _ = kn._diag_and_slope(session, np.linspace(-5, 5, 21))
+            diag, _ = kn._diag_and_slope(rho, np.linspace(-5, 5, 21))
             assert diag.real.min() > 0.0
 
 
@@ -120,11 +118,3 @@ class TestKernelMatrix:
         assert np.isfinite(k).all()
         assert k[0, 1] == pytest.approx(kn.kernel_diagonal_band(1.0, 1.0 + 5e-4, 0.0),
                                         abs=1e-12)
-
-    def test_session_cache_reuse(self):
-        session = kn.KernelSession(0.0)
-        x = np.linspace(-2, 2, 17)
-        k1 = kn.kernel_matrix(x, 0.0, session)
-        k2 = kn.kernel_matrix(x, 0.0, session)
-        assert np.array_equal(k1, k2)
-        assert len(session._cache) == 2  # one p-bundle, one q-bundle
