@@ -1,19 +1,19 @@
 """Command-line front end: every computation as a reproducible, scriptable run.
 
-All output is deterministic for a given flag set.  CSV files start with
-'# key: value' metadata lines and carry 17 significant digits; JSON output is
-{"config": ..., "results": [...], "diagnostics": {...}}.  Exit codes: 0 on
-success, 1 on numerical failure (machine-readable JSON on stderr), 2 on usage
-errors.  PEARCEY_THREADS caps grid parallelism (default 1, fully sequential).
+Each subcommand takes only the flags its handler reads (the ``_COMMANDS``
+table; README lists them).  All output is deterministic for a given flag set.
+CSV files start with '# key: value' metadata lines, one per key, and carry 17
+significant digits; JSON output is {"config": ..., "results": [...],
+"diagnostics": {...}}.  Exit codes: 0 on success, 1 on numerical failure
+(machine-readable JSON on stderr), 2 on usage errors, which include a flag the
+subcommand does not take.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,22 +27,6 @@ from .fredholm import fredholm_logdet, logdet_converged, moments_mgf, moments_tr
 from .kernel import kernel_integral, kernel_point, kernel_rh
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("PEARCEY_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _grid_map(fn, items):
-    workers = _max_workers()
-    if workers == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"
@@ -52,6 +36,8 @@ def _fmt(x) -> str:
 def _emit(args, rows: list[dict], diagnostics: dict) -> None:
     config = {k: v for k, v in vars(args).items()
               if k not in ("func", "out") and v is not None}
+    # a diagnostic that restates a given flag (--tol, --oracle, ...) is written once
+    diagnostics = {k: v for k, v in diagnostics.items() if k not in config}
     if args.format == "json":
         payload = json.dumps({"config": config, "results": rows,
                               "diagnostics": diagnostics}, indent=2, sort_keys=True)
@@ -89,7 +75,7 @@ def _s_grid(args) -> np.ndarray:
 def _cmd_kernel(args) -> None:
     xs = np.linspace(args.s_min if args.s_min is not None else -3.0,
                      args.s_max if args.s_max is not None else 3.0,
-                     args.s_steps or 9)
+                     9 if args.s_steps is None else args.s_steps)
     oracle = args.oracle or "rational"
     kinds = ("rational", "integral", "rh") if oracle == "all" else (oracle,)
 
@@ -108,11 +94,7 @@ def _cmd_kernel(args) -> None:
         return row
 
     pts = [(x, y) for x in xs for y in xs]
-    rows = _grid_map(one, pts)
-    diagnostics = {"grid_points": len(pts)}
-    if args.oracle is None:         # config names the oracle only when it was given
-        diagnostics["oracle"] = oracle
-    _emit(args, rows, diagnostics)
+    _emit(args, [one(pt) for pt in pts], {"grid_points": len(pts), "oracle": oracle})
 
 
 def _default_tol(gamma: float) -> float:
@@ -125,18 +107,18 @@ def _cmd_det(args) -> None:
     if args.nu is not None:
         gamma = -math.expm1(-2.0 * math.pi * args.nu)
     params = ModelParams(max(gamma, 0.0), args.rho)
-    if args.quad_order:
+    if args.quad_order is not None:
         res = fredholm_logdet(args.s, params, args.quad_order, gamma=gamma)
     else:
-        res = logdet_converged(args.s, params, args.tol or _default_tol(gamma),
-                               gamma=gamma)
+        tol = _default_tol(gamma) if args.tol is None else args.tol
+        res = logdet_converged(args.s, params, tol, gamma=gamma)
     rows = [{"s": args.s, "gamma": gamma, "rho": args.rho, "f": res.f}]
     _emit(args, rows, {"order": res.order, "err_est": res.err_est})
 
 
 def _cmd_scan(args) -> None:
     params = ModelParams(args.gamma, args.rho)
-    tol = args.tol or _default_tol(args.gamma)
+    tol = _default_tol(args.gamma) if args.tol is None else args.tol
 
     def one(s):
         f_num = logdet_converged(s, params, tol).f
@@ -150,8 +132,7 @@ def _cmd_scan(args) -> None:
         row["err"] = abs(f_num - row["f_asy"])
         return row
 
-    rows = _grid_map(one, _s_grid(args))
-    _emit(args, rows, {"tol": tol})
+    _emit(args, [one(s) for s in _s_grid(args)], {"tol": tol})
 
 
 def _cmd_hamiltonian(args) -> None:
@@ -159,14 +140,14 @@ def _cmd_hamiltonian(args) -> None:
     s_hi = args.s_max if args.s_max is not None else 10.0
     s_lo = args.s_min if args.s_min is not None else 0.5
     traj = ham.asymptotic_trajectory(params, s_from=s_hi, s_to=s_lo,
-                                     tol=args.tol or 1e-10)
+                                     tol=1e-10 if args.tol is None else args.tol)
     rows = ham.trajectory_rows(traj, params)
     _emit(args, rows, {"anchor": s_hi, "samples": len(rows),
                        "max_constraint_drift": float(traj.constraint_drift().max())})
 
 
 def _cmd_moments(args) -> None:
-    n = args.quad_order or 384
+    n = 384 if args.quad_order is None else args.quad_order
 
     def one(s):
         mean_t, var_t = moments_trace(s, args.rho, n)
@@ -177,33 +158,26 @@ def _cmd_moments(args) -> None:
                 "mu": stats.mu, "sigma2": stats.sigma2,
                 "var_minus_sigma2": var_t - stats.sigma2}
 
-    rows = _grid_map(one, _s_grid(args))
-    _emit(args, rows, {"quad_order": n, "var_const": asym.VAR_CONSTANT})
+    _emit(args, [one(s) for s in _s_grid(args)],
+          {"quad_order": n, "var_const": asym.VAR_CONSTANT})
 
 
 def _cmd_clt(args) -> None:
     t_grid = np.linspace(-0.5, 0.5, 11)
-
-    def one(s):
-        return {"s": float(s), "distance": asym.clt_distance(s, args.rho, t_grid)}
-
-    rows = _grid_map(one, _s_grid(args))
+    rows = [{"s": float(s), "distance": asym.clt_distance(s, args.rho, t_grid)}
+            for s in _s_grid(args)]
     _emit(args, rows, {"t_grid": "linspace(-0.5,0.5,11)"})
 
 
 def _cmd_chf_verify(args) -> None:
-    beta = 1j * args.beta_im
-    report = chf_mod.verification_report(beta)
-    if args.format == "csv":
-        rows = [{"ray": ray, "r": float(r), "residual": res}
-                for ray, tbl in report["ray_residuals"].items()
-                for r, res in tbl.items()]
-        _emit(args, rows, {"beta_im": args.beta_im,
-                           "max_ray_residual": report["max_ray_residual"]})
-    else:
-        _write(args.out, json.dumps({"config": {"beta_im": args.beta_im},
-                                     "results": [report],
-                                     "diagnostics": {}}, indent=2, sort_keys=True) + "\n")
+    report = chf_mod.verification_report(1j * args.beta_im)
+    if args.format == "json":
+        _emit(args, [report], {})
+        return
+    rows = [{"ray": ray, "r": float(r), "residual": res}
+            for ray, tbl in report["ray_residuals"].items()
+            for r, res in tbl.items()]
+    _emit(args, rows, {"max_ray_residual": report["max_ray_residual"]})
 
 
 def _cmd_selftest(args) -> None:
@@ -214,19 +188,47 @@ def _cmd_selftest(args) -> None:
                             + ", ".join(r.name for r in results if not r.ok))
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--gamma", type=float, default=0.5)
-    sub.add_argument("--rho", type=float, default=0.0)
-    sub.add_argument("--s", type=float)
-    sub.add_argument("--s-min", dest="s_min", type=float)
-    sub.add_argument("--s-max", dest="s_max", type=float)
-    sub.add_argument("--s-steps", dest="s_steps", type=int)
-    sub.add_argument("--nu", type=float)
-    sub.add_argument("--quad-order", dest="quad_order", type=int)
-    sub.add_argument("--tol", type=float)
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--out", type=str)
-    sub.add_argument("--oracle", choices=("rational", "integral", "rh", "all"))
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+_FLAGS = {
+    "s": {"type": float},
+    "gamma": {"type": float, "default": 0.5},
+    "nu": {"type": float},
+    "rho": {"type": float, "default": 0.0},
+    "s-min": {"type": float},
+    "s-max": {"type": float},
+    "s-steps": {"type": _positive_int},
+    "quad-order": {"type": _positive_int},
+    "tol": {"type": float},
+    "oracle": {"choices": ("rational", "integral", "rh", "all")},
+    "beta-im": {"type": float, "default": 0.11},
+    "format": {"choices": ("csv", "json"), "default": "csv"},
+    "out": {"type": str},
+}
+
+# each subcommand takes exactly the flags its handler reads
+_COMMANDS = (
+    ("kernel", _cmd_kernel, "kernel values on a grid (all representations optional)",
+     ("rho", "s-min", "s-max", "s-steps", "oracle", "format", "out")),
+    ("det", _cmd_det, "single log-determinant F(s; gamma, rho)",
+     ("s", "gamma", "nu", "rho", "quad-order", "tol", "format", "out")),
+    ("scan", _cmd_scan, "F over an s-grid with asymptotic columns",
+     ("gamma", "rho", "s", "s-min", "s-max", "s-steps", "tol", "format", "out")),
+    ("hamiltonian", _cmd_hamiltonian, "trajectory with identity residuals (CSV)",
+     ("gamma", "rho", "s-min", "s-max", "tol", "format", "out")),
+    ("moments", _cmd_moments, "trace and MGF moments vs mu/sigma^2",
+     ("rho", "s", "s-min", "s-max", "s-steps", "quad-order", "format", "out")),
+    ("clt", _cmd_clt, "normal-approximation distance table",
+     ("rho", "s", "s-min", "s-max", "s-steps", "format", "out")),
+    ("chf-verify", _cmd_chf_verify, "parametrix jump/expansion report",
+     ("beta-im", "format", "out")),
+    ("selftest", _cmd_selftest, "run the acceptance suite", ()),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,21 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deformed Pearcey determinant computations")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-    commands = [
-        ("kernel", _cmd_kernel, "kernel values on a grid (all representations optional)"),
-        ("det", _cmd_det, "single log-determinant F(s; gamma, rho)"),
-        ("scan", _cmd_scan, "F over an s-grid with asymptotic columns"),
-        ("hamiltonian", _cmd_hamiltonian, "trajectory with identity residuals (CSV)"),
-        ("moments", _cmd_moments, "trace and MGF moments vs mu/sigma^2"),
-        ("clt", _cmd_clt, "normal-approximation distance table"),
-        ("chf-verify", _cmd_chf_verify, "parametrix jump/expansion report"),
-        ("selftest", _cmd_selftest, "run the acceptance suite"),
-    ]
-    for name, fn, help_text in commands:
-        sub = subs.add_parser(name, help=help_text)
-        _add_common(sub)
-        if name == "chf-verify":
-            sub.add_argument("--beta-im", dest="beta_im", type=float, default=0.11)
+    for name, fn, help_text, flags in _COMMANDS:
+        sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in flags:
+            # det is the one grid-less command: its s has no default
+            sub.add_argument(f"--{flag}", required=(name, flag) == ("det", "s"),
+                             **_FLAGS[flag])
         sub.set_defaults(func=fn)
     return parser
 

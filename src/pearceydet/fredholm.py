@@ -29,7 +29,9 @@ from .params import ModelParams
 
 _S_MAX = 12.0
 _N_MAX = 2048
+_N_START = 16                   # first order of the doubling
 _GAMMA_MIN = -16.0
+_MGF_STEPS = (1e-3, 5e-4)       # nu steps of the Richardson pair
 
 
 @dataclass(frozen=True)
@@ -138,25 +140,24 @@ def fredholm_logdet(s: float, params: ModelParams, n: int, *,
 
 
 def logdet_converged(s: float, params: ModelParams, tol: float = 1e-10, *,
-                     gamma: float | None = None, n_start: int = 16) -> DetResult:
+                     gamma: float | None = None) -> DetResult:
     """Double n from 16 until |F_{2n} - F_n| < tol; error estimate is that difference."""
     g = params.gamma if gamma is None else gamma
-    return _logdet_converged_many(s, params.rho, [g], tol, n_start)[0]
+    return _logdet_converged_many(s, params.rho, [g], tol)[0]
 
 
-def _logdet_converged_many(s: float, rho: float, gammas, tol: float,
-                           n_start: int = 16) -> list[DetResult]:
+def _logdet_converged_many(s: float, rho: float, gammas, tol: float) -> list[DetResult]:
     """``logdet_converged`` at every gamma of a grid, one K per order for all of them."""
     if tol < 1e-12:
         raise DomainError(f"tol = {tol} below the achievable 1e-12 floor")
-    done = [DetResult(0.0, n_start, 0.0) if g == 0.0 else None for g in gammas]
+    done = [DetResult(0.0, _N_START, 0.0) if g == 0.0 else None for g in gammas]
     prev: list[float | None] = [None] * len(done)
-    n = n_start
+    n = _N_START
     while True:
         todo = [i for i, r in enumerate(done) if r is None]
         if not todo:
             return done
-        if n > max(_N_MAX, n_start):    # an n_start past the cap reaches _check_args
+        if n > _N_MAX:
             raise ConvergenceError(f"logdet did not converge to {tol} by n = {_N_MAX} "
                                    f"at s = {s}, gamma = {gammas[todo[0]]}")
         for i in todo:
@@ -206,8 +207,7 @@ def moments_trace(s: float, rho: float, n: int) -> tuple[float, float]:
     return mean, var
 
 
-def moments_mgf(s: float, rho: float, n: int, *, steps: tuple[float, float] = (1e-3, 5e-4)
-                ) -> tuple[float, float]:
+def moments_mgf(s: float, rho: float, n: int) -> tuple[float, float]:
     """Moments from nu-differentiation of F(s; 1 - e^{-2 pi nu}, rho) at nu = 0.
 
     Central second-order differences at the two step sizes with one Richardson
@@ -225,11 +225,11 @@ def moments_mgf(s: float, rho: float, n: int, *, steps: tuple[float, float] = (1
 
     d1 = []
     d2 = []
-    for h in steps:
+    for h in _MGF_STEPS:
         gp, gm = g_of(h), g_of(-h)
         d1.append((gp - gm) / (2.0 * h))
         d2.append((gp + gm) / (h * h))
-    ratio = (steps[0] / steps[1]) ** 2
+    ratio = (_MGF_STEPS[0] / _MGF_STEPS[1]) ** 2
     d1_r = (ratio * d1[1] - d1[0]) / (ratio - 1.0)
     d2_r = (ratio * d2[1] - d2[0]) / (ratio - 1.0)
     mean = -d1_r / (2.0 * math.pi)

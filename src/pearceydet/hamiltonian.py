@@ -49,6 +49,10 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
 _S_ANCHOR_MIN = 4.0
 _S_ANCHOR_MAX = 12.0
+_ANCHOR_N = 256                 # Nystrom order of the resolvent anchor
+_SAMPLES = 400                  # trajectory sample grid
+_MAX_STEP = 0.05                # DOP853 step cap
+_CHECK_DET_TOL = 1e-9           # determinant tolerance of the integral check
 
 
 @dataclass(frozen=True)
@@ -220,7 +224,7 @@ def _dual_weight_vector(mats: np.ndarray, gamma: float, det_ref: complex) -> np.
     return gamma / (2j * math.pi) * (cof[:, :, 1] + cof[:, :, 2]) / det_ref
 
 
-def resolvent_anchor_state(s0: float, params: ModelParams, n: int = 256) -> HamState:
+def resolvent_anchor_state(s0: float, params: ModelParams) -> HamState:
     """Quadrature-precision anchor from the Fredholm side (see module notes).
 
     The six oscillator components come from the endpoint values of the
@@ -246,6 +250,7 @@ def resolvent_anchor_state(s0: float, params: ModelParams, n: int = 256) -> HamS
     if g == 0.0:
         return asymptotic_state(s0, params)
 
+    n = _ANCHOR_N
     x, w, k = _nystrom(s0, rho, n, (s0,))                  # K over (x, s0)
     kmat = k[:n, :n]
     pts = np.append(x, s0)
@@ -281,7 +286,7 @@ def resolvent_anchor_state(s0: float, params: ModelParams, n: int = 256) -> HamS
     else:
         q3 = q3 - resid / p3
 
-    h_val = 0.5 * resolvent_boundary_trace(s0, params, min(n, 256))
+    h_val = 0.5 * resolvent_boundary_trace(s0, params, n)
     bracket = p1 * q1 - p2 * q2 + p3 * q3
     rest = p1 * q2 + p2 * q3 + s0 * p3 * q1 + bracket * bracket / (2.0 * s0)
     coeffs = np.array([[_SQRT2 * p2 * q1, _SQRT2 * p3 * q2],
@@ -321,8 +326,7 @@ class Trajectory:
 
 
 def integrate(s_from: float, s_to: float, init: HamState, params: ModelParams,
-              tol: float = 1e-10, *, n_samples: int = 400,
-              max_step: float = 0.05, ic_source: str = "caller") -> Trajectory:
+              tol: float = 1e-10, *, ic_source: str = "caller") -> Trajectory:
     """Adaptive high-order Runge-Kutta run from s_from to s_to with dense output.
 
     Raises ConvergenceError on step failure or if the conserved constraint
@@ -338,10 +342,10 @@ def integrate(s_from: float, s_to: float, init: HamState, params: ModelParams,
     # anchor: absolute step noise there is amplified by exp(dtheta3/2) on the
     # way down, so a loose atol (not rtol) is what destroys backward sweeps.
     sol = solve_ivp(_rhs_array, (s_from, s_to), init.to_array(), method="DOP853",
-                    rtol=tol, atol=1e-15, max_step=max_step, dense_output=True)
+                    rtol=tol, atol=1e-15, max_step=_MAX_STEP, dense_output=True)
     if not sol.success:
         raise ConvergenceError(f"integrator failed: {sol.message}")
-    grid = np.linspace(s_from, s_to, max(n_samples, 200))
+    grid = np.linspace(s_from, s_to, _SAMPLES)
     ys = sol.sol(grid).T
     h = np.array([hamiltonian_value(HamState.from_array(float(sv), y))
                   for sv, y in zip(grid, ys)])
@@ -354,8 +358,7 @@ def integrate(s_from: float, s_to: float, init: HamState, params: ModelParams,
 
 
 def asymptotic_trajectory(params: ModelParams, s_from: float = 10.0, s_to: float = 0.5,
-                          tol: float = 1e-10, *, ic_mode: str = "resolvent",
-                          n_samples: int = 400) -> Trajectory:
+                          tol: float = 1e-10, *, ic_mode: str = "resolvent") -> Trajectory:
     """Backward trajectory of the special solution family.
 
     ``ic_mode='resolvent'`` (default) anchors at the quadrature-precision
@@ -370,8 +373,7 @@ def asymptotic_trajectory(params: ModelParams, s_from: float = 10.0, s_to: float
             ic = project_invariants(ic, params)
     else:
         raise DomainError(f"unknown ic_mode {ic_mode!r}")
-    return integrate(s_from, s_to, ic, params, tol, n_samples=n_samples,
-                     ic_source=ic_mode)
+    return integrate(s_from, s_to, ic, params, tol, ic_source=ic_mode)
 
 
 # -- exact composed derivatives of p0, q0 ------------------------------------
@@ -523,24 +525,20 @@ def identity_report(traj: Trajectory, params: ModelParams) -> dict[str, np.ndarr
 
 
 def integral_representation_check(s_lo: float, s_hi: float, params: ModelParams, *,
-                                  s_anchor: float = 10.0, traj: Trajectory | None = None,
-                                  det_tol: float = 1e-9,
-                                  ode_tol: float = 1e-10) -> dict[str, float]:
+                                  s_anchor: float = 10.0) -> dict[str, float]:
     """|[F(s_hi) - F(s_lo)] - 2 int_{s_lo}^{s_hi} H| with Simpson over dense samples."""
     if not 0.3 <= s_lo < s_hi <= _S_ANCHOR_MAX:
         raise DomainError(f"need 0.3 <= s_lo < s_hi <= {_S_ANCHOR_MAX}")
     if params.gamma == 0.0:
         return {"discrepancy": 0.0, "delta_f": 0.0, "integral": 0.0}
-    if traj is None:
-        traj = asymptotic_trajectory(params, s_from=max(s_anchor, s_hi), s_to=s_lo,
-                                     tol=ode_tol)
+    traj = asymptotic_trajectory(params, s_from=max(s_anchor, s_hi), s_to=s_lo)
     from .fredholm import logdet_converged
 
     grid = np.linspace(s_lo, s_hi, 801)
     h_vals = traj.h_at(grid).real
     integral = 2.0 * float(simpson(h_vals, x=grid))
-    delta_f = (logdet_converged(s_hi, params, det_tol).f
-               - logdet_converged(s_lo, params, det_tol).f)
+    delta_f = (logdet_converged(s_hi, params, _CHECK_DET_TOL).f
+               - logdet_converged(s_lo, params, _CHECK_DET_TOL).f)
     return {"discrepancy": abs(delta_f - integral), "delta_f": delta_f,
             "integral": integral}
 

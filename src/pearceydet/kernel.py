@@ -38,6 +38,7 @@ from .pearcey import _p_bundle, _q_bundle, _upper_v_bundle, tilde_psi_matrices
 DIAG_BAND_HALF_WIDTH = 1e-3
 _XY_MAX = 12.0
 _INTEGRAL_Z = 25.0
+_INTEGRAL_NODES = 16            # Gauss-Legendre nodes per z-panel
 _REALNESS_TOL = 1e-9
 
 
@@ -135,7 +136,7 @@ def kernel_matrix(x: np.ndarray, rho: float) -> np.ndarray:
 
 
 def kernel_integral(x: float, y: float, rho: float, *, z_max: float = _INTEGRAL_Z,
-                    panels: int = 50, nodes: int = 16) -> float:
+                    panels: int = 50) -> float:
     """Oracle: convergent two-sided z-integral representation (see module notes).
 
     The tail is monitored: the last panel of either half must contribute
@@ -144,7 +145,7 @@ def kernel_integral(x: float, y: float, rho: float, *, z_max: float = _INTEGRAL_
     """
     if abs(x) > _XY_MAX or abs(y) > _XY_MAX:
         raise DomainError(f"kernel_integral validated for |x|,|y| <= {_XY_MAX}")
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    xg, wg = np.polynomial.legendre.leggauss(_INTEGRAL_NODES)
     while True:
         edges = np.linspace(0.0, z_max, panels + 1)
         mids = (edges[:-1] + edges[1:]) / 2
@@ -156,7 +157,7 @@ def kernel_integral(x: float, y: float, rho: float, *, z_max: float = _INTEGRAL_
         p_bwd = _p_bundle(x - zs, rho, kmax=0)[0]
         v_bwd = _upper_v_bundle(zs - y, rho, kmax=0)[0]
         contrib = -ws * (p_fwd * v_fwd + p_bwd * v_bwd)
-        tail = abs(contrib[-nodes:].sum())
+        tail = abs(contrib[-_INTEGRAL_NODES:].sum())
         if tail < 1e-11:
             return float(_real_checked(np.array([contrib.sum()]), "kernel_integral")[0])
         z_max *= 2.0

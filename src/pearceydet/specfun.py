@@ -31,6 +31,8 @@ _LANCZOS_C = (
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
+# 24-point Gauss-Legendre rule of the Barnes G segment integral
+_BARNES_NODES, _BARNES_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -131,14 +133,13 @@ def barnes_ln_g(one_plus_z: complex) -> complex:
         return 0.0 + 0.0j
 
     def segment_integral(panels: int) -> complex:
-        nodes, weights = np.polynomial.legendre.leggauss(24)
         total = 0.0 + 0.0j
         for p in range(panels):
             a = p / panels
             b = (p + 1) / panels
-            ts = (a + b) / 2 + (b - a) / 2 * nodes
+            ts = (a + b) / 2 + (b - a) / 2 * _BARNES_NODES
             vals = np.array([ln_gamma(1.0 + tt * z) for tt in ts])
-            total += (b - a) / 2 * (weights * vals).sum()
+            total += (b - a) / 2 * (_BARNES_WEIGHTS * vals).sum()
         return z * total
 
     prev = segment_integral(1)

@@ -83,20 +83,51 @@ class TestKernelGrid:
             assert col in header
 
     def test_metadata_keys_written_once(self, capsys):
-        # the oracle is named whether or not --oracle is given, but only once
-        for oracle in ([], ["--oracle", "all"]):
-            code, out, _ = run_cli(["kernel", "--s-min", "-1", "--s-max", "1",
-                                    "--s-steps", "2"] + oracle, capsys)
+        # a value that is both a flag and a diagnostic is named once, given or not
+        grid = ["kernel", "--s-min", "-1", "--s-max", "1", "--s-steps", "2"]
+        for argv, key in ((grid, "oracle"), (grid + ["--oracle", "all"], "oracle"),
+                          (["scan", "--s", "2", "--tol", "1e-9"], "tol"),
+                          (["moments", "--s", "4", "--quad-order", "64"], "quad_order")):
+            code, out, _ = run_cli(argv, capsys)
             assert code == 0
             keys = [ln.split(":")[0] for ln in out.splitlines() if ln.startswith("# ")]
             assert len(keys) == len(set(keys))
-            assert "# oracle" in keys
+            assert f"# {key}" in keys
 
 
 class TestUsage:
     def test_unknown_command_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["det", "--s", "2", "--oracle", "rh"],
+        ["moments", "--s", "4", "--gamma", "0.5"],
+        ["kernel", "--tol", "1e-9"],
+        ["clt", "--s", "4", "--nu", "0.1"],
+        ["chf-verify", "--rho", "1"],
+        ["selftest", "--gamma", "0.2"],
+    ])
+    def test_inapplicable_flag_exit_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_det_requires_s(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["det", "--gamma", "0.5"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["det", "--s", "2", "--quad-order", "0"],
+        ["kernel", "--s-steps", "0"],
+        ["scan", "--s-min", "2", "--s-max", "4", "--s-steps", "0"],
+    ])
+    def test_zero_count_exit_2(self, argv):
+        # a zero order or grid size is a usage error, not a request for the default
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == 2
 
     def test_missing_grid_is_numerical_error(self, capsys):
@@ -113,12 +144,3 @@ class TestEntryPoint:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
 
-
-class TestParallelGrid:
-    def test_thread_pool_preserves_order_and_values(self, capsys, monkeypatch):
-        args = ["scan", "--gamma", "0.5", "--rho", "0", "--s-min", "2",
-                "--s-max", "6", "--s-steps", "5", "--tol", "1e-8"]
-        _, sequential, _ = run_cli(args, capsys)
-        monkeypatch.setenv("PEARCEY_THREADS", "3")
-        _, parallel, _ = run_cli(args, capsys)
-        assert parallel == sequential
