@@ -78,23 +78,24 @@ def _cmd_kernel(args) -> None:
                      9 if args.s_steps is None else args.s_steps)
     oracle = args.oracle or "rational"
     kinds = ("rational", "integral", "rh") if oracle == "all" else (oracle,)
+    xg, yg = (g.ravel() for g in np.meshgrid(xs, xs, indexing="ij"))
+    k_int = kernel_integral(xg, yg, args.rho) if "integral" in kinds else None
 
-    def one(pt):
-        x, y = pt
+    def one(i):
+        x, y = xg[i], yg[i]
         row = {"x": float(x), "y": float(y)}
         for kind in kinds:
             if kind == "rational":
                 row["k_rational"] = kernel_point(x, y, args.rho)
             elif kind == "integral":
-                row["k_integral"] = kernel_integral(x, y, args.rho)
+                row["k_integral"] = float(k_int[i])
             elif abs(x - y) > 1e-3:
                 row["k_rh"] = kernel_rh(x, y, args.rho)
             else:
                 row["k_rh"] = math.nan
         return row
 
-    pts = [(x, y) for x in xs for y in xs]
-    _emit(args, [one(pt) for pt in pts], {"grid_points": len(pts), "oracle": oracle})
+    _emit(args, [one(i) for i in range(len(xg))], {"grid_points": len(xg), "oracle": oracle})
 
 
 def _default_tol(gamma: float) -> float:

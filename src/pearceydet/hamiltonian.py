@@ -16,9 +16,10 @@ data alone drives the trajectory onto a movable pole around theta3-distance
   defining Fredholm data: the q-vector is the normalized endpoint value of
   (I - gamma K)^{-1} applied to the first matrix column, the p-vector is the
   dual endpoint value, and (p0, q0) follow from the first integral plus the
-  Hamiltonian's identity with d/ds of the log-determinant.  This anchor is
-  accurate to quadrature precision (~1e-9) and survives the full backward
-  sweep; it is the default for trajectories.
+  Hamiltonian's identity with d/ds of the log-determinant.  This anchor
+  survives the full backward sweep and is the default for trajectories; it
+  magnifies rounding in the kernel, so at large theta3(s0) its state carries
+  about 5 digits (see ``resolvent_anchor_state``).
 
 Two exact first integrals,
 
@@ -52,6 +53,7 @@ _S_ANCHOR_MAX = 12.0
 _ANCHOR_N = 256                 # Nystrom order of the resolvent anchor
 _SAMPLES = 400                  # trajectory sample grid
 _MAX_STEP = 0.05                # DOP853 step cap
+_RTOL_MIN = 100 * np.finfo(float).eps   # DOP853 raises a smaller rtol to this
 _CHECK_DET_TOL = 1e-9           # determinant tolerance of the integral check
 
 
@@ -234,9 +236,11 @@ def resolvent_anchor_state(s0: float, params: ModelParams) -> HamState:
     The family's realness structure (p0, q0 real; oscillators purely
     imaginary) and both exact first integrals are enforced on the result.
 
-    The extraction floor is ~1e-10 absolute on the oscillators; measured
-    against the q-envelope exp(-theta3(s0)/2) and amplified backward, anchors
-    with theta3(s0; rho) beyond ~18 (e.g. s0 = 10 at rho = 1) sit near the
+    The extraction amplifies last-bit changes of K about 1e10-fold: with
+    theta3(s0; rho) between 13 and 16 the state of a sweep to s = 0.5 carries
+    about 5 significant digits (rounding the P and Q bundles differently
+    moved it by up to 3.4e-5 relative), about 10 below theta3 ~ 11.  Anchors
+    with theta3 beyond ~18 (e.g. s0 = 10 at rho = 1) sit near the
     sweep-to-0.5 cliff -- prefer s0 around 8 for long sweeps at large rho.
     """
     from .fredholm import _nystrom, resolvent_boundary_trace
@@ -330,8 +334,12 @@ def integrate(s_from: float, s_to: float, init: HamState, params: ModelParams,
     """Adaptive high-order Runge-Kutta run from s_from to s_to with dense output.
 
     Raises ConvergenceError on step failure or if the conserved constraint
-    blows past 1e-3 (a diverged trajectory, not a tolerance issue).
+    blows past 1e-3 (a diverged trajectory, not a tolerance issue), and
+    DomainError for a tol that is not finite or below the solver's floor.
     """
+    if not (math.isfinite(tol) and tol >= _RTOL_MIN):
+        raise DomainError(f"tol = {tol} is not finite or below the solver's "
+                          f"floor {_RTOL_MIN:.1e}")
     if min(s_from, s_to) <= 0:
         raise DomainError("trajectory must stay in s > 0")
     if max(s_from, s_to) > _S_ANCHOR_MAX:

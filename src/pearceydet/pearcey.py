@@ -1,23 +1,29 @@
 """Pearcey integrals P and Q, the six contour solutions, and the matrix built from them.
 
 All integrals share one fixed composite Gauss-Legendre grid: panels of width
-0.2 with 12 nodes each on [-4.8, 4.8] (or [0, 4.8] per ray).  The quartic
-weight exp(-t^4/4) is ~1e-58 at the truncation point, so truncation error is
-negligible and the only accuracy limit is oscillation of exp(itx), resolved to
-~1e-10 relative for |x| <= 40.  Derivatives are taken by inserting (it)^k
-under the integral, never by differencing.
+0.2 with 12 nodes each on [0, 4.8] per ray.  The quartic weight exp(-t^4/4) is
+~1e-58 at the truncation point, so truncation error is negligible and the only
+accuracy limit is oscillation of exp(itx), resolved to ~1e-10 relative for
+|x| <= 40.  Derivatives are taken by inserting (it)^k under the integral,
+never by differencing.
 
 Contour conventions (these were cross-validated against the 3x3 matrix
 representation of the kernel, which is orientation-unambiguous):
 
-* P integrates over the real line.
+* P integrates over the real line.  Its weight exp(-t^4/4 - rho t^2/2) is real
+  and even, so for real x the line integral folds onto the half-line: P is
+  the cosine transform (1/pi) int_0^inf e^{-r^4/4 - rho r^2/2} cos(rx) dr, and
+  P^(k) inserts r^k and shifts the phase by k pi/2.  It is computed in real
+  arithmetic on the ray rule.
 * Q integrates over the four rays at angles pi/4, 3pi/4, 5pi/4, 7pi/4 with the
   first and third rays running from infinity to 0 and the other two outward.
   Equivalently Q(y) = V(y) - V(-y) where V is the upper-V contour below.
 * V (``pearcey_upper``) runs from e^{i pi/4} inf down to 0 and out to
-  e^{3 i pi/4} inf with the Q-type weight exp(+t^4/4 + rho t^2/2).  It is real
-  on the real axis and decays superexponentially as y -> +inf; it is the
-  ingredient that makes the kernel's integral representation convergent.
+  e^{3 i pi/4} inf with the Q-type weight exp(+t^4/4 + rho t^2/2).  For real y
+  the 3pi/4 ray is minus the conjugate of the pi/4 ray, so V is computed from
+  the pi/4 ray alone and is real on the real axis.  It decays
+  superexponentially as y -> +inf; it is the ingredient that makes the
+  kernel's integral representation convergent.
 * The contours Gamma_j of the six solutions of the P-type equation are ordered
   unions of half-lines along the coordinate axes; exp(-t^4/4) decays on every
   one of them, so each leg is integrated straight with the same panel scheme.
@@ -53,8 +59,9 @@ class PearceyValues:
 
 
 @lru_cache(maxsize=8)
-def _line_rule(half_range: float, panel_width: float, nodes: int):
-    """Composite GL nodes/weights on [-half_range, half_range]."""
+def _ray_rule(half_range: float, panel_width: float, nodes: int):
+    """Composite GL nodes/weights on [0, half_range]: the positive half of the
+    symmetric composite rule on [-half_range, half_range]."""
     xg, wg = np.polynomial.legendre.leggauss(nodes)
     n_panels = int(round(2.0 * half_range / panel_width))
     edges = np.linspace(-half_range, half_range, n_panels + 1)
@@ -62,25 +69,27 @@ def _line_rule(half_range: float, panel_width: float, nodes: int):
     half = (edges[1:] - edges[:-1]) / 2
     t = (mids[:, None] + half[:, None] * xg[None, :]).ravel()
     w = (half[:, None] * wg[None, :]).ravel()
-    return t, w
-
-
-@lru_cache(maxsize=8)
-def _ray_rule(half_range: float, panel_width: float, nodes: int):
-    """Composite GL nodes/weights on [0, half_range]."""
-    t, w = _line_rule(half_range, panel_width, nodes)
     keep = t > 0
     return t[keep], w[keep]
 
 
+# cos(a + k pi/2) is sign * cos(a) for even k and sign * sin(a) for odd k
+_PHASE_SIGN = (1.0, -1.0, -1.0, 1.0)
+
+
 def _p_bundle(x: np.ndarray, rho: float, kmax: int = 2, *,
               rule=None) -> np.ndarray:
-    """(kmax+1, len(x)) array of d^k/dx^k of (1/2pi) int e^{-t^4/4 - rho t^2/2 + itx} dt."""
-    t, w = rule if rule is not None else _line_rule(HALF_RANGE, PANEL_WIDTH, NODES_PER_PANEL)
-    base = w * np.exp(-t ** 4 / 4 - rho * t ** 2 / 2) / (2.0 * math.pi)
-    osc = np.exp(1j * np.multiply.outer(t, x))
-    it = 1j * t
-    return np.stack([(base * it ** k) @ osc for k in range(kmax + 1)])
+    """(kmax+1, len(x)) array of d^k/dx^k of (1/2pi) int e^{-t^4/4 - rho t^2/2 + itx} dt.
+
+    Real x only: the half-line cosine transform
+    (1/pi) sum_r w e^{-r^4/4 - rho r^2/2} r^k cos(rx + k pi/2) over the ray rule.
+    """
+    r, w = rule if rule is not None else _ray_rule(HALF_RANGE, PANEL_WIDTH, NODES_PER_PANEL)
+    base = w * np.exp(-r ** 4 / 4 - rho * r ** 2 / 2) / math.pi
+    arg = np.multiply.outer(r, np.asarray(x, dtype=float))
+    trig = (np.cos(arg), np.sin(arg) if kmax >= 1 else None)
+    return np.stack([(_PHASE_SIGN[k % 4] * base * r ** k) @ trig[k % 2]
+                     for k in range(kmax + 1)])
 
 
 def _ray_bundle(phi: float, z: np.ndarray, rho: float, kmax: int = 2, *,
@@ -99,19 +108,21 @@ def _ray_bundle(phi: float, z: np.ndarray, rho: float, kmax: int = 2, *,
 
 
 def _upper_v_bundle(y: np.ndarray, rho: float, kmax: int = 2, *, rule=None) -> np.ndarray:
-    """Upper-V contour with the Q-type weight: -ray(pi/4) + ray(3pi/4), over 2 pi."""
-    up1 = _ray_bundle(math.pi / 4, y, rho, kmax, weight_sign=+1.0, rule=rule)
-    up2 = _ray_bundle(3 * math.pi / 4, y, rho, kmax, weight_sign=+1.0, rule=rule)
-    return (up2 - up1) / (2.0 * math.pi)
+    """Upper-V contour with the Q-type weight: (-ray(pi/4) + ray(3pi/4)) / 2pi.
+
+    For real y the 3pi/4 ray is -conj of the pi/4 ray, so V = -Re ray(pi/4) / pi.
+    """
+    ray = _ray_bundle(math.pi / 4, np.asarray(y, dtype=float), rho, kmax,
+                      weight_sign=+1.0, rule=rule)
+    return -ray.real / math.pi
 
 
 def _q_bundle(y: np.ndarray, rho: float, kmax: int = 2, *, rule=None) -> np.ndarray:
     """Q bundle assembled from the upper-V solution: Q^(k)(y) = V^(k)(y) - (-1)^k V^(k)(-y)."""
     y = np.asarray(y, dtype=float)
-    vp = _upper_v_bundle(y, rho, kmax, rule=rule)
-    vm = _upper_v_bundle(-y, rho, kmax, rule=rule)
+    v = _upper_v_bundle(np.concatenate([y, -y]), rho, kmax, rule=rule)
     signs = (-1.0) ** np.arange(kmax + 1)
-    return vp - signs[:, None] * vm
+    return v[:, :len(y)] - signs[:, None] * v[:, len(y):]
 
 
 def _check_arg(x: float, bound: float, name: str) -> None:

@@ -95,6 +95,17 @@ class TestKernelGrid:
             assert f"# {key}" in keys
 
 
+class TestHamiltonian:
+    @pytest.mark.parametrize("tol", ["0", "1e-15", "nan", "inf"])
+    def test_tol_below_solver_floor_exit_1(self, tol, capsys):
+        # DOP853 would silently raise such an rtol to 2.2e-14 (or fail on nan)
+        code, out, err = run_cli(["hamiltonian", "--gamma", "0.5", "--s-max", "7",
+                                  "--s-min", "6", "--tol", tol], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
+
 class TestUsage:
     def test_unknown_command_exit_2(self):
         with pytest.raises(SystemExit) as exc:

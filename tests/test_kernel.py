@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pearceydet import kernel as kn
-from pearceydet.errors import DomainError
+from pearceydet.errors import ConvergenceError, DomainError
 
 
 class TestRationalForm:
@@ -61,6 +61,45 @@ class TestIntegralForm:
     def test_domain(self):
         with pytest.raises(DomainError):
             kn.kernel_integral(13.0, 0.0, 0.0)
+        with pytest.raises(DomainError):
+            kn.kernel_integral(np.array([0.0, 1.0]), np.array([0.5, -12.5]), 0.0)
+        # a NaN anywhere would never pass the tail check
+        for x, y, rho in ((np.nan, 0.0, 0.0), (0.0, np.array([1.0, np.nan]), 0.0),
+                          (0.0, 0.0, np.nan), (0.0, 0.0, np.inf)):
+            with pytest.raises(DomainError):
+                kn.kernel_integral(x, y, rho)
+
+    def test_tail_doubling_is_bounded(self):
+        # from z_max = 0.5 three doublings reach only z = 4, short of the tail
+        with pytest.raises(ConvergenceError):
+            kn.kernel_integral(0.0, 0.0, 0.0, z_max=0.5)
+
+    def test_scalar_returns_float(self):
+        assert isinstance(kn.kernel_integral(0.1, 0.2, 0.0), float)
+
+    def test_batched_grid_matches_scalar_calls(self):
+        grid = np.linspace(-3, 3, 9)
+        xs, ys = np.meshgrid(grid, grid, indexing="ij")
+        batched = kn.kernel_integral(xs, ys, 0.4)
+        assert batched.shape == (9, 9)
+        scalar = np.array([[kn.kernel_integral(float(x), float(y), 0.4) for y in grid]
+                           for x in grid])
+        assert np.abs(batched - scalar).max() <= 1e-15
+        row = kn.kernel_integral(grid[:, None], grid[2], 0.4)
+        assert np.abs(row[:, 0] - scalar[:, 2]).max() <= 1e-15
+
+    def test_partial_doubling_matches_scalar_calls(self):
+        # at z_max = 5 the tail check passes at some grid points and fails at
+        # others; a point that doubled carries the z_max = 10 value bit for bit
+        grid = np.linspace(-3, 3, 9)
+        xs, ys = np.meshgrid(grid, grid, indexing="ij")
+        batched = kn.kernel_integral(xs, ys, 0.4, z_max=5.0)
+        doubled = batched == kn.kernel_integral(xs, ys, 0.4, z_max=10.0)
+        assert 0 < doubled.sum() < doubled.size
+        for mask in (doubled, ~doubled):
+            for i, j in np.argwhere(mask)[:3]:
+                scalar = kn.kernel_integral(float(xs[i, j]), float(ys[i, j]), 0.4, z_max=5.0)
+                assert abs(batched[i, j] - scalar) <= 1e-15
 
 
 class TestRhForm:
@@ -90,15 +129,14 @@ class TestTripleAgreement:
     @pytest.mark.parametrize("rho", [-1.0, 0.0, 1.0])
     def test_grid(self, rho):
         grid = np.linspace(-3, 3, 5)
+        xs, ys = (g.ravel() for g in np.meshgrid(grid, grid, indexing="ij"))
+        off = np.abs(xs - ys) >= 1e-3
+        xs, ys = xs[off], ys[off]
         worst = 0.0
-        for x in grid:
-            for y in grid:
-                if abs(x - y) < 1e-3:
-                    continue
-                kr = kn.kernel_rational(float(x), float(y), rho)
-                ki = kn.kernel_integral(float(x), float(y), rho)
-                kh = kn.kernel_rh(float(x), float(y), rho)
-                worst = max(worst, abs(kr - ki), abs(kr - kh))
+        for x, y, ki in zip(xs, ys, kn.kernel_integral(xs, ys, rho)):
+            kr = kn.kernel_rational(float(x), float(y), rho)
+            kh = kn.kernel_rh(float(x), float(y), rho)
+            worst = max(worst, abs(kr - ki), abs(kr - kh))
         assert worst < 1e-7
 
     def test_diagonal_limit_first_order(self):

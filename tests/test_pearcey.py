@@ -1,7 +1,9 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 
 from pearceydet import pearcey as pc
 from pearceydet.errors import DomainError
@@ -141,14 +143,68 @@ class TestTildePsi:
 
 class TestQuadratureConvergence:
     def test_panel_doubling(self):
-        fine_line = pc._line_rule(pc.HALF_RANGE, pc.PANEL_WIDTH / 2, pc.NODES_PER_PANEL)
+        fine_ray = pc._ray_rule(pc.HALF_RANGE, pc.PANEL_WIDTH / 2, pc.NODES_PER_PANEL)
         for x in (0.0, 3.7, -9.2):
             for rho in (0.0, 1.0):
                 base = pc._p_bundle(np.array([x]), rho)
-                fine = pc._p_bundle(np.array([x]), rho, rule=fine_line)
+                fine = pc._p_bundle(np.array([x]), rho, rule=fine_ray)
                 rel = np.abs(base - fine) / (1.0 + np.abs(fine))
                 assert rel.max() < 1e-11
-        fine_ray = pc._ray_rule(pc.HALF_RANGE, pc.PANEL_WIDTH / 2, pc.NODES_PER_PANEL)
         q_base = pc._q_bundle(np.array([2.2]), 0.3)
         q_fine = pc._q_bundle(np.array([2.2]), 0.3, rule=fine_ray)
         assert (np.abs(q_base - q_fine) / (1 + np.abs(q_fine))).max() < 1e-11
+
+
+def _quad_complex(f, a: float, b: float) -> complex:
+    opts = dict(limit=400, epsabs=1e-15, epsrel=1e-14)
+    re = quad(lambda t: f(t).real, a, b, **opts)[0]
+    im = quad(lambda t: f(t).imag, a, b, **opts)[0]
+    return complex(re, im)
+
+
+@pytest.mark.filterwarnings("ignore", category=IntegrationWarning)
+class TestAdaptiveReference:
+    """The bundles against adaptive quadrature of the defining contour integrals.
+
+    P is integrated over the whole line and V over both of its rays, so
+    neither the half-line folding of P nor the mirror symmetry of V's rays
+    is assumed by the reference.  Both weights are below 1e-200 at |t| = 7.
+    """
+
+    @pytest.mark.parametrize("rho", [-2.0, 0.0, 1.7])
+    def test_p_derivatives(self, rho):
+        xs = (0.3, 5.0, 11.7)
+        b = pc._p_bundle(np.array(xs), rho)
+        for j, x in enumerate(xs):
+            for k in range(3):
+                ref = _quad_complex(
+                    lambda t: cmath.exp(-t ** 4 / 4 - rho * t * t / 2 + 1j * t * x)
+                    * (1j * t) ** k, -7.0, 7.0) / (2 * math.pi)
+                assert abs(b[k, j] - ref) <= 1e-12 * (1 + abs(ref))
+
+    @pytest.mark.parametrize("rho", [-2.0, 0.0, 1.7])
+    def test_upper_v_derivatives(self, rho):
+        ys = (-7.3, 2.2, 9.1)
+        b = pc._upper_v_bundle(np.array(ys), rho)
+
+        def ray(phi, y, k):
+            e = cmath.exp(1j * phi)
+            return _quad_complex(
+                lambda r: cmath.exp((r * e) ** 4 / 4 + rho * (r * e) ** 2 / 2 + 1j * r * e * y)
+                * (1j * r * e) ** k * e, 0.0, 7.0)
+
+        for j, y in enumerate(ys):
+            for k in range(3):
+                ref = (ray(3 * math.pi / 4, y, k) - ray(math.pi / 4, y, k)) / (2 * math.pi)
+                assert abs(b[k, j] - ref) <= 1e-12 * (1 + abs(ref))
+
+
+class TestOdeResidualsOverRho:
+    @pytest.mark.parametrize("rho", [-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0])
+    def test_p_and_q(self, rho):
+        xs = np.linspace(-12.0, 12.0, 97)
+        pb = pc._p_bundle(xs, rho, kmax=3)
+        qb = pc._q_bundle(xs, rho, kmax=3)
+        res_p = np.abs(pb[3] - xs * pb[0] - rho * pb[1]).max() / (1 + np.abs(pb).max())
+        res_q = np.abs(qb[3] + xs * qb[0] - rho * qb[1]).max() / (1 + np.abs(qb).max())
+        assert max(res_p, res_q) < 1e-9
