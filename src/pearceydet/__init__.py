@@ -56,6 +56,7 @@ from .asymptotics import (
     f_gamma1,
     fit_gamma1_constant,
     f_large_gap,
+    gap_constant,
     h_gamma1,
     h_large_s,
     mgf_prefactor,

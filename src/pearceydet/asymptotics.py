@@ -67,8 +67,25 @@ def vartheta(s: float, params: ModelParams) -> float:
     return _coerce_real(val, "vartheta")
 
 
-def f_large_gap(s: float, params: ModelParams) -> GapAsymptotics:
-    """Large-gap expansion of F(s; gamma, rho) including the Barnes-G constant."""
+def gap_constant(params: ModelParams) -> float:
+    """Constant term of the large-gap expansion, -2 beta^2 ln(9/2) + 2 ln G(1+beta)G(1-beta).
+
+    It depends on gamma alone, so a caller evaluating many s computes it once.
+    """
+    beta = params.beta
+    if beta == 0:
+        return 0.0
+    beta_sq = _coerce_real(beta * beta, "beta^2")
+    barnes = barnes_ln_g(1.0 + beta) + barnes_ln_g(1.0 - beta)
+    return _coerce_real(-2.0 * beta_sq * _LOG_9_2 + 2.0 * barnes, "gap constant term")
+
+
+def f_large_gap(s: float, params: ModelParams,
+                constant: float | None = None) -> GapAsymptotics:
+    """Large-gap expansion of F(s; gamma, rho) including the Barnes-G constant.
+
+    ``constant`` is ``gap_constant(params)`` when the caller has it already.
+    """
     if params.gamma == 1.0:
         raise DomainError("gamma = 1 has its own expansion; use f_gamma1")
     if s <= 0:
@@ -79,12 +96,8 @@ def f_large_gap(s: float, params: ModelParams) -> GapAsymptotics:
     leading = 1.5 * math.sqrt(3.0) * beta_i * s ** (4.0 / 3.0)
     subleading = -math.sqrt(3.0) * params.rho * beta_i * s ** (2.0 / 3.0)
     log_term = -(8.0 / 3.0) * beta_sq * math.log(s)
-    if beta == 0:
-        constant = 0.0
-    else:
-        barnes = barnes_ln_g(1.0 + beta) + barnes_ln_g(1.0 - beta)
-        constant = _coerce_real(-2.0 * beta_sq * _LOG_9_2 + 2.0 * barnes,
-                                "gap constant term")
+    if constant is None:
+        constant = gap_constant(params)
     return GapAsymptotics(leading, subleading, log_term, constant)
 
 

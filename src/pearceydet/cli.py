@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import NumericsError
+from .errors import DomainError, NumericsError
 from .params import ModelParams
 from . import asymptotics as asym
 from . import chf as chf_mod
@@ -73,6 +73,9 @@ def _s_grid(args) -> np.ndarray:
 
 
 def _cmd_kernel(args) -> None:
+    # the one command without ModelParams, which rejects a non-finite rho elsewhere
+    if not math.isfinite(args.rho):
+        raise DomainError(f"rho must be finite, got {args.rho}")
     xs = np.linspace(args.s_min if args.s_min is not None else -3.0,
                      args.s_max if args.s_max is not None else 3.0,
                      9 if args.s_steps is None else args.s_steps)
@@ -120,12 +123,14 @@ def _cmd_det(args) -> None:
 def _cmd_scan(args) -> None:
     params = ModelParams(args.gamma, args.rho)
     tol = _default_tol(args.gamma) if args.tol is None else args.tol
+    # the Barnes-G constant depends on gamma alone: once per scan, not per s
+    constant = asym.gap_constant(params) if params.gamma < 1.0 else None
 
     def one(s):
         f_num = logdet_converged(s, params, tol).f
         row = {"s": float(s), "f_num": f_num}
         if params.gamma < 1.0:
-            gap = asym.f_large_gap(s, params)
+            gap = asym.f_large_gap(s, params, constant)
             row.update(f_asy=gap.total, leading=gap.leading, subleading=gap.subleading,
                        log_term=gap.log_term, constant=gap.constant)
         else:

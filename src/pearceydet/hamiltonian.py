@@ -4,11 +4,14 @@ Integration always runs backward from a large-s anchor: the small-s boundary
 data leaves three O(1) constants unspecified, so only the large-s side gives a
 complete initial condition.
 
-Backward perturbation growth is severe: errors in the exponentially small
-q-components are amplified by exp((theta3(s0) - theta3(s))/2) (about 2.7e3
-from s0 = 10 down to s = 0.5), so the O(s0^{-2/3}) leading-order boundary
-data alone drives the trajectory onto a movable pole around theta3-distance
-~ 10 below the anchor.  Two anchor constructions are therefore provided:
+Backward perturbation growth is severe, far beyond the
+exp((theta3(s0) - theta3(s))/2) of the exponentially small q-components
+(about 2.7e3 from s0 = 10 down to s = 0.5).  Rounding noise of relative size
+2.2e-16 in the kernel moves the anchor state by at most 5e-14, but the swept
+state by 3.8e-6 from s0 = 10 (a growth of about 1e8), 3e-10 from s0 = 8 and
+1.3e-12 from s0 = 6.  So the O(s0^{-2/3}) leading-order boundary data alone
+drives the trajectory onto a movable pole around theta3-distance ~ 10 below
+the anchor.  Two anchor constructions are therefore provided:
 
 * ``asymptotic_state`` - the printed leading-order closed forms (used to
   verify the asymptotics themselves and for short-range integration);

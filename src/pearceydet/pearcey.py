@@ -83,13 +83,19 @@ def _p_bundle(x: np.ndarray, rho: float, kmax: int = 2, *,
 
     Real x only: the half-line cosine transform
     (1/pi) sum_r w e^{-r^4/4 - rho r^2/2} r^k cos(rx + k pi/2) over the ray rule.
+    Each distinct |x| is evaluated once: P^(k) has the parity of k, so the odd
+    derivatives at negative x are the values at |x| with their sign flipped.
     """
     r, w = rule if rule is not None else _ray_rule(HALF_RANGE, PANEL_WIDTH, NODES_PER_PANEL)
+    x = np.asarray(x, dtype=float)
+    ax, at = np.unique(np.abs(x), return_inverse=True)
     base = w * np.exp(-r ** 4 / 4 - rho * r ** 2 / 2) / math.pi
-    arg = np.multiply.outer(r, np.asarray(x, dtype=float))
+    arg = np.multiply.outer(r, ax)
     trig = (np.cos(arg), np.sin(arg) if kmax >= 1 else None)
-    return np.stack([(_PHASE_SIGN[k % 4] * base * r ** k) @ trig[k % 2]
-                     for k in range(kmax + 1)])
+    out = np.stack([(_PHASE_SIGN[k % 4] * base * r ** k) @ trig[k % 2]
+                    for k in range(kmax + 1)])[:, at]
+    out[1::2] *= np.where(x < 0, -1.0, 1.0)
+    return out
 
 
 def _ray_bundle(phi: float, z: np.ndarray, rho: float, kmax: int = 2, *,
@@ -118,9 +124,14 @@ def _upper_v_bundle(y: np.ndarray, rho: float, kmax: int = 2, *, rule=None) -> n
 
 
 def _q_bundle(y: np.ndarray, rho: float, kmax: int = 2, *, rule=None) -> np.ndarray:
-    """Q bundle assembled from the upper-V solution: Q^(k)(y) = V^(k)(y) - (-1)^k V^(k)(-y)."""
+    """Q bundle assembled from the upper-V solution: Q^(k)(y) = V^(k)(y) - (-1)^k V^(k)(-y).
+
+    V is evaluated once per distinct value of [y, -y]: on points symmetric
+    about 0, once per point instead of twice.
+    """
     y = np.asarray(y, dtype=float)
-    v = _upper_v_bundle(np.concatenate([y, -y]), rho, kmax, rule=rule)
+    u, at = np.unique(np.concatenate([y, -y]), return_inverse=True)
+    v = _upper_v_bundle(u, rho, kmax, rule=rule)[:, at]
     signs = (-1.0) ** np.arange(kmax + 1)
     return v[:, :len(y)] - signs[:, None] * v[:, len(y):]
 

@@ -64,6 +64,12 @@ class TestLargeGap:
         assert gap.total == pytest.approx(gap.leading + gap.subleading
                                           + gap.log_term + gap.constant)
 
+    def test_given_constant_gives_same_bits(self):
+        p = ModelParams(0.8, -0.7)
+        const = asym.gap_constant(p)
+        for s in (1.0, 4.5, 12.0):
+            assert asym.f_large_gap(s, p, const) == asym.f_large_gap(s, p)
+
     def test_gamma_one_redirect(self):
         with pytest.raises(DomainError):
             asym.f_large_gap(5.0, ModelParams(1.0, 0.0))

@@ -30,6 +30,15 @@ class TestDet:
         assert set(payload) == {"config", "results", "diagnostics"}
         assert payload["results"][0]["f"] < 0
 
+    def test_indefinite_parity_block_exit_1(self, capsys):
+        # at n = 2 both parity factors are negative: the full determinant is
+        # positive and gave F = +2.636, but F = ln E[(1 - gamma)^N] <= 0
+        code, out, err = run_cli(["det", "--s", "9", "--gamma", "0.95", "--rho", "-1.3",
+                                  "--quad-order", "2"], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "SignError"
+
     def test_numerical_error_exit_code(self, capsys):
         code, out, err = run_cli(["det", "--s", "50", "--gamma", "0.5"], capsys)
         assert code == 1
@@ -52,6 +61,22 @@ class TestScan:
         _, out, _ = run_cli(["scan", "--gamma", "0.5", "--s", "2"], capsys)
         assert out.startswith("# pearceydet ")
         assert any(ln.startswith("# gamma: 0.5") for ln in out.splitlines())
+
+
+    def test_barnes_constant_once_per_scan(self, capsys, monkeypatch):
+        from pearceydet import asymptotics as asym
+        calls = []
+        real = asym.barnes_ln_g
+
+        def counting(z):
+            calls.append(z)
+            return real(z)
+
+        monkeypatch.setattr(asym, "barnes_ln_g", counting)
+        code, _, _ = run_cli(["scan", "--gamma", "0.6", "--s-min", "1", "--s-max", "12",
+                              "--s-steps", "7"], capsys)
+        assert code == 0
+        assert len(calls) == 2
 
 
 class TestDeterminism:
@@ -93,6 +118,14 @@ class TestKernelGrid:
             keys = [ln.split(":")[0] for ln in out.splitlines() if ln.startswith("# ")]
             assert len(keys) == len(set(keys))
             assert f"# {key}" in keys
+
+
+    @pytest.mark.parametrize("rho", ["nan", "inf", "-inf"])
+    def test_non_finite_rho_exit_1(self, rho, capsys):
+        code, out, err = run_cli(["kernel", f"--rho={rho}", "--s-steps", "2"], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
 
 
 class TestHamiltonian:

@@ -6,7 +6,8 @@ import pytest
 from pearceydet import asymptotics as asym
 from pearceydet import fredholm as fr
 from pearceydet import kernel as kn
-from pearceydet.errors import DomainError
+from pearceydet import pearcey as pc
+from pearceydet.errors import DomainError, SignError
 from pearceydet.kernel import kernel_diagonal_band
 from pearceydet.params import ModelParams
 
@@ -34,6 +35,12 @@ class TestGaussLegendre:
         assert np.all(np.diff(rule.nodes) > 0)
         assert np.allclose(rule.nodes, -rule.nodes[::-1], atol=1e-14)
         assert np.all(rule.weights > 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 127, 256, 384, 2048])
+    def test_mirror_image_bitwise(self, n):
+        rule = fr.gauss_legendre(n)
+        assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+        assert np.array_equal(rule.weights, rule.weights[::-1])
 
     def test_polynomial_exactness(self):
         # degree 2n-1 exactness on random polynomials
@@ -105,6 +112,36 @@ class TestLogdetConverged:
         assert e2 <= 0.1 * e1 or e2 < 1e-13
 
 
+_PARITY_ORDERS = [1, 2, 3, 16, 127, 256, 384]
+
+
+class TestParityFold:
+    @pytest.mark.parametrize("n", _PARITY_ORDERS)
+    @pytest.mark.parametrize("rho", [-2.0, 0.0, 1.7])
+    def test_nystrom_matrix_is_centrosymmetric(self, n, rho):
+        # K(-x, -y) = K(x, y) on a mirror-image rule holds bitwise, so the fold is exact
+        k = fr._nystrom(4.0, rho, n)[2]
+        assert np.array_equal(k, k[::-1, ::-1])
+
+    @pytest.mark.parametrize("n", _PARITY_ORDERS)
+    @pytest.mark.parametrize("gamma", [0.7, -3.0])
+    def test_matches_full_slogdet(self, n, gamma):
+        _, w, k = fr._nystrom(2.5, 0.6, n)
+        a = fr._symmetrized(w, k)
+        sign, full = np.linalg.slogdet(np.eye(n) - gamma * a)
+        assert sign == 1.0
+        assert abs(fr._parity_logdet(a, gamma) - full) <= 1e-13 * max(1.0, abs(full))
+
+    def test_parity_blocks_catch_a_sign_the_full_determinant_hides(self):
+        # n = 2: both 1x1 parity factors of det(I - gamma A) are negative, so the
+        # full determinant is positive, but F = ln E[(1 - gamma)^N] has no real value
+        _, w, k = fr._nystrom(9.0, -1.3, 2)
+        a = fr._symmetrized(w, k)
+        assert np.linalg.det(np.eye(2) - 0.95 * a) > 0
+        with pytest.raises(SignError):
+            fr._parity_logdet(a, 0.95)
+
+
 class TestResolventTrace:
     def test_matches_finite_difference(self):
         h = 1e-3
@@ -140,6 +177,14 @@ class TestMoments:
         assert mt[0] == pytest.approx(mm[0], abs=1e-6)
         assert mt[1] == pytest.approx(mm[1], abs=1e-5)
 
+    @pytest.mark.parametrize("s, rho, n", [(3.0, 0.0, 128), (9.0, -1.2, 384)])
+    def test_trace_of_square_without_product(self, s, rho, n):
+        mean, var = fr.moments_trace(s, rho, n)
+        _, w, k = fr._nystrom(s, rho, n)
+        wk = w[:, None] * k
+        product = float(np.trace(wk @ wk))
+        assert mean - var == pytest.approx(product, rel=1e-13)
+
     def test_small_interval_limit(self):
         # E N(s) -> 2 s K(0,0;rho) as s -> 0+
         s, rho = 0.05, 0.0
@@ -169,3 +214,16 @@ class TestAssemblies:
         squares.clear()
         fr.resolvent_boundary_trace(5.0, ModelParams(0.5, 0.0), 64)
         assert squares == [66]
+
+    def test_v_bundle_once_per_node(self, monkeypatch):
+        # on mirror-image nodes [x, -x] holds each node twice; V runs once per node
+        columns = []
+        real = pc._upper_v_bundle
+
+        def counting(y, *args, **kwargs):
+            columns.append(np.size(y))
+            return real(y, *args, **kwargs)
+
+        monkeypatch.setattr(pc, "_upper_v_bundle", counting)
+        fr._nystrom(5.0, 0.3, 128)
+        assert sum(columns) == 128

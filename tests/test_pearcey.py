@@ -199,6 +199,24 @@ class TestAdaptiveReference:
                 assert abs(b[k, j] - ref) <= 1e-12 * (1 + abs(ref))
 
 
+class TestParity:
+    # P^(k) has the parity of k and Q^(k) the opposite one, bitwise
+    @pytest.mark.parametrize("rho", [-2.0, 0.0, 1.7])
+    def test_reflected_bundles(self, rho):
+        xs = np.random.default_rng(3).uniform(-12.0, 12.0, 41)
+        signs = (-1.0) ** np.arange(4)[:, None]
+        assert np.array_equal(pc._p_bundle(-xs, rho, kmax=3), signs * pc._p_bundle(xs, rho, kmax=3))
+        assert np.array_equal(pc._q_bundle(-xs, rho, kmax=3), -signs * pc._q_bundle(xs, rho, kmax=3))
+
+    def test_mirrored_points_within_one_batch(self):
+        # the Nystrom nodes hold x and -x in one call: their columns agree bitwise
+        xs = np.array([-7.0, -3.25, -0.5, 0.0, 0.5, 3.25, 7.0])
+        signs = (-1.0) ** np.arange(3)[:, None]
+        p, q = pc._p_bundle(xs, 0.4), pc._q_bundle(xs, 0.4)
+        assert np.array_equal(p[:, ::-1], signs * p)
+        assert np.array_equal(q[:, ::-1], -signs * q)
+
+
 class TestOdeResidualsOverRho:
     @pytest.mark.parametrize("rho", [-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0])
     def test_p_and_q(self, rho):
