@@ -33,6 +33,9 @@ SECTOR_ANGLES = (0.0, math.pi / 3.0, 5.0 * math.pi / 6.0, math.pi,
                  7.0 * math.pi / 6.0, 5.0 * math.pi / 3.0)
 _RAY_OUTWARD = (True, True, False, False, False, True)
 _R_MIN, _R_MAX = 1e-3, 25.0
+_VERIFY_RADII = (1e-2, 5e-3)            # origin-expansion sample radii
+_FIRST_ORDER_BUDGET = 1e-4              # allowed O(z^2) remainder there
+_REPORT_RADII = (0.5, 1.0, 2.0, 5.0)    # jump-residual radii of the report
 
 
 @dataclass(frozen=True)
@@ -181,15 +184,14 @@ class ChfExpansion:
     upsilon1_21: complex
 
 
-def chf_origin_expansion(beta: complex, *, verify_radii: tuple[float, ...] = (1e-2, 5e-3),
-                         first_order_budget: float = 1e-4) -> ChfExpansion:
+def chf_origin_expansion(beta: complex) -> ChfExpansion:
     """Closed-form origin data, cross-checked against the constructed parametrix.
 
     Verifies at z = r e^{3 pi i/4} (inside sector 2) that
 
         Upsilon0^{-1} [Phi(z) e^{-beta pi i sigma3/2} U(z)^{-1}] - I - Upsilon1 z
 
-    has (2,1) entry within ``first_order_budget`` (the O(z^2) remainder).
+    has (2,1) entry within ``_FIRST_ORDER_BUDGET`` (the O(z^2) remainder).
     """
     beta = _check_beta(beta)
     if beta == 0:
@@ -206,26 +208,25 @@ def chf_origin_expansion(beta: complex, *, verify_radii: tuple[float, ...] = (1e
     u0_inv = np.linalg.inv(u0)
     sig3_half = np.array([[cmath.exp(-0.5 * beta * math.pi * 1j), 0.0],
                           [0.0, cmath.exp(0.5 * beta * math.pi * 1j)]], dtype=complex)
-    for r in verify_radii:
+    for r in _VERIFY_RADII:
         z = r * cmath.exp(0.75j * math.pi)
         phi = phi_chf(SectorPoint(z, 2), beta)
         log_factor = gamma_c / (2.0 * math.pi * 1j) * cmath.log(z * cmath.exp(-0.5j * math.pi))
         u_inv = np.array([[1.0, log_factor], [0.0, 1.0]], dtype=complex)
         d = u0_inv @ (phi @ sig3_half @ u_inv) - np.eye(2)
         first_order = abs(d[1, 0] - u1_21 * z)
-        if first_order > first_order_budget:
+        if first_order > _FIRST_ORDER_BUDGET:
             raise NumericsError(
                 f"origin expansion mismatch at |z| = {r}: (2,1) remainder {first_order:.3e}")
     return ChfExpansion(u0, u1_21)
 
 
-def verification_report(beta: complex, *, radii: tuple[float, ...] = (0.5, 1.0, 2.0, 5.0)
-                        ) -> dict:
+def verification_report(beta: complex) -> dict:
     """JSON-able per-ray jump residual table plus origin-expansion diagnostics."""
     beta = _check_beta(beta)
     rays = {}
     for ray in range(1, 7):
-        rays[str(ray)] = {f"{r:g}": chf_jump_residual(ray, r, beta) for r in radii}
+        rays[str(ray)] = {f"{r:g}": chf_jump_residual(ray, r, beta) for r in _REPORT_RADII}
     out = {
         "beta_im": beta.imag,
         "ray_residuals": rays,

@@ -74,11 +74,12 @@ def _s_grid(args) -> np.ndarray:
 
 def _cmd_kernel(args) -> None:
     # the one command without ModelParams, which rejects a non-finite rho elsewhere
-    if not math.isfinite(args.rho):
-        raise DomainError(f"rho must be finite, got {args.rho}")
-    xs = np.linspace(args.s_min if args.s_min is not None else -3.0,
-                     args.s_max if args.s_max is not None else 3.0,
-                     9 if args.s_steps is None else args.s_steps)
+    lo = args.s_min if args.s_min is not None else -3.0
+    hi = args.s_max if args.s_max is not None else 3.0
+    for name, value in (("rho", args.rho), ("s_min", lo), ("s_max", hi)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+    xs = np.linspace(lo, hi, 9 if args.s_steps is None else args.s_steps)
     oracle = args.oracle or "rational"
     kinds = ("rational", "integral", "rh") if oracle == "all" else (oracle,)
     xg, yg = (g.ravel() for g in np.meshgrid(xs, xs, indexing="ij"))

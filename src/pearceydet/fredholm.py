@@ -98,10 +98,8 @@ def gauss_legendre(n: int) -> QuadratureRule:
 
 
 def _check_args(s: float, gamma: float, n: int) -> None:
-    if s <= 0:
-        raise DomainError(f"s must be positive, got {s}")
-    if s > _S_MAX:
-        raise DomainError(f"s = {s} beyond the kernel evaluation budget {_S_MAX}")
+    if not 0 < s <= _S_MAX:
+        raise DomainError(f"s = {s} outside the kernel evaluation range (0, {_S_MAX}]")
     if not _GAMMA_MIN < gamma <= 1.0:
         raise DomainError(f"gamma = {gamma} outside ({_GAMMA_MIN}, 1]")
     if not 1 <= n <= _N_MAX:

@@ -34,6 +34,10 @@ are conserved identically by the flow; they are enforced exactly on anchors
 of a trajectory.  Higher derivatives of p0, q0 used by the coupled-equation
 checks are exact hand-expanded compositions of the right-hand side, never
 differenced.
+
+A ``HamState`` holds one sample or all samples of a trajectory: every formula
+here is elementwise, so the identity checks evaluate a whole trajectory in one
+pass.
 """
 from __future__ import annotations
 
@@ -62,25 +66,31 @@ _CHECK_DET_TOL = 1e-9           # determinant tolerance of the integral check
 
 @dataclass(frozen=True)
 class HamState:
-    """The eight complex functions at a given s."""
+    """The eight complex functions at one s, or at many.
 
-    s: float
-    p0: complex
-    p1: complex
-    p2: complex
-    p3: complex
-    q0: complex
-    q1: complex
-    q2: complex
-    q3: complex
+    Each field is a scalar, or an array over the same s values (then ``s`` is
+    that array): one state is one sample or all samples of a trajectory.
+    """
+
+    s: float | np.ndarray
+    p0: complex | np.ndarray
+    p1: complex | np.ndarray
+    p2: complex | np.ndarray
+    p3: complex | np.ndarray
+    q0: complex | np.ndarray
+    q1: complex | np.ndarray
+    q2: complex | np.ndarray
+    q3: complex | np.ndarray
 
     def to_array(self) -> np.ndarray:
+        """Shape (8,) for one sample, (8, N) for N."""
         return np.array([self.p0, self.p1, self.p2, self.p3,
                          self.q0, self.q1, self.q2, self.q3], dtype=complex)
 
     @staticmethod
-    def from_array(s: float, y: np.ndarray) -> "HamState":
-        return HamState(s, *[complex(v) for v in y])
+    def from_array(s: float | np.ndarray, y: np.ndarray) -> "HamState":
+        """y of shape (8,) at one s, or (8, N) at the N values of s."""
+        return HamState(s, *y)
 
     def constraint_sum(self) -> complex:
         """sum_{k=1..3} p_k q_k (zero on the invariant manifold)."""
@@ -108,15 +118,15 @@ def _rhs_array(s: float, y: np.ndarray) -> np.ndarray:
 
 def system_rhs(state: HamState, rho: float = 0.0) -> HamState:
     """The eight right-hand sides as printed; rho does not appear in the flow itself."""
-    if state.s <= 0:
-        raise DomainError(f"system has a pole at s = 0; got s = {state.s}")
+    if np.any(state.s <= 0):
+        raise DomainError(f"system has a pole at s = 0; got s = {np.min(state.s)}")
     return HamState.from_array(state.s, _rhs_array(state.s, state.to_array()))
 
 
 def hamiltonian_value(state: HamState) -> complex:
     """H(p, q; s); pole at s = 0."""
-    if state.s <= 0:
-        raise DomainError(f"Hamiltonian has a pole at s = 0; got s = {state.s}")
+    if np.any(state.s <= 0):
+        raise DomainError(f"Hamiltonian has a pole at s = 0; got s = {np.min(state.s)}")
     st = state
     bracket = st.p1 * st.q1 - st.p2 * st.q2 + st.p3 * st.q3
     return (_SQRT2 * st.p0 * st.p2 * st.q1 + _SQRT2 * st.p3 * st.q0 * st.q2
@@ -125,7 +135,7 @@ def hamiltonian_value(state: HamState) -> complex:
 
 
 def hamiltonian_partials(state: HamState) -> tuple[np.ndarray, np.ndarray, complex]:
-    """(dH/dp_k, dH/dq_k, dH/ds) analytically."""
+    """(dH/dp_k, dH/dq_k, dH/ds) analytically; dH/dp and dH/dq stack along axis 0."""
     st = state
     s = st.s
     b = st.p1 * st.q1 - st.p2 * st.q2 + st.p3 * st.q3
@@ -149,7 +159,7 @@ def hamiltonian_flow_derivative(state: HamState) -> complex:
     """dH/ds along the flow by exact composition of the right-hand side."""
     dp, dq, ds = hamiltonian_partials(state)
     rhs = _rhs_array(state.s, state.to_array())
-    return ds + (dp * rhs[:4]).sum() + (dq * rhs[4:]).sum()
+    return ds + (dp * rhs[:4]).sum(axis=0) + (dq * rhs[4:]).sum(axis=0)
 
 
 def asymptotic_state(s: float, params: ModelParams) -> HamState:
@@ -306,43 +316,37 @@ def resolvent_anchor_state(s0: float, params: ModelParams) -> HamState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Dense backward (or forward) solution with per-sample diagnostics."""
+    """Dense backward (or forward) solution, sampled with H at the samples."""
 
     s: np.ndarray                 # strictly monotone sample grid
     states: np.ndarray            # (n, 8) complex
     h: np.ndarray                 # complex Hamiltonian at samples
-    direction: str                # "backward" or "forward"
-    ic_source: str
-    params: ModelParams
     dense: object                 # scipy OdeSolution
 
-    def state_at(self, idx: int) -> HamState:
-        return HamState.from_array(float(self.s[idx]), self.states[idx])
-
     def constraint_drift(self) -> np.ndarray:
-        return np.abs(self.states[:, 1] * self.states[:, 5]
-                      + self.states[:, 2] * self.states[:, 6]
-                      + self.states[:, 3] * self.states[:, 7])
+        return np.abs(HamState.from_array(self.s, self.states.T).constraint_sum())
 
     def h_at(self, s_val: np.ndarray) -> np.ndarray:
-        ys = self.dense(np.asarray(s_val, dtype=float))
-        out = []
-        for i, sv in enumerate(np.atleast_1d(s_val)):
-            out.append(hamiltonian_value(HamState.from_array(float(sv), ys[:, i])))
-        return np.array(out)
+        s_val = np.atleast_1d(np.asarray(s_val, dtype=float))
+        return hamiltonian_value(HamState.from_array(s_val, self.dense(s_val)))
 
 
-def integrate(s_from: float, s_to: float, init: HamState, params: ModelParams,
-              tol: float = 1e-10, *, ic_source: str = "caller") -> Trajectory:
+def integrate(s_from: float, s_to: float, init: HamState,
+              tol: float = 1e-10) -> Trajectory:
     """Adaptive high-order Runge-Kutta run from s_from to s_to with dense output.
 
     Raises ConvergenceError on step failure or if the conserved constraint
     blows past 1e-3 (a diverged trajectory, not a tolerance issue), and
-    DomainError for a tol that is not finite or below the solver's floor.
+    DomainError for a tol that is not finite or below the solver's floor, or
+    for sweep ends that are not finite or equal.
     """
     if not (math.isfinite(tol) and tol >= _RTOL_MIN):
         raise DomainError(f"tol = {tol} is not finite or below the solver's "
                           f"floor {_RTOL_MIN:.1e}")
+    if not (math.isfinite(s_from) and math.isfinite(s_to)):
+        raise DomainError(f"sweep ends must be finite, got {s_from} -> {s_to}")
+    if s_from == s_to:
+        raise DomainError(f"zero-length sweep at s = {s_from}")
     if min(s_from, s_to) <= 0:
         raise DomainError("trajectory must stay in s > 0")
     if max(s_from, s_to) > _S_ANCHOR_MAX:
@@ -357,11 +361,8 @@ def integrate(s_from: float, s_to: float, init: HamState, params: ModelParams,
     if not sol.success:
         raise ConvergenceError(f"integrator failed: {sol.message}")
     grid = np.linspace(s_from, s_to, _SAMPLES)
-    ys = sol.sol(grid).T
-    h = np.array([hamiltonian_value(HamState.from_array(float(sv), y))
-                  for sv, y in zip(grid, ys)])
-    traj = Trajectory(grid, ys, h, "backward" if s_to < s_from else "forward",
-                      f"{ic_source}-at-{s_from:g}", params, sol.sol)
+    ys = sol.sol(grid)
+    traj = Trajectory(grid, ys.T, hamiltonian_value(HamState.from_array(grid, ys)), sol.sol)
     drift = traj.constraint_drift().max()
     if drift > 1e-3:
         raise ConvergenceError(f"constraint blow-up: |sum p_k q_k| reached {drift:.2e}")
@@ -384,7 +385,7 @@ def asymptotic_trajectory(params: ModelParams, s_from: float = 10.0, s_to: float
             ic = project_invariants(ic, params)
     else:
         raise DomainError(f"unknown ic_mode {ic_mode!r}")
-    return integrate(s_from, s_to, ic, params, tol, ic_source=ic_mode)
+    return integrate(s_from, s_to, ic, tol)
 
 
 # -- exact composed derivatives of p0, q0 ------------------------------------
@@ -428,44 +429,40 @@ def coupled_p0q0_residual(traj: Trajectory, params: ModelParams,
     """
     rho = params.rho
     if s_values is None:
-        idxs = range(len(traj.s))
-        samples = [(float(traj.s[i]), traj.states[i]) for i in idxs]
+        st = HamState.from_array(traj.s, traj.states.T)
     else:
-        ys = traj.dense(np.asarray(s_values, float))
-        samples = [(float(sv), ys[:, i]) for i, sv in enumerate(np.atleast_1d(s_values))]
+        s_values = np.atleast_1d(np.asarray(s_values, float))
+        st = HamState.from_array(s_values, traj.dense(s_values))
+    s = st.s
+    d = p0_q0_derivatives(st)
+    p0d, q0d, p0dd, q0dd, p0ddd = (d[k] for k in ("p0d", "q0d", "p0dd", "q0dd", "p0ddd"))
+    denom = st.p0 + st.q0 - rho / _SQRT2
+    degenerate = np.abs(denom) < 1e-8
+    moving = degenerate & (np.abs([p0d, q0d, p0dd, q0dd]).max(axis=0) >= 1e-12)
+    if moving.any():
+        raise DomainError(f"degenerate denominator p0+q0-rho/sqrt2 at s = {s[moving][0]}")
+    denom = np.where(degenerate, 1.0, denom)
 
-    res3, res2 = [], []
-    for s, y in samples:
-        st = HamState.from_array(s, y)
-        d = p0_q0_derivatives(st)
-        denom = st.p0 + st.q0 - rho / _SQRT2
-        moving = max(abs(d["p0d"]), abs(d["q0d"]), abs(d["p0dd"]), abs(d["q0dd"]))
-        if abs(denom) < 1e-8:
-            if moving < 1e-12:
-                res3.append(0.0)
-                res2.append(0.0)
-                continue
-            raise DomainError(f"degenerate denominator p0+q0-rho/sqrt2 at s = {s}")
-        third_terms = [
-            rho * d["p0d"],
-            -2.0 * _SQRT2 * d["q0d"] * d["p0d"] ** 2 / (s * s * denom),
-            (1.0 + 2.0 * _SQRT2 / s * d["p0d"])
-            * (s * denom
-               + (2.0 * d["q0d"] * d["p0dd"] + d["q0dd"] * d["p0d"]) / denom
-               - d["p0d"] * d["q0d"] * (2.0 * d["q0d"] + d["p0d"]) / denom ** 2),
-        ]
-        rhs3 = sum(third_terms)
-        scale3 = max([abs(t) for t in third_terms] + [abs(d["p0ddd"]), 1e-30])
-        res3.append(abs(d["p0ddd"] - rhs3) / scale3)
-        second_terms = [
-            -d["p0dd"],
-            d["p0d"] * d["q0d"] / denom * (3.0 + 2.0 * _SQRT2 / s * (d["p0d"] - d["q0d"])),
-            _SQRT2 * (st.p0 + st.q0) * denom,
-        ]
-        rhs2 = sum(second_terms)
-        scale2 = max([abs(t) for t in second_terms] + [abs(d["q0dd"]), 1e-30])
-        res2.append(abs(d["q0dd"] - rhs2) / scale2)
-    return {"third_order": np.array(res3), "second_order": np.array(res2)}
+    third_terms = [
+        rho * p0d,
+        -2.0 * _SQRT2 * q0d * p0d ** 2 / (s * s * denom),
+        (1.0 + 2.0 * _SQRT2 / s * p0d)
+        * (s * denom
+           + (2.0 * q0d * p0dd + q0dd * p0d) / denom
+           - p0d * q0d * (2.0 * q0d + p0d) / denom ** 2),
+    ]
+    scale3 = np.maximum(np.abs(third_terms + [p0ddd]).max(axis=0), 1e-30)
+    res3 = np.abs(p0ddd - sum(third_terms)) / scale3
+    second_terms = [
+        -p0dd,
+        p0d * q0d / denom * (3.0 + 2.0 * _SQRT2 / s * (p0d - q0d)),
+        _SQRT2 * (st.p0 + st.q0) * denom,
+    ]
+    scale2 = np.maximum(np.abs(second_terms + [q0dd]).max(axis=0), 1e-30)
+    res2 = np.abs(q0dd - sum(second_terms)) / scale2
+    # at the gamma = 0 fixed point both equations reduce to 0 = 0
+    return {"third_order": np.where(degenerate, 0.0, res3),
+            "second_order": np.where(degenerate, 0.0, res2)}
 
 
 def identity_report(traj: Trajectory, params: ModelParams) -> dict[str, np.ndarray]:
@@ -481,57 +478,55 @@ def identity_report(traj: Trajectory, params: ModelParams) -> dict[str, np.ndarr
       zero_curvature  relative commutator residual of A1' = -[A1, M]
     """
     rho = params.rho
-    n = len(traj.s)
-    out = {k: np.zeros(n) for k in
-           ("dh_form1", "dh_form2", "dh_cross", "action", "const2", "pq2",
-            "zero_curvature")}
-    for i in range(n):
-        st = traj.state_at(i)
-        s = st.s
-        y = st.to_array()
-        rhs = _rhs_array(s, y)
-        d = p0_q0_derivatives(st)
-        denom = st.p0 + st.q0 - rho / _SQRT2
+    y = traj.states.T
+    st = HamState.from_array(traj.s, y)
+    s = st.s
+    p_arr, q_arr = y[:4], y[4:]
+    rhs = _rhs_array(s, y)
+    qdot = rhs[4:]
+    d = p0_q0_derivatives(st)
+    p0d, q0d = d["p0d"], d["q0d"]
+    denom = st.p0 + st.q0 - rho / _SQRT2
+    regular = np.abs(denom) > 1e-12
+    denom = np.where(regular, denom, 1.0)
+    out = {}
 
-        hdot = hamiltonian_flow_derivative(st)
-        form1 = st.p3 * st.q1 - 2.0 / (s * s) * (st.p2 * st.q2) ** 2
-        if abs(denom) > 1e-12:
-            form2 = (-denom / _SQRT2
-                     - (d["p0d"] * d["q0d"]) ** 2 / (s * s * denom * denom))
-        else:
-            form2 = form1 if abs(d["p0d"] * d["q0d"]) < 1e-15 else complex("nan")
-        out["dh_form1"][i] = abs(hdot - form1)
-        out["dh_form2"][i] = abs(hdot - form2)
-        out["dh_cross"][i] = abs(form1 - form2)
+    hdot = hamiltonian_flow_derivative(st)
+    form1 = st.p3 * st.q1 - 2.0 / (s * s) * (st.p2 * st.q2) ** 2
+    form2 = np.where(regular,
+                     -denom / _SQRT2 - (p0d * q0d) ** 2 / (s * s * denom * denom),
+                     np.where(np.abs(p0d * q0d) < 1e-15, form1, np.nan))
+    out["dh_form1"] = np.abs(hdot - form1)
+    out["dh_form2"] = np.abs(hdot - form2)
+    out["dh_cross"] = np.abs(form1 - form2)
 
-        h = hamiltonian_value(st)
-        p_arr, q_arr = y[:4], y[4:]
-        qdot = rhs[4:]
-        lhs_action = (p_arr * qdot).sum() - h
-        d_p0q0 = d["p0d"] * st.q0 + st.p0 * d["q0d"]
-        d_p2q2 = (-_SQRT2 * st.p3 * st.q0 * st.q2 - st.p1 * st.q2
-                  + _SQRT2 * st.p0 * st.p2 * st.q1 + st.p2 * st.q3)
-        d_p3q3 = -st.p2 * st.q3 + s * st.p3 * st.q1 + _SQRT2 * st.p3 * st.q0 * st.q2
-        rhs_action = h + 0.25 * (2.0 * d_p0q0 + d_p2q2 + 2.0 * d_p3q3
-                                 - 3.0 * h - 3.0 * s * hdot)
-        out["action"][i] = abs(lhs_action - rhs_action)
+    h = hamiltonian_value(st)
+    lhs_action = (p_arr * qdot).sum(axis=0) - h
+    d_p0q0 = p0d * st.q0 + st.p0 * q0d
+    d_p2q2 = (-_SQRT2 * st.p3 * st.q0 * st.q2 - st.p1 * st.q2
+              + _SQRT2 * st.p0 * st.p2 * st.q1 + st.p2 * st.q3)
+    d_p3q3 = -st.p2 * st.q3 + s * st.p3 * st.q1 + _SQRT2 * st.p3 * st.q0 * st.q2
+    rhs_action = h + 0.25 * (2.0 * d_p0q0 + d_p2q2 + 2.0 * d_p3q3
+                             - 3.0 * h - 3.0 * s * hdot)
+    out["action"] = np.abs(lhs_action - rhs_action)
 
-        out["const2"][i] = abs(st.first_integral(rho))
-        if abs(denom) > 1e-12:
-            out["pq2"][i] = abs(st.p2 * st.q2 - d["p0d"] * d["q0d"] / (_SQRT2 * denom))
-        else:
-            out["pq2"][i] = abs(st.p2 * st.q2)
+    out["const2"] = np.abs(st.first_integral(rho))
+    out["pq2"] = np.abs(st.p2 * st.q2 - np.where(regular, p0d * q0d / (_SQRT2 * denom), 0.0))
 
-        a1 = np.outer(q_arr[1:], p_arr[1:])
-        a1_dot = np.outer(qdot[1:], p_arr[1:]) + np.outer(q_arr[1:], rhs[1:4])
-        m = np.array([
-            [0.0, 1.0 - 2.0 * st.p2 * st.q1 / s, 0.0],
-            [_SQRT2 * st.p0 - 2.0 * st.p1 * st.q2 / s, 0.0, 1.0 - 2.0 * st.p3 * st.q2 / s],
-            [s, _SQRT2 * st.q0 - 2.0 * st.p2 * st.q3 / s, 0.0],
-        ], dtype=complex)
-        comm = a1 @ m - m @ a1
-        scale = max(np.abs(a1_dot).max(), np.abs(m @ a1).max(), 1e-30)
-        out["zero_curvature"][i] = np.abs(a1_dot + comm).max() / scale
+    # one 3x3 matrix per sample, stacked along axis 0
+    a1 = np.einsum("in,jn->nij", q_arr[1:], p_arr[1:])
+    a1_dot = (np.einsum("in,jn->nij", qdot[1:], p_arr[1:])
+              + np.einsum("in,jn->nij", q_arr[1:], rhs[1:4]))
+    m = np.zeros((len(s), 3, 3), dtype=complex)
+    m[:, 0, 1] = 1.0 - 2.0 * st.p2 * st.q1 / s
+    m[:, 1, 0] = _SQRT2 * st.p0 - 2.0 * st.p1 * st.q2 / s
+    m[:, 1, 2] = 1.0 - 2.0 * st.p3 * st.q2 / s
+    m[:, 2, 0] = s
+    m[:, 2, 1] = _SQRT2 * st.q0 - 2.0 * st.p2 * st.q3 / s
+    m_a1 = m @ a1
+    scale = np.maximum(np.maximum(np.abs(a1_dot).max(axis=(1, 2)),
+                                  np.abs(m_a1).max(axis=(1, 2))), 1e-30)
+    out["zero_curvature"] = np.abs(a1_dot + a1 @ m - m_a1).max(axis=(1, 2)) / scale
     return out
 
 
@@ -557,16 +552,11 @@ def integral_representation_check(s_lo: float, s_hi: float, params: ModelParams,
 def trajectory_rows(traj: Trajectory, params: ModelParams) -> list[dict[str, float]]:
     """Flat per-sample rows (CSV export): s, Re/Im of all functions, Re H, residuals."""
     report = identity_report(traj, params)
-    rows = []
-    names = ("p0", "p1", "p2", "p3", "q0", "q1", "q2", "q3")
-    for i, s in enumerate(traj.s):
-        row: dict[str, float] = {"s": float(s)}
-        for j, name in enumerate(names):
-            row[f"re_{name}"] = float(traj.states[i, j].real)
-            row[f"im_{name}"] = float(traj.states[i, j].imag)
-        row["re_h"] = float(traj.h[i].real)
-        row["im_h"] = float(traj.h[i].imag)
-        for key in ("dh_cross", "action", "const2", "zero_curvature"):
-            row[key] = float(report[key][i])
-        rows.append(row)
-    return rows
+    cols = {"s": traj.s}
+    for j, name in enumerate(("p0", "p1", "p2", "p3", "q0", "q1", "q2", "q3")):
+        cols[f"re_{name}"] = traj.states[:, j].real
+        cols[f"im_{name}"] = traj.states[:, j].imag
+    cols["re_h"], cols["im_h"] = traj.h.real, traj.h.imag
+    for key in ("dh_cross", "action", "const2", "zero_curvature"):
+        cols[key] = report[key]
+    return [dict(zip(cols, row)) for row in zip(*(c.tolist() for c in cols.values()))]

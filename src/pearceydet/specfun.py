@@ -33,6 +33,9 @@ _LANCZOS_C = (
 )
 # 24-point Gauss-Legendre rule of the Barnes G segment integral
 _BARNES_NODES, _BARNES_WEIGHTS = np.polynomial.legendre.leggauss(24)
+# Kummer series: stop at this relative term size, give up after this many terms
+_SERIES_TOL = 1e-17
+_SERIES_MAX_TERMS = 10000
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -154,8 +157,7 @@ def barnes_ln_g(one_plus_z: complex) -> complex:
         + z * ln_gamma(1.0 + z) - integral
 
 
-def kummer_phi(a: complex, b: complex, z: complex, *, tol: float = 1e-17,
-               max_terms: int = 10000) -> complex:
+def kummer_phi(a: complex, b: complex, z: complex) -> complex:
     """Kummer's entire function phi(a,b,z) = sum_k (a)_k/(b)_k z^k/k!.
 
     Raises ConvergenceError if the 10000-term cap is hit (caller should keep
@@ -166,16 +168,15 @@ def kummer_phi(a: complex, b: complex, z: complex, *, tol: float = 1e-17,
         raise PoleError(f"kummer_phi requires b not a nonpositive integer, got b = {b}")
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
-    for k in range(max_terms):
+    for k in range(_SERIES_MAX_TERMS):
         term *= (a + k) / (b + k) * z / (k + 1)
         total += term
-        if abs(term) < tol * max(abs(total), 1e-300):
+        if abs(term) < _SERIES_TOL * max(abs(total), 1e-300):
             return total
     raise ConvergenceError(f"kummer_phi series cap hit at |z| = {abs(z)}")
 
 
-def kummer_psi_b1(a: complex, z: complex, *, arg_z: float | None = None,
-                  tol: float = 1e-17, max_terms: int = 10000) -> complex:
+def kummer_psi_b1(a: complex, z: complex, *, arg_z: float | None = None) -> complex:
     """Tricomi's psi(a, 1, z) via the logarithmic series.
 
     psi(a,1,z) = -(1/Gamma(a)) [ ln(z) phi(a,1,z)
@@ -205,7 +206,7 @@ def kummer_psi_b1(a: complex, z: complex, *, arg_z: float | None = None,
     series = dig_a - 2.0 * dig_1
     phi_term = 1.0 + 0.0j
     phi_sum = 1.0 + 0.0j
-    for k in range(max_terms):
+    for k in range(_SERIES_MAX_TERMS):
         dig_a = dig_a + 1.0 / (a + k)
         dig_1 = dig_1 + 1.0 / (1.0 + k)
         poch *= (a + k) * z / ((k + 1.0) ** 2)
@@ -213,7 +214,7 @@ def kummer_psi_b1(a: complex, z: complex, *, arg_z: float | None = None,
         term = poch * (dig_a - 2.0 * dig_1)
         series += term
         phi_sum += phi_term
-        if abs(term) + abs(phi_term) < tol * max(abs(series), 1.0):
+        if abs(term) + abs(phi_term) < _SERIES_TOL * max(abs(series), 1.0):
             inv_gamma_a = cmath.exp(-ln_gamma(a))
             return -inv_gamma_a * (log_z * phi_sum + series)
     raise ConvergenceError(f"kummer_psi_b1 series cap hit at |z| = {abs(z)}")

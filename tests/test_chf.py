@@ -93,13 +93,13 @@ class TestOriginExpansion:
 
     def test_numerical_first_order_match(self):
         # raises internally if the sampled remainder exceeds the O(z^2) budget
-        chf.chf_origin_expansion(0.11j, verify_radii=(1e-2, 5e-3),
-                                 first_order_budget=1e-4)
+        chf.chf_origin_expansion(0.11j)
 
-    def test_tight_budget_fails(self):
+    def test_tight_budget_fails(self, monkeypatch):
+        monkeypatch.setattr(chf, "_VERIFY_RADII", (1e-2,))
+        monkeypatch.setattr(chf, "_FIRST_ORDER_BUDGET", 1e-12)
         with pytest.raises(NumericsError):
-            chf.chf_origin_expansion(0.11j, verify_radii=(1e-2,),
-                                     first_order_budget=1e-12)
+            chf.chf_origin_expansion(0.11j)
 
     def test_degenerate_beta(self):
         with pytest.raises(DomainError):
@@ -120,8 +120,9 @@ class TestGammaBetaConsistency:
 
 
 class TestReport:
-    def test_report_structure(self):
-        rep = chf.verification_report(0.11j, radii=(1.0, 2.0))
+    def test_report_structure(self, monkeypatch):
+        monkeypatch.setattr(chf, "_REPORT_RADII", (1.0, 2.0))
+        rep = chf.verification_report(0.11j)
         assert rep["max_ray_residual"] < 1e-9
         assert set(rep["ray_residuals"].keys()) == {str(k) for k in range(1, 7)}
         assert "upsilon1_21" in rep

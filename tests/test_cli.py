@@ -138,6 +138,26 @@ class TestHamiltonian:
         assert out == ""
         assert json.loads(err)["error"] == "DomainError"
 
+    def test_zero_length_sweep_exit_1(self, capsys):
+        # a constant dense output drops the imaginary parts: rows of zeros
+        code, out, err = run_cli(["hamiltonian", "--s-max", "8", "--s-min", "8"], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
+    def test_nan_sweep_end_exit_1(self, capsys, monkeypatch):
+        # DOP853 never returns on a NaN end; reaching it is the failure
+        from pearceydet import hamiltonian as ham
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_ivp called with a NaN sweep end")
+
+        monkeypatch.setattr(ham, "solve_ivp", no_solve)
+        code, out, err = run_cli(["hamiltonian", "--s-max", "8", "--s-min", "nan"], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
 
 class TestUsage:
     def test_unknown_command_exit_2(self):
@@ -173,6 +193,21 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["det", "--s", "nan", "--quad-order", "8"],
+        ["det", "--s", "nan"],
+        ["scan", "--s-min", "nan", "--s-max", "4", "--s-steps", "2"],
+        ["moments", "--s", "nan"],
+        ["kernel", "--s-min", "nan", "--s-steps", "2"],
+        ["kernel", "--s-max", "inf", "--s-steps", "2"],
+    ])
+    def test_non_finite_s_exit_1(self, argv, capsys):
+        # NaN passed both s <= 0 and s > 12: NaN rows, or an error after doubling
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
 
     def test_missing_grid_is_numerical_error(self, capsys):
         code, _, err = run_cli(["scan", "--gamma", "0.5"], capsys)
