@@ -242,7 +242,10 @@ def moments_mgf(s: float, rho: float, n: int) -> tuple[float, float]:
 
     Central second-order differences at the two step sizes with one Richardson
     sweep; mean = -G'(0)/(2 pi), variance = G''(0)/(4 pi^2) for G(nu) = F(gamma(nu)).
-    One K serves all four evaluations.
+    One K serves all four evaluations.  The variance carries about 9
+    significant digits: its second difference at h = 5e-4 divides the
+    rounding of F by h^2 = 2.5e-7.  Reordering the same LU moved it by up to
+    1.7e-9 relative where ``moments_trace``'s variance moved by 9e-16.
     """
     _check_args(s, 1.0, n)
     _, w, k = _nystrom(s, rho, n)

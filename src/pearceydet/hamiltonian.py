@@ -116,7 +116,7 @@ def _rhs_array(s: float, y: np.ndarray) -> np.ndarray:
     ], dtype=complex)
 
 
-def system_rhs(state: HamState, rho: float = 0.0) -> HamState:
+def system_rhs(state: HamState) -> HamState:
     """The eight right-hand sides as printed; rho does not appear in the flow itself."""
     if np.any(state.s <= 0):
         raise DomainError(f"system has a pole at s = 0; got s = {np.min(state.s)}")
@@ -326,9 +326,17 @@ class Trajectory:
     def constraint_drift(self) -> np.ndarray:
         return np.abs(HamState.from_array(self.s, self.states.T).constraint_sum())
 
-    def h_at(self, s_val: np.ndarray) -> np.ndarray:
+    def _state_at(self, s_val: np.ndarray) -> HamState:
+        """The dense output at s_val; DomainError outside the swept range, where
+        the solution's end polynomial would only extrapolate."""
         s_val = np.atleast_1d(np.asarray(s_val, dtype=float))
-        return hamiltonian_value(HamState.from_array(s_val, self.dense(s_val)))
+        lo, hi = sorted((self.s[0], self.s[-1]))
+        if not np.all((s_val >= lo) & (s_val <= hi)):
+            raise DomainError(f"s outside the swept range [{lo}, {hi}]")
+        return HamState.from_array(s_val, self.dense(s_val))
+
+    def h_at(self, s_val: np.ndarray) -> np.ndarray:
+        return hamiltonian_value(self._state_at(s_val))
 
 
 def integrate(s_from: float, s_to: float, init: HamState,
@@ -431,8 +439,7 @@ def coupled_p0q0_residual(traj: Trajectory, params: ModelParams,
     if s_values is None:
         st = HamState.from_array(traj.s, traj.states.T)
     else:
-        s_values = np.atleast_1d(np.asarray(s_values, float))
-        st = HamState.from_array(s_values, traj.dense(s_values))
+        st = traj._state_at(s_values)
     s = st.s
     d = p0_q0_derivatives(st)
     p0d, q0d, p0dd, q0dd, p0ddd = (d[k] for k in ("p0d", "q0d", "p0dd", "q0dd", "p0ddd"))

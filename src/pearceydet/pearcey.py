@@ -7,14 +7,25 @@ accuracy limit is oscillation of exp(itx), resolved to ~1e-10 relative for
 |x| <= 40.  Derivatives are taken by inserting (it)^k under the integral,
 never by differencing.
 
+Panel split.  Every ray sum is sum_{q,p} c_qp e^{i t_qp z} with
+t_qp = rot (m_p + h_p xi_q): a panel midpoint plus a half-width times one of
+the 12 Gauss nodes.  The exponential factors into e^{i rot m_p z} and
+e^{i rot h_p xi_q z}, so per point a bundle takes one exponential per panel
+(24) and one per distinct node offset h xi_q (36), not one per node (288).
+The ``linspace`` edges give three half-widths that differ by up to 4.5e-16,
+and each group of panels keeps its own: one shared half-width would move
+nodes by up to 4.5e-16, hundreds of ulp for those nearest 0.  Per group, one
+matmul sums the coefficients against the panel factors, and a product with
+the node factors, summed over q, finishes it.
+
 Contour conventions (these were cross-validated against the 3x3 matrix
 representation of the kernel, which is orientation-unambiguous):
 
 * P integrates over the real line.  Its weight exp(-t^4/4 - rho t^2/2) is real
   and even, so for real x the line integral folds onto the half-line: P is
   the cosine transform (1/pi) int_0^inf e^{-r^4/4 - rho r^2/2} cos(rx) dr, and
-  P^(k) inserts r^k and shifts the phase by k pi/2.  It is computed in real
-  arithmetic on the ray rule.
+  P^(k) inserts r^k and shifts the phase by k pi/2: P^(k) is the real part
+  of the positive-axis ray sum, divided by pi.
 * Q integrates over the four rays at angles pi/4, 3pi/4, 5pi/4, 7pi/4 with the
   first and third rays running from infinity to 0 and the other two outward.
   Equivalently Q(y) = V(y) - V(-y) where V is the upper-V contour below.
@@ -30,6 +41,7 @@ representation of the kernel, which is orientation-unambiguous):
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -58,72 +70,108 @@ class PearceyValues:
         return np.array([self.v0, self.v1, self.v2])
 
 
+@dataclass(frozen=True)
+class _RayRule:
+    """Composite Gauss-Legendre rule on [0, half_range] with its panel layout.
+
+    Node q of panel p is nodes[q, p] = mids[p] + offsets[g, q], where
+    offsets[g] is the half-width of group g times the Gauss nodes on [-1, 1]
+    and p lies in the slice ``groups[g]``: panels are ordered by their exact
+    half-width.
+    """
+
+    nodes: np.ndarray      # (nodes per panel, panels)
+    weights: np.ndarray    # (nodes per panel, panels)
+    mids: np.ndarray       # (panels,)
+    offsets: np.ndarray    # (groups, nodes per panel)
+    groups: tuple          # one slice of panels per distinct half-width
+
+
 @lru_cache(maxsize=8)
-def _ray_rule(half_range: float, panel_width: float, nodes: int):
-    """Composite GL nodes/weights on [0, half_range]: the positive half of the
-    symmetric composite rule on [-half_range, half_range]."""
+def _ray_rule(half_range: float, panel_width: float, nodes: int) -> _RayRule:
+    """The positive half of the symmetric composite rule on [-half_range, half_range].
+
+    ``linspace`` edges leave half-widths that differ in the last bits (three
+    distinct values for the default rule).  Each panel keeps its own, so the
+    nodes and weights are bitwise those of the symmetric rule.
+    """
     xg, wg = np.polynomial.legendre.leggauss(nodes)
     n_panels = int(round(2.0 * half_range / panel_width))
     edges = np.linspace(-half_range, half_range, n_panels + 1)
-    mids = (edges[:-1] + edges[1:]) / 2
-    half = (edges[1:] - edges[:-1]) / 2
-    t = (mids[:, None] + half[:, None] * xg[None, :]).ravel()
-    w = (half[:, None] * wg[None, :]).ravel()
-    keep = t > 0
-    return t[keep], w[keep]
+    if n_panels % 2 or edges[n_panels // 2] != 0.0:
+        raise DomainError("the ray rule needs an even number of panels")
+    mids = ((edges[:-1] + edges[1:]) / 2)[n_panels // 2:]
+    half = ((edges[1:] - edges[:-1]) / 2)[n_panels // 2:]
+    order = np.argsort(half, kind="stable")
+    mids, half = mids[order], half[order]
+    widths, starts = np.unique(half, return_index=True)
+    bounds = np.append(starts, half.size)
+    rule = _RayRule(nodes=mids + np.multiply.outer(xg, half),
+                    weights=np.multiply.outer(wg, half), mids=mids,
+                    offsets=np.multiply.outer(widths, xg),
+                    groups=tuple(slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])))
+    for a in (rule.nodes, rule.weights, rule.mids, rule.offsets):
+        a.setflags(write=False)
+    return rule
 
 
-# cos(a + k pi/2) is sign * cos(a) for even k and sign * sin(a) for odd k
-_PHASE_SIGN = (1.0, -1.0, -1.0, 1.0)
+def _ray_bundle(rot: complex, z: np.ndarray, rho: float, kmax: int = 2, *,
+                weight_sign: float = -1.0, rule: _RayRule | None = None) -> np.ndarray:
+    """Derivative bundle of int_0^inf e^{s*(t^4/4) ... } over the outward ray t = r * rot.
+
+    ``rot`` = e^{i phi} is the ray's unit direction, exact for the axis rays:
+    a rounded cos(pi/2) would tilt the ray and shift the phase of e^{itz} by
+    ~1e-16 |t z|.
+
+    weight_sign -1 gives the P-type weight exp(-t^4/4 - rho t^2/2 + itz),
+    weight_sign +1 the Q-type weight exp(+t^4/4 + rho t^2/2 + itz).
+    The sum over the rule runs through the panel split (module notes).
+    """
+    rule = rule or _ray_rule(HALF_RANGE, PANEL_WIDTH, NODES_PER_PANEL)
+    tt = rule.nodes * rot
+    t2 = tt * tt
+    coef = np.empty((kmax + 1,) + tt.shape, dtype=complex)
+    coef[0] = rule.weights * rot * np.exp(weight_sign * (t2 * t2 / 4 + rho * t2 / 2))
+    for k in range(1, kmax + 1):
+        coef[k] = coef[k - 1] * (1j * tt)
+    lz = 1j * rot * np.asarray(z)
+    by_panel = np.exp(np.multiply.outer(rule.mids, lz))
+    by_offset = np.exp(np.multiply.outer(rule.offsets, lz))
+    out = np.zeros((kmax + 1, lz.size), dtype=complex)
+    for g, panels in enumerate(rule.groups):
+        out += ((coef[..., panels] @ by_panel[panels]) * by_offset[g]).sum(axis=1)
+    return out
 
 
 def _p_bundle(x: np.ndarray, rho: float, kmax: int = 2, *,
-              rule=None) -> np.ndarray:
+              rule: _RayRule | None = None) -> np.ndarray:
     """(kmax+1, len(x)) array of d^k/dx^k of (1/2pi) int e^{-t^4/4 - rho t^2/2 + itx} dt.
 
-    Real x only: the half-line cosine transform
-    (1/pi) sum_r w e^{-r^4/4 - rho r^2/2} r^k cos(rx + k pi/2) over the ray rule.
-    Each distinct |x| is evaluated once: P^(k) has the parity of k, so the odd
-    derivatives at negative x are the values at |x| with their sign flipped.
+    Real x only: the negative half-line is the conjugate of the positive one,
+    so P^(k) is Re ray(+1) / pi.  Each distinct |x| is evaluated once: P^(k)
+    has the parity of k, so the odd derivatives at negative x are the values
+    at |x| with their sign flipped.
     """
-    r, w = rule if rule is not None else _ray_rule(HALF_RANGE, PANEL_WIDTH, NODES_PER_PANEL)
     x = np.asarray(x, dtype=float)
     ax, at = np.unique(np.abs(x), return_inverse=True)
-    base = w * np.exp(-r ** 4 / 4 - rho * r ** 2 / 2) / math.pi
-    arg = np.multiply.outer(r, ax)
-    trig = (np.cos(arg), np.sin(arg) if kmax >= 1 else None)
-    out = np.stack([(_PHASE_SIGN[k % 4] * base * r ** k) @ trig[k % 2]
-                    for k in range(kmax + 1)])[:, at]
+    out = _ray_bundle(1.0, ax, rho, kmax, rule=rule).real[:, at] / math.pi
     out[1::2] *= np.where(x < 0, -1.0, 1.0)
     return out
 
 
-def _ray_bundle(phi: float, z: np.ndarray, rho: float, kmax: int = 2, *,
-                weight_sign: float = -1.0, rule=None) -> np.ndarray:
-    """Derivative bundle of int_0^inf e^{s*(t^4/4) ... } over the outward ray arg t = phi.
-
-    weight_sign -1 gives the P-type weight exp(-t^4/4 - rho t^2/2 + itz),
-    weight_sign +1 the Q-type weight exp(+t^4/4 + rho t^2/2 + itz).
-    """
-    r, w = rule if rule is not None else _ray_rule(HALF_RANGE, PANEL_WIDTH, NODES_PER_PANEL)
-    tt = r * np.exp(1j * phi)
-    base = w * np.exp(weight_sign * (tt ** 4 / 4 + rho * tt ** 2 / 2)) * np.exp(1j * phi)
-    osc = np.exp(1j * np.multiply.outer(tt, z))
-    it = 1j * tt
-    return np.stack([(base * it ** k) @ osc for k in range(kmax + 1)])
-
-
-def _upper_v_bundle(y: np.ndarray, rho: float, kmax: int = 2, *, rule=None) -> np.ndarray:
+def _upper_v_bundle(y: np.ndarray, rho: float, kmax: int = 2, *,
+                    rule: _RayRule | None = None) -> np.ndarray:
     """Upper-V contour with the Q-type weight: (-ray(pi/4) + ray(3pi/4)) / 2pi.
 
     For real y the 3pi/4 ray is -conj of the pi/4 ray, so V = -Re ray(pi/4) / pi.
     """
-    ray = _ray_bundle(math.pi / 4, np.asarray(y, dtype=float), rho, kmax,
+    ray = _ray_bundle(cmath.exp(1j * math.pi / 4), np.asarray(y, dtype=float), rho, kmax,
                       weight_sign=+1.0, rule=rule)
     return -ray.real / math.pi
 
 
-def _q_bundle(y: np.ndarray, rho: float, kmax: int = 2, *, rule=None) -> np.ndarray:
+def _q_bundle(y: np.ndarray, rho: float, kmax: int = 2, *,
+              rule: _RayRule | None = None) -> np.ndarray:
     """Q bundle assembled from the upper-V solution: Q^(k)(y) = V^(k)(y) - (-1)^k V^(k)(-y).
 
     V is evaluated once per distinct value of [y, -y]: on points symmetric
@@ -162,22 +210,23 @@ def pearcey_upper(y: float, rho: float) -> PearceyValues:
     return PearceyValues(*(b[k, 0] for k in range(3)))
 
 
-# Each contour Gamma_j as (sign, angle) legs: sign -1 means the outward ray is
-# traversed from infinity to 0.
+# Each contour Gamma_j as (sign, direction) legs along the axes: sign -1 means
+# the outward ray is traversed from infinity to 0.
 _GAMMA_LEGS = {
-    0: ((-1, math.pi), (+1, 0.0)),
-    1: ((-1, math.pi / 2), (+1, 0.0)),
-    2: ((-1, math.pi / 2), (+1, math.pi)),
-    3: ((-1, -math.pi / 2), (+1, math.pi)),
-    4: ((-1, -math.pi / 2), (+1, 0.0)),
-    5: ((-1, -math.pi / 2), (+1, math.pi / 2)),
+    0: ((-1, -1), (+1, 1)),
+    1: ((-1, 1j), (+1, 1)),
+    2: ((-1, 1j), (+1, -1)),
+    3: ((-1, -1j), (+1, -1)),
+    4: ((-1, -1j), (+1, 1)),
+    5: ((-1, -1j), (+1, 1j)),
 }
 
 
-def _pj_bundle(j: int, z: np.ndarray, rho: float, kmax: int = 2, *, rule=None) -> np.ndarray:
+def _pj_bundle(j: int, z: np.ndarray, rho: float, kmax: int = 2, *,
+               rule: _RayRule | None = None) -> np.ndarray:
     total = None
-    for sign, phi in _GAMMA_LEGS[j]:
-        leg = _ray_bundle(phi, z, rho, kmax, weight_sign=-1.0, rule=rule)
+    for sign, rot in _GAMMA_LEGS[j]:
+        leg = _ray_bundle(rot, z, rho, kmax, weight_sign=-1.0, rule=rule)
         total = sign * leg if total is None else total + sign * leg
     return total
 

@@ -25,7 +25,7 @@ class TestSystemStructure:
     def test_beta_zero_fixed_point(self):
         p = ModelParams(0.0, 1.0)
         st = ham.asymptotic_state(8.0, p)
-        rhs = ham.system_rhs(st, p.rho)
+        rhs = ham.system_rhs(st)
         assert all(abs(getattr(rhs, k)) == 0.0
                    for k in ("p0", "p1", "p2", "p3", "q0", "q1", "q2", "q3"))
         assert ham.hamiltonian_value(st) == 0.0
@@ -246,6 +246,20 @@ class TestIdentityReport:
         res = ham.coupled_p0q0_residual(t, p, s_values=np.array([4.0]))
         assert res["third_order"][0] == 0.0
         assert res["second_order"][0] == 0.0
+
+    def test_dense_output_stays_in_the_swept_range(self):
+        # the sweep runs 8 -> 2: beyond it the dense output would extrapolate
+        p = ModelParams(0.5, 0.0)
+        t = ham.asymptotic_trajectory(p, 8.0, 2.0)
+        for s_bad in ([1.0, 0.5], [3.0, 8.5], [math.nan]):
+            with pytest.raises(DomainError):
+                t.h_at(s_bad)
+            with pytest.raises(DomainError):
+                ham.coupled_p0q0_residual(t, p, s_values=np.array(s_bad))
+        inside = np.array([2.0, 3.7, 8.0])
+        direct = ham.hamiltonian_value(ham.HamState.from_array(inside, t.dense(inside)))
+        assert np.array_equal(t.h_at(inside), direct)
+        assert ham.coupled_p0q0_residual(t, p, s_values=inside)["third_order"].shape == (3,)
 
 
 class TestIntegralRepresentation:

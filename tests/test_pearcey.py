@@ -226,3 +226,73 @@ class TestOdeResidualsOverRho:
         res_p = np.abs(pb[3] - xs * pb[0] - rho * pb[1]).max() / (1 + np.abs(pb).max())
         res_q = np.abs(qb[3] + xs * qb[0] - rho * qb[1]).max() / (1 + np.abs(qb).max())
         assert max(res_p, res_q) < 1e-9
+
+
+class TestPanelLayout:
+    def test_reproduces_the_symmetric_rule(self):
+        # reference: the positive half of the composite rule on [-4.8, 4.8], node by node
+        xg, wg = np.polynomial.legendre.leggauss(pc.NODES_PER_PANEL)
+        edges = np.linspace(-pc.HALF_RANGE, pc.HALF_RANGE, 49)
+        mids = (edges[:-1] + edges[1:]) / 2
+        half = (edges[1:] - edges[:-1]) / 2
+        t = (mids[:, None] + half[:, None] * xg[None, :]).ravel()
+        w = (half[:, None] * wg[None, :]).ravel()
+        t_ref, w_ref = t[t > 0], w[t > 0]
+
+        rule = pc._ray_rule(pc.HALF_RANGE, pc.PANEL_WIDTH, pc.NODES_PER_PANEL)
+        split = np.empty_like(rule.nodes)
+        for g, panels in enumerate(rule.groups):
+            split[:, panels] = rule.mids[panels] + rule.offsets[g][:, None]
+        order = np.argsort(split, axis=None)
+        assert split.size == t_ref.size
+        assert np.all(np.abs(split.ravel()[order] - t_ref) <= np.spacing(t_ref))
+        assert np.array_equal(rule.weights.ravel()[order], w_ref)
+        # linspace edges give three half-widths, up to 4.5e-16 apart: one
+        # shared value would move the nodes nearest 0 by hundreds of ulp
+        assert len(rule.groups) == 3 == len(np.unique(half[mids > 0]))
+
+
+def _direct_ray(rot, z, rho, weight_sign, kmax=2):
+    """sum_j c_j e^{i t_j z} node by node on t = r rot, and the sum of the terms' moduli."""
+    rule = pc._ray_rule(pc.HALF_RANGE, pc.PANEL_WIDTH, pc.NODES_PER_PANEL)
+    r, w = rule.nodes.ravel(), rule.weights.ravel()
+    tt = r * rot
+    base = w * np.exp(weight_sign * (tt ** 4 / 4 + rho * tt ** 2 / 2)) * rot
+    terms = np.stack([(base * (1j * tt) ** k)[:, None] * np.exp(np.multiply.outer(1j * tt, z))
+                      for k in range(kmax + 1)])
+    return terms.sum(axis=1), np.abs(terms).sum(axis=1)
+
+
+class TestSplitAgainstDirectSum:
+    """The panel-split bundles against the node-by-node sum on the same rule."""
+
+    RHOS = [-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0]
+
+    @pytest.mark.parametrize("rho", RHOS)
+    def test_p(self, rho):
+        xs = np.linspace(-12.0, 12.0, 97)
+        b = pc._p_bundle(xs, rho)
+        ref = _direct_ray(1.0, xs, rho, -1.0)[0].real / math.pi
+        assert np.abs(b - ref).max() <= 1e-14 * np.abs(b).max()
+
+    @pytest.mark.parametrize("rho", RHOS)
+    def test_upper_v(self, rho):
+        # the z-integral's doubled range: y up to 200 + 12, no overflow.  At
+        # negative y the terms' moduli add up to 1e5 max|V| (rho = -4), so the
+        # scale is that sum, the rounding scale of any summation.
+        ys = np.linspace(-12.0, 212.0, 561)
+        b = pc._upper_v_bundle(ys, rho)
+        total, moduli = _direct_ray(cmath.exp(1j * math.pi / 4), ys, rho, +1.0)
+        assert np.isfinite(b).all()
+        assert np.abs(b + total.real / math.pi).max() <= 1e-14 * moduli.max() / math.pi
+
+    @pytest.mark.parametrize("rho", RHOS)
+    def test_tilde_psi(self, rho):
+        # |t z| reaches 4.8 * 40 = 192 here: rounding that exponent moves a
+        # term by up to ~96 eps = 2e-14 of itself, in either sum
+        rng = np.random.default_rng(8)
+        z = 40.0 * np.sqrt(rng.uniform(0.0, 1.0, 120)) * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 120))
+        m = pc.tilde_psi_matrices(z, rho)
+        for col, j in enumerate((0, 1, 4)):
+            ref = sum(sign * _direct_ray(rot, z, rho, -1.0)[0] for sign, rot in pc._GAMMA_LEGS[j])
+            assert np.abs(m[:, :, col] - ref.T).max() <= 2e-14 * np.abs(m).max()
