@@ -139,35 +139,28 @@ def phi_chf(pt: SectorPoint, beta: complex) -> np.ndarray:
     return _base_matrix(pt.z, arg, beta) @ _sector_factor(pt.sector, beta)
 
 
-def _phi_on_ray(ray: int, r: float, beta: complex, side: str) -> np.ndarray:
-    """Boundary value on ray ``ray`` at radius r from the ccw (+ sector) or cw side.
-
-    The point itself sits on the ray; the side picks which sector's analytic
-    formula (and continued argument) is used, i.e. the boundary value is the
-    limit from 1e-6 off the ray of that sector's representation.
-    """
-    phi_ray = SECTOR_ANGLES[ray - 1]
-    ccw_sector = ray
-    cw_sector = ray - 1 if ray > 1 else 6
-    z = r * cmath.exp(1j * phi_ray)
-    if side == "ccw":
-        return _base_matrix(z, phi_ray, beta) @ _sector_factor(ccw_sector, beta)
-    arg = phi_ray if ray > 1 else 2.0 * math.pi
-    return _base_matrix(z, arg, beta) @ _sector_factor(cw_sector, beta)
-
-
 def chf_jump_residual(ray: int, r: float, beta: complex) -> float:
     """max-norm of Phi_+ - Phi_- J_ray on the given ray at radius r.
 
-    Phi_+ is the boundary value on the left of the ray's orientation.  Rays
-    2..6 are construction-exact; ray 1 closes the monodromy of the psi log
-    branches against the full jump cycle and is the substantive check.
+    Phi_+ is the boundary value on the left of the ray's orientation.  Each
+    side evaluates the point on the ray through its own sector's formula: the
+    base matrix at that sector's continued argument times the sector's jump
+    product.  Only ray 1's clockwise sector (6) continues to 2 pi, so on rays
+    2..6 both sides share one base matrix and are construction-exact; ray 1
+    closes the monodromy of the psi log branches against the full jump cycle
+    and is the substantive check.
     """
     beta = _check_beta(beta)
     if not 0.1 <= r <= 10.0:
         raise DomainError(f"jump residual validated for 0.1 <= r <= 10, got {r}")
-    ccw = _phi_on_ray(ray, r, beta, "ccw")
-    cw = _phi_on_ray(ray, r, beta, "cw")
+    phi_ray = SECTOR_ANGLES[ray - 1]
+    z = r * cmath.exp(1j * phi_ray)
+    base = _base_matrix(z, phi_ray, beta)
+    ccw = base @ _sector_factor(ray, beta)
+    if ray > 1:
+        cw = base @ _sector_factor(ray - 1, beta)
+    else:
+        cw = _base_matrix(z, 2.0 * math.pi, beta) @ _sector_factor(6, beta)
     j = jump_matrix(ray, beta)
     if _RAY_OUTWARD[ray - 1]:
         plus, minus = ccw, cw

@@ -11,6 +11,7 @@ subcommand does not take.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -238,7 +239,10 @@ _COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing never modifies it, and each
+    parse starts from a fresh namespace filled with the flags' defaults."""
     parser = argparse.ArgumentParser(
         prog="pearceydet",
         description="Deformed Pearcey determinant computations")

@@ -35,6 +35,14 @@ of a trajectory.  Higher derivatives of p0, q0 used by the coupled-equation
 checks are exact hand-expanded compositions of the right-hand side, never
 differenced.
 
+The family is real in fixed coordinates: p0 and q0 are real and the six
+oscillators purely imaginary, p_k = i a_k and q_k = i b_k (k = 1..3), and the
+flow maps such states to such states.  The eight equations are written once,
+in the real coordinates (p0, a1, a2, a3, q0, b1, b2, b3) (``_flow``), and the
+sweep advances those on Python floats; the complex right-hand side used by
+the identity checks maps onto the same equations.  States handed out stay
+complex.
+
 A ``HamState`` holds one sample or all samples of a trajectory: every formula
 here is elementwise, so the identity checks evaluate a whole trajectory in one
 pass.
@@ -46,6 +54,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 from scipy.integrate import simpson, solve_ivp
 
 from .errors import ConvergenceError, DomainError
@@ -101,19 +110,53 @@ class HamState:
         return self.p3 * self.q1 + (self.p0 + self.q0 - rho / _SQRT2) / _SQRT2
 
 
-def _rhs_array(s: float, y: np.ndarray) -> np.ndarray:
-    p0, p1, p2, p3, q0, q1, q2, q3 = y
+# a state of the family is _UNITS times its real coordinates (module notes)
+_UNITS = np.array([1, 1j, 1j, 1j, 1, 1j, 1j, 1j])
+_REAL_PART = _UNITS.imag == 0
+
+
+def _flow(s, p0, a1, a2, a3, q0, b1, b2, b3) -> list:
+    """The eight equations in the real coordinates p_k = i a_k, q_k = i b_k (k = 1..3).
+
+    Each term keeps the operation order of the printed complex form, so on
+    the family's states it rounds exactly as that form does.  Scalars or
+    arrays alike: the sweep passes Python floats.
+    """
     inv_s = 1.0 / s
-    return np.array([
-        -_SQRT2 * p3 * q2,
-        -_SQRT2 * p0 * p2 - s * p3 + 2.0 * inv_s * p1 * p2 * q2,
-        -_SQRT2 * p3 * q0 - p1 - 2.0 * inv_s * p2 * p2 * q2,
-        -p2 + 2.0 * inv_s * p2 * p3 * q2,
-        _SQRT2 * p2 * q1,
-        q2 - 2.0 * inv_s * p2 * q1 * q2,
-        _SQRT2 * p0 * q1 + q3 + 2.0 * inv_s * p2 * q2 * q2,
-        s * q1 + _SQRT2 * q0 * q2 - 2.0 * inv_s * p2 * q2 * q3,
-    ], dtype=complex)
+    return [
+        _SQRT2 * a3 * b2,
+        -_SQRT2 * p0 * a2 - s * a3 - 2.0 * inv_s * a1 * a2 * b2,
+        -_SQRT2 * a3 * q0 - a1 + 2.0 * inv_s * a2 * a2 * b2,
+        -a2 - 2.0 * inv_s * a2 * a3 * b2,
+        -_SQRT2 * a2 * b1,
+        b2 + 2.0 * inv_s * a2 * b1 * b2,
+        _SQRT2 * p0 * b1 + b3 - 2.0 * inv_s * a2 * b2 * b2,
+        s * b1 + _SQRT2 * q0 * b2 + 2.0 * inv_s * a2 * b2 * b3,
+    ]
+
+
+def _sweep_rhs(s: float, y: np.ndarray) -> list:
+    # Python floats: numpy scalar arithmetic costs several times more per term
+    return _flow(float(s), *y.tolist())
+
+
+def _rhs_array(s: float | np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The flow on complex states of shape (8,) or (8, N).
+
+    The real equations are evaluated at y / _UNITS, an exact change of
+    variables for any complex y; on the family's states the result is
+    _UNITS times the real right-hand side, bit for bit.
+    """
+    units = _UNITS.reshape((8,) + (1,) * (np.ndim(y) - 1))
+    return units * np.array(_flow(s, *(y * units.conj())))
+
+
+def _complex_states(y: np.ndarray) -> np.ndarray:
+    """Complex states from real coordinates along axis 0."""
+    out = np.zeros(y.shape, dtype=complex)
+    out.real[_REAL_PART] = y[_REAL_PART]
+    out.imag[~_REAL_PART] = y[~_REAL_PART]
+    return out
 
 
 def system_rhs(state: HamState) -> HamState:
@@ -239,6 +282,28 @@ def _dual_weight_vector(mats: np.ndarray, gamma: float, det_ref: complex) -> np.
     return gamma / (2j * math.pi) * (cof[:, :, 1] + cof[:, :, 2]) / det_ref
 
 
+def _resolvent_solves(kmat: np.ndarray, w: np.ndarray, g: float,
+                      f: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solutions of A x = f and A_dual y = h, each refined once, from one LU.
+
+    A = I - gamma K W and A_dual = I - gamma K^T W = W^{-1} A^T W, so the
+    dual system is A^T (W y) = W h: a transposed solve with the same factors.
+    """
+    n = len(w)
+    a = np.eye(n) - g * kmat * w[None, :]
+    a_dual = np.eye(n) - g * (kmat * w[:, None]).T
+    lu = scipy.linalg.lu_factor(a)
+
+    def solve_dual(b: np.ndarray) -> np.ndarray:
+        return scipy.linalg.lu_solve(lu, w[:, None] * b, trans=1) / w[:, None]
+
+    x = scipy.linalg.lu_solve(lu, f)
+    x += scipy.linalg.lu_solve(lu, f - a @ x)
+    y = solve_dual(h)
+    y += solve_dual(h - a_dual @ y)
+    return x, y
+
+
 def resolvent_anchor_state(s0: float, params: ModelParams) -> HamState:
     """Quadrature-precision anchor from the Fredholm side (see module notes).
 
@@ -248,6 +313,8 @@ def resolvent_anchor_state(s0: float, params: ModelParams) -> HamState:
     right-hand side is the independently computed resolvent boundary trace.
     The family's realness structure (p0, q0 real; oscillators purely
     imaginary) and both exact first integrals are enforced on the result.
+    The forward and dual resolvent systems share one LU factorisation of
+    I - gamma K W (``_resolvent_solves``).
 
     The extraction amplifies last-bit changes of K about 1e10-fold: with
     theta3(s0; rho) between 13 and 16 the state of a sweep to s = 0.5 carries
@@ -276,12 +343,7 @@ def resolvent_anchor_state(s0: float, params: ModelParams) -> HamState:
     det_ref = np.linalg.det(tilde_psi_matrices(np.array([0.0]), rho))[0]
     h_all = _dual_weight_vector(mats, g, det_ref)
 
-    a_fwd = np.eye(n) - g * kmat * w[None, :]
-    a_dual = np.eye(n) - g * (kmat * w[:, None]).T
-    f_nodes = np.linalg.solve(a_fwd, f_all[:n])
-    f_nodes += np.linalg.solve(a_fwd, f_all[:n] - a_fwd @ f_nodes)
-    h_nodes = np.linalg.solve(a_dual, h_all[:n])
-    h_nodes += np.linalg.solve(a_dual, h_all[:n] - a_dual @ h_nodes)
+    f_nodes, h_nodes = _resolvent_solves(kmat, w, g, f_all[:n], h_all[:n])
     f_end = f_all[n] + g * (k[n, :n] * w) @ f_nodes
     h_end = h_all[n] + g * (k[:n, n] * w) @ h_nodes
 
@@ -321,7 +383,7 @@ class Trajectory:
     s: np.ndarray                 # strictly monotone sample grid
     states: np.ndarray            # (n, 8) complex
     h: np.ndarray                 # complex Hamiltonian at samples
-    dense: object                 # scipy OdeSolution
+    dense: object                 # s -> complex states, (8,) or (8, N)
 
     def constraint_drift(self) -> np.ndarray:
         return np.abs(HamState.from_array(self.s, self.states.T).constraint_sum())
@@ -343,10 +405,14 @@ def integrate(s_from: float, s_to: float, init: HamState,
               tol: float = 1e-10) -> Trajectory:
     """Adaptive high-order Runge-Kutta run from s_from to s_to with dense output.
 
-    Raises ConvergenceError on step failure or if the conserved constraint
-    blows past 1e-3 (a diverged trajectory, not a tolerance issue), and
-    DomainError for a tol that is not finite or below the solver's floor, or
-    for sweep ends that are not finite or equal.
+    The sweep advances the eight real coordinates of the family (module
+    notes) with the right-hand side on Python floats; the samples and the
+    dense output are complex states again.  Raises ConvergenceError on step
+    failure or if the conserved constraint blows past 1e-3 (a diverged
+    trajectory, not a tolerance issue), and DomainError for a tol that is not
+    finite or below the solver's floor, for sweep ends that are not finite or
+    equal, or for an initial state whose p0 or q0 is not real or whose
+    oscillators are not purely imaginary.
     """
     if not (math.isfinite(tol) and tol >= _RTOL_MIN):
         raise DomainError(f"tol = {tol} is not finite or below the solver's "
@@ -361,16 +427,22 @@ def integrate(s_from: float, s_to: float, init: HamState,
         raise DomainError(f"anchor capped at s = {_S_ANCHOR_MAX} (scale-spread guard)")
     if init.s != s_from:
         raise DomainError(f"initial state is at s = {init.s}, not s_from = {s_from}")
+    y0 = init.to_array()
+    if (y0.imag[_REAL_PART] != 0).any() or (y0.real[~_REAL_PART] != 0).any():
+        raise DomainError("initial state is off the family: p0 and q0 must be real, "
+                          "p1..p3 and q1..q3 purely imaginary")
     # atol must sit far below the exponentially small q-components near the
     # anchor: absolute step noise there is amplified by exp(dtheta3/2) on the
     # way down, so a loose atol (not rtol) is what destroys backward sweeps.
-    sol = solve_ivp(_rhs_array, (s_from, s_to), init.to_array(), method="DOP853",
-                    rtol=tol, atol=1e-15, max_step=_MAX_STEP, dense_output=True)
+    sol = solve_ivp(_sweep_rhs, (s_from, s_to), np.where(_REAL_PART, y0.real, y0.imag),
+                    method="DOP853", rtol=tol, atol=1e-15, max_step=_MAX_STEP,
+                    dense_output=True)
     if not sol.success:
         raise ConvergenceError(f"integrator failed: {sol.message}")
     grid = np.linspace(s_from, s_to, _SAMPLES)
-    ys = sol.sol(grid)
-    traj = Trajectory(grid, ys.T, hamiltonian_value(HamState.from_array(grid, ys)), sol.sol)
+    ys = _complex_states(sol.sol(grid))
+    traj = Trajectory(grid, ys.T, hamiltonian_value(HamState.from_array(grid, ys)),
+                      lambda s_val: _complex_states(sol.sol(s_val)))
     drift = traj.constraint_drift().max()
     if drift > 1e-3:
         raise ConvergenceError(f"constraint blow-up: |sum p_k q_k| reached {drift:.2e}")

@@ -119,16 +119,24 @@ def _kernel_matrix_from_session(rho: float, x: np.ndarray, y: np.ndarray, *,
     q = _batched(_q_bundle, y, rho, split)
     p0, p1, p2 = p
     q0, q1, q2 = q
-    num = (np.multiply.outer(p0, q2) - np.multiply.outer(p1, q1)
-           + np.multiply.outer(p2, q0) - rho * np.multiply.outer(p0, q0))
-    dxy = np.subtract.outer(x, y)
-    band = np.abs(dxy) < DIAG_BAND_HALF_WIDTH
-    safe = np.where(band, 1.0, dxy)
-    k = num / safe
-    if band.any():
+    # the numerator P Q'' - P'Q' + P''Q - rho P Q, accumulated in place in
+    # that order of operations; ``tmp`` holds each further outer product
+    k = np.multiply.outer(p0, q2)
+    tmp = np.multiply.outer(p1, q1)
+    k -= tmp
+    np.multiply.outer(p2, q0, out=tmp)
+    k += tmp
+    np.multiply.outer(p0, q0, out=tmp)
+    tmp *= rho
+    k -= tmp
+    dxy = np.subtract.outer(x, y, out=tmp)
+    bi, bj = np.nonzero(np.abs(dxy) < DIAG_BAND_HALF_WIDTH)
+    d_band = dxy[bi, bj]
+    dxy[bi, bj] = 1.0
+    k /= dxy
+    if bi.size:
         diag, slope = _diag_and_slope(rho, x, p, q if y is x else None)
-        taylor = diag[:, None] - slope[:, None] * dxy
-        k = np.where(band, taylor, k)
+        k[bi, bj] = diag[bi] - slope[bi] * d_band
     return k
 
 

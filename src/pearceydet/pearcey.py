@@ -222,13 +222,18 @@ _GAMMA_LEGS = {
 }
 
 
-def _pj_bundle(j: int, z: np.ndarray, rho: float, kmax: int = 2, *,
-               rule: _RayRule | None = None) -> np.ndarray:
+def _contour_sum(j: int, legs: dict) -> np.ndarray:
+    """P_j from its legs' ray sums, ``legs`` keyed by direction."""
     total = None
     for sign, rot in _GAMMA_LEGS[j]:
-        leg = _ray_bundle(rot, z, rho, kmax, weight_sign=-1.0, rule=rule)
-        total = sign * leg if total is None else total + sign * leg
+        total = sign * legs[rot] if total is None else total + sign * legs[rot]
     return total
+
+
+def _pj_bundle(j: int, z: np.ndarray, rho: float, kmax: int = 2, *,
+               rule: _RayRule | None = None) -> np.ndarray:
+    return _contour_sum(j, {rot: _ray_bundle(rot, z, rho, kmax, weight_sign=-1.0, rule=rule)
+                            for _, rot in _GAMMA_LEGS[j]})
 
 
 def pearcey_pj(z: complex, rho: float, j: int) -> PearceyValues:
@@ -247,16 +252,23 @@ class PsiTilde:
     m: np.ndarray
 
 
+_PSI_COLUMNS = (0, 1, 4)
+
+
 def tilde_psi(z: float, rho: float) -> PsiTilde:
     """Entire 3x3 matrix solution used by the kernel's matrix representation."""
     _check_arg(abs(z), _PJ_ARG_MAX, "tilde_psi")
-    zz = np.array([complex(z)])
-    cols = [_pj_bundle(j, zz, rho)[:, 0] for j in (0, 1, 4)]
-    return PsiTilde(np.stack(cols, axis=1))
+    return PsiTilde(tilde_psi_matrices(np.array([complex(z)]), rho)[0])
 
 
 def tilde_psi_matrices(z: np.ndarray, rho: float) -> np.ndarray:
-    """Vectorized tilde_psi: returns (len(z), 3, 3)."""
+    """Vectorized tilde_psi: returns (len(z), 3, 3).
+
+    The three contours share the positive real leg, so one ray sum per
+    distinct direction (four) serves all three columns.
+    """
     z = np.asarray(z, dtype=complex)
-    cols = [_pj_bundle(j, z, rho) for j in (0, 1, 4)]  # each (3, n)
+    rots = dict.fromkeys(rot for j in _PSI_COLUMNS for _, rot in _GAMMA_LEGS[j])
+    legs = {rot: _ray_bundle(rot, z, rho) for rot in rots}
+    cols = [_contour_sum(j, legs) for j in _PSI_COLUMNS]  # each (3, n)
     return np.stack(cols, axis=2).transpose(1, 0, 2)

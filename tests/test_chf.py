@@ -62,6 +62,29 @@ class TestJumps:
         worst = max(chf.chf_jump_residual(ray, r, beta) for r in (0.5, 1.0, 2.0, 5.0))
         assert worst < 1e-9
 
+    @pytest.mark.parametrize("beta", (0.03j, 0.2j, 0.4j))
+    def test_one_base_matrix_per_ray_point(self, beta, monkeypatch):
+        # reference: each side from its own base-matrix evaluation
+        def side(ray, r, sector, arg):
+            z = r * cmath.exp(1j * chf.SECTOR_ANGLES[ray - 1])
+            return chf._base_matrix(z, arg, beta) @ chf._sector_factor(sector, beta)
+
+        expected = {}
+        for ray in range(1, 7):
+            phi = chf.SECTOR_ANGLES[ray - 1]
+            for r in chf._REPORT_RADII:
+                ccw = side(ray, r, ray, phi)
+                cw = side(ray, r, ray - 1 if ray > 1 else 6, phi if ray > 1 else 2 * math.pi)
+                plus, minus = (ccw, cw) if chf._RAY_OUTWARD[ray - 1] else (cw, ccw)
+                expected[ray, r] = float(np.abs(plus - minus @ chf.jump_matrix(ray, beta)).max())
+        calls = []
+        real = chf._base_matrix
+        monkeypatch.setattr(chf, "_base_matrix", lambda *a: calls.append(a) or real(*a))
+        for (ray, r), want in expected.items():
+            calls.clear()
+            assert chf.chf_jump_residual(ray, r, beta) == want
+            assert len(calls) == (2 if ray == 1 else 1)
+
     def test_beta_zero_unipotent_rays(self):
         for ray in (2, 3, 5, 6):
             assert chf.chf_jump_residual(ray, 1.0, 0.0) < 1e-12

@@ -215,6 +215,22 @@ class TestUsage:
         assert "s-min" in json.loads(err)["message"]
 
 
+class TestParserOncePerProcess:
+    def test_built_once(self):
+        from pearceydet.cli import build_parser
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("first,then,line", [
+        (["det", "--s", "2", "--gamma", "0.3"], ["det", "--s", "2"], "# gamma: 0.5"),
+        (["scan", "--s", "2", "--tol", "1e-8"], ["scan", "--s", "2"], "# tol: 1e-09"),
+    ])
+    def test_defaults_do_not_leak(self, capsys, first, then, line):
+        assert run_cli(first, capsys)[0] == 0
+        code, out, _ = run_cli(then, capsys)
+        assert code == 0
+        assert line in out.splitlines()
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -21,6 +21,30 @@ def random_admissible_state(rng, s=3.0):
     return ham.HamState(s, p0, p1, p2, p3, q0, q1, q2, q3)
 
 
+UNITS = np.array([1, 1j, 1j, 1j, 1, 1j, 1j, 1j])
+IS_REAL = UNITS.imag == 0
+
+
+def real_coordinates(y):
+    """(p0, Im p1, Im p2, Im p3, q0, Im q1, Im q2, Im q3)."""
+    return np.where(IS_REAL, y.real, y.imag)
+
+
+def printed_rhs(s, y):
+    """The eight right-hand sides in the printed complex form."""
+    p0, p1, p2, p3, q0, q1, q2, q3 = y
+    return np.array([
+        -SQRT2 * p3 * q2,
+        -SQRT2 * p0 * p2 - s * p3 + 2.0 / s * p1 * p2 * q2,
+        -SQRT2 * p3 * q0 - p1 - 2.0 / s * p2 * p2 * q2,
+        -p2 + 2.0 / s * p2 * p3 * q2,
+        SQRT2 * p2 * q1,
+        q2 - 2.0 / s * p2 * q1 * q2,
+        SQRT2 * p0 * q1 + q3 + 2.0 / s * p2 * q2 * q2,
+        s * q1 + SQRT2 * q0 * q2 - 2.0 / s * p2 * q2 * q3,
+    ], dtype=complex)
+
+
 class TestSystemStructure:
     def test_beta_zero_fixed_point(self):
         p = ModelParams(0.0, 1.0)
@@ -64,6 +88,29 @@ class TestSystemStructure:
     def test_pole_at_origin(self):
         with pytest.raises(DomainError):
             ham.system_rhs(ham.HamState(0.0, 0, 0, 0, 0, 0, 0, 0, 0))
+
+    def test_complex_rhs_is_the_real_flow(self):
+        # on the family's states the complex flow is UNITS times the real one,
+        # exactly, one sample or many
+        rng = np.random.default_rng(6)
+        states = [random_admissible_state(rng, s) for s in (0.7, 3.0, 9.5)]
+        for st in states:
+            y = real_coordinates(st.to_array())
+            assert np.array_equal(ham._rhs_array(st.s, UNITS * y),
+                                  UNITS * np.array(ham._flow(st.s, *y)))
+        s = np.array([st.s for st in states])
+        ys = np.array([st.to_array() for st in states]).T
+        assert np.array_equal(ham._rhs_array(s, ys),
+                              np.stack([ham._rhs_array(st.s, st.to_array())
+                                        for st in states], axis=1))
+
+    def test_rhs_matches_printed_complex_form(self):
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            st = random_admissible_state(rng)
+            ref = printed_rhs(st.s, st.to_array())
+            assert np.abs(ham._rhs_array(st.s, st.to_array()) - ref).max() \
+                <= 1e-15 * np.abs(ref).max()
 
 
 class TestAsymptoticState:
@@ -129,6 +176,27 @@ class TestResolventAnchor:
         assert abs(st.constraint_sum()) < 1e-12
         assert abs(st.first_integral(0.0)) < 1e-12
 
+    @pytest.mark.parametrize("gamma,rho,s0", [(0.5, 0.3, 8.0), (0.9, -1.5, 9.5),
+                                              (0.2, 1.7, 6.0), (0.5, 0.0, 10.0)])
+    def test_one_factorisation_matches_separate_solves(self, monkeypatch, gamma, rho, s0):
+        def separate(kmat, w, g, f, h):
+            n = len(w)
+            a = np.eye(n) - g * kmat * w[None, :]
+            a_dual = np.eye(n) - g * (kmat * w[:, None]).T
+            out = []
+            for m, b in ((a, f), (a_dual, h)):
+                x = np.linalg.solve(m, b)
+                out.append(x + np.linalg.solve(m, b - m @ x))
+            return tuple(out)
+
+        p = ModelParams(gamma, rho)
+        got = ham.resolvent_anchor_state(s0, p).to_array()
+        monkeypatch.setattr(ham, "_resolvent_solves", separate)
+        ref = ham.resolvent_anchor_state(s0, p).to_array()
+        # p and q blocks differ in scale by up to e^{theta3}: each against its own
+        for block in ([0, 4], [1, 2, 3], [5, 6, 7]):
+            assert np.abs(got[block] - ref[block]).max() <= 1e-13 * np.abs(ref[block]).max()
+
     def test_hamiltonian_consistency(self):
         # H of the anchor equals (1/2) dF/ds by construction of (p0, q0);
         # the oscillator extraction is what this validates
@@ -168,6 +236,34 @@ class TestTrajectory:
         traj = ham.asymptotic_trajectory(p, 10.0, 8.0, tol=1e-10,
                                          ic_mode="asymptotic")
         assert traj.constraint_drift().max() < 1e-10  # projected exactly
+
+    @pytest.mark.parametrize("rho", [-2.0, 0.0, 1.7])
+    def test_structural_zeros_exact(self, rho):
+        t = ham.asymptotic_trajectory(ModelParams(0.5, rho), 8.0, 0.5)
+        for states in (t.states, t.dense(np.linspace(0.5, 8.0, 37)).T):
+            assert np.all(states.imag[:, IS_REAL] == 0.0)
+            assert np.all(states.real[:, ~IS_REAL] == 0.0)
+
+    def test_matches_complex_state_sweep(self):
+        # the printed complex system through the same DOP853 settings
+        from scipy.integrate import solve_ivp
+        p = ModelParams(0.5, 0.3)
+        ic = ham.resolvent_anchor_state(8.0, p)
+        t = ham.integrate(8.0, 0.5, ic, 1e-10)
+        sol = solve_ivp(printed_rhs, (8.0, 0.5), ic.to_array(), method="DOP853",
+                        rtol=1e-10, atol=1e-15, max_step=0.05, dense_output=True)
+        ref = sol.sol(t.s).T
+        scale = np.abs(ref).max(axis=0)
+        assert (np.abs(t.states - ref).max(axis=0) <= 1e-6 * scale).all()
+
+    @pytest.mark.parametrize("field,shift", [("p0", 1e-3j), ("q0", -1e-9j),
+                                             ("p1", 1e-3), ("q3", 1e-12)])
+    def test_off_family_initial_state(self, field, shift):
+        from dataclasses import replace
+        ic = ham.resolvent_anchor_state(8.0, ModelParams(0.5, 0.0))
+        bad = replace(ic, **{field: getattr(ic, field) + shift})
+        with pytest.raises(DomainError):
+            ham.integrate(8.0, 4.0, bad)
 
     def test_blowup_detected(self):
         # ...and a full sweep from leading-order data diverges detectably

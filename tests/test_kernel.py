@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from pearceydet import kernel as kn
+from pearceydet import pearcey as pc
+from pearceydet.fredholm import gauss_legendre
 from pearceydet.errors import ConvergenceError, DomainError
 
 
@@ -156,3 +158,39 @@ class TestKernelMatrix:
         assert np.isfinite(k).all()
         assert k[0, 1] == pytest.approx(kn.kernel_diagonal_band(1.0, 1.0 + 5e-4, 0.0),
                                         abs=1e-12)
+
+
+def out_of_place_assembly(rho, x, y):
+    """The assembly as one expression per step, without reused buffers."""
+    p, q = pc._p_bundle(x, rho), pc._q_bundle(y, rho)
+    p0, p1, p2 = p
+    q0, q1, q2 = q
+    num = (np.multiply.outer(p0, q2) - np.multiply.outer(p1, q1)
+           + np.multiply.outer(p2, q0) - rho * np.multiply.outer(p0, q0))
+    dxy = np.subtract.outer(x, y)
+    band = np.abs(dxy) < kn.DIAG_BAND_HALF_WIDTH
+    k = num / np.where(band, 1.0, dxy)
+    if band.any():
+        diag, slope = kn._diag_and_slope(rho, x, p, q if y is x else None)
+        k = np.where(band, diag[:, None] - slope[:, None] * dxy, k)
+    return k, int(band.sum())
+
+
+class TestInPlaceAssembly:
+    @pytest.mark.parametrize("rho", [-2.0, 0.0, 1.7])
+    @pytest.mark.parametrize("n,s", [(1, 6.0), (2, 6.0), (3, 6.0), (16, 6.0), (127, 6.0),
+                                     (384, 6.0), (384, 1.0)])
+    def test_square_bitwise(self, rho, n, s):
+        x = s * np.asarray(gauss_legendre(n).nodes)
+        ref, in_band = out_of_place_assembly(rho, x, x)
+        if (n, s) == (384, 1.0):
+            assert in_band == 480   # off-diagonal band entries near the ends
+        assert kn.kernel_matrix(x, rho).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("rho", [-2.0, 0.0, 1.7])
+    def test_rectangular_bitwise(self, rho):
+        x = np.array([-3.0, 0.25, 1.0, 1.0 + 4e-4, 5.5])
+        y = np.array([1.0 - 2e-4, 0.25, 2.0, -3.0 + 1e-5])
+        ref, in_band = out_of_place_assembly(rho, x, y)
+        assert in_band == 4
+        assert kn._kernel_matrix_from_session(rho, x, y).tobytes() == ref.tobytes()

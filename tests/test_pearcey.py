@@ -296,3 +296,19 @@ class TestSplitAgainstDirectSum:
         for col, j in enumerate((0, 1, 4)):
             ref = sum(sign * _direct_ray(rot, z, rho, -1.0)[0] for sign, rot in pc._GAMMA_LEGS[j])
             assert np.abs(m[:, :, col] - ref.T).max() <= 2e-14 * np.abs(m).max()
+
+
+class TestTildePsiLegs:
+    @pytest.mark.parametrize("rho", [-2.0, 0.0, 1.7])
+    def test_four_rays_bitwise_per_contour(self, rho, monkeypatch):
+        z = np.array([0.0, 2.5, -7.0 + 3.0j, 11.0j, 30.0 - 0.5j])
+        ref = np.stack([pc._pj_bundle(j, z, rho) for j in (0, 1, 4)], axis=2).transpose(1, 0, 2)
+        calls = []
+        real = pc._ray_bundle
+        monkeypatch.setattr(pc, "_ray_bundle",
+                            lambda rot, *a, **kw: calls.append(rot) or real(rot, *a, **kw))
+        m = pc.tilde_psi_matrices(z, rho)
+        assert sorted(calls, key=lambda r: (r.real, r.imag)) == [-1, -1j, 1j, 1]
+        assert m.tobytes() == np.ascontiguousarray(ref).tobytes()
+        one = np.stack([pc._pj_bundle(j, z[1:2], rho)[:, 0] for j in (0, 1, 4)], axis=1)
+        assert pc.tilde_psi(2.5, rho).m.tobytes() == one.tobytes()
