@@ -151,7 +151,8 @@ def _cmd_hamiltonian(args) -> None:
                                      tol=1e-10 if args.tol is None else args.tol)
     rows = ham.trajectory_rows(traj, params)
     _emit(args, rows, {"anchor": s_hi, "samples": len(rows),
-                       "max_constraint_drift": float(traj.constraint_drift().max())})
+                       "max_constraint_drift": float(traj.constraint_drift().max()),
+                       "steps": traj.steps, "nfev": traj.nfev, "min_step": traj.min_step})
 
 
 def _cmd_moments(args) -> None:

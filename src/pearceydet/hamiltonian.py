@@ -377,6 +377,48 @@ def resolvent_anchor_state(s0: float, params: ModelParams) -> HamState:
 
 
 @dataclass(frozen=True)
+class _DenseSampler:
+    """DOP853's dense output with every step interpolant stacked, sampled in one pass.
+
+    ``OdeSolution.__call__`` evaluates its step interpolants one segment at a
+    time in Python; this runs the same Horner recurrence on the same
+    coefficients for all samples at once, so it returns the same values bit
+    for bit.  Segments are picked by ``OdeSolution``'s own rule.
+    """
+
+    ts_sorted: np.ndarray     # step boundaries, ascending
+    side: str                 # searchsorted side: which segment owns a boundary
+    ascending: bool           # direction of the sweep
+    t_old: np.ndarray         # (steps,) start of each step
+    h: np.ndarray             # (steps,) signed step sizes
+    f: np.ndarray             # (steps, 7, 8) interpolant coefficients
+    y_old: np.ndarray         # (steps, 8) real coordinates at each step start
+
+    @classmethod
+    def of(cls, sol) -> "_DenseSampler":
+        """From ``solve_ivp(..., dense_output=True).sol``."""
+        steps = sol.interpolants
+        return cls(sol.ts_sorted, sol.side, sol.ascending,
+                   np.array([seg.t_old for seg in steps]), np.array([seg.h for seg in steps]),
+                   np.stack([seg.F for seg in steps]), np.stack([seg.y_old for seg in steps]))
+
+    def __call__(self, t: float | np.ndarray) -> np.ndarray:
+        """Real coordinates at t: shape (8,) for a scalar, (8, N) for N samples."""
+        t = np.asarray(t, dtype=float)
+        last = len(self.h) - 1
+        seg = np.clip(np.searchsorted(self.ts_sorted, t, side=self.side) - 1, 0, last)
+        if not self.ascending:
+            seg = last - seg
+        x = ((t - self.t_old[seg]) / self.h[seg])[..., None]
+        y = np.zeros(x.shape[:-1] + self.y_old.shape[1:])
+        for i, j in enumerate(range(self.f.shape[1] - 1, -1, -1)):
+            y += self.f[seg, j]
+            y *= x if i % 2 == 0 else 1 - x
+        y += self.y_old[seg]
+        return y.T
+
+
+@dataclass(frozen=True)
 class Trajectory:
     """Dense backward (or forward) solution, sampled with H at the samples."""
 
@@ -384,6 +426,9 @@ class Trajectory:
     states: np.ndarray            # (n, 8) complex
     h: np.ndarray                 # complex Hamiltonian at samples
     dense: object                 # s -> complex states, (8,) or (8, N)
+    steps: int                    # accepted solver steps
+    nfev: int                     # right-hand-side evaluations
+    min_step: float               # smallest |step|, the last one included
 
     def constraint_drift(self) -> np.ndarray:
         return np.abs(HamState.from_array(self.s, self.states.T).constraint_sum())
@@ -407,7 +452,9 @@ def integrate(s_from: float, s_to: float, init: HamState,
 
     The sweep advances the eight real coordinates of the family (module
     notes) with the right-hand side on Python floats; the samples and the
-    dense output are complex states again.  Raises ConvergenceError on step
+    dense output are complex states again, both read from one
+    ``_DenseSampler``.  The trajectory records the solver's step count,
+    right-hand-side evaluations and smallest step.  Raises ConvergenceError on step
     failure or if the conserved constraint blows past 1e-3 (a diverged
     trajectory, not a tolerance issue), and DomainError for a tol that is not
     finite or below the solver's floor, for sweep ends that are not finite or
@@ -439,10 +486,13 @@ def integrate(s_from: float, s_to: float, init: HamState,
                     dense_output=True)
     if not sol.success:
         raise ConvergenceError(f"integrator failed: {sol.message}")
+    sample = _DenseSampler.of(sol.sol)
     grid = np.linspace(s_from, s_to, _SAMPLES)
-    ys = _complex_states(sol.sol(grid))
+    ys = _complex_states(sample(grid))
     traj = Trajectory(grid, ys.T, hamiltonian_value(HamState.from_array(grid, ys)),
-                      lambda s_val: _complex_states(sol.sol(s_val)))
+                      lambda s_val: _complex_states(sample(s_val)),
+                      steps=len(sample.h), nfev=int(sol.nfev),
+                      min_step=float(np.abs(sample.h).min()))
     drift = traj.constraint_drift().max()
     if drift > 1e-3:
         raise ConvergenceError(f"constraint blow-up: |sum p_k q_k| reached {drift:.2e}")

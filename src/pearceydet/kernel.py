@@ -18,7 +18,14 @@ Q equation).  Two independent oracles are provided:
       K(x, y) = - int_0^inf P(x+z) V(y+z) dz - int_0^inf P(x-z) V(z-y) dz,
 
   both integrands decaying like exp(-c z^{4/3}); truncation at Z = 25 is
-  far below double precision for |x|, |y| <= 12.
+  far below double precision for |x|, |y| <= 12.  Every term of the four ray
+  sums is c_t e^{i t (u +- z)} over one z-grid, so each pass builds one pair
+  of exponential tables per ray and contracts every shift against it
+  (``pearcey`` notes, shared tables): P(x + z) with shift x, P(x - z) with
+  the conjugate table (t and z are real on P's ray), and V(z + y) and
+  V(z - y) with shifts y and -y on V's table.  On a 25 x 25 grid over
+  [-12, 12] it agrees with the rational form to 2.8e-13 max|K| at rho = -2
+  (1.8e-13 with one bundle per point), 1e-14 at rho = 0.
 * ``kernel_rh`` - the 3x3 matrix representation through tilde_psi.
 
 Every dense K is assembled by ``_kernel_matrix_from_session``, which computes
@@ -35,7 +42,9 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, RealnessError
-from .pearcey import _p_bundle, _q_bundle, _upper_v_bundle, tilde_psi_matrices
+# _upper_v_bundle is not called here; bench/tracing.py wraps it under this module
+from .pearcey import (V_RAY, _p_bundle, _q_bundle, _ray_tables, _shifted_ray_sums,
+                      _upper_v_bundle, tilde_psi_matrices)
 
 DIAG_BAND_HALF_WIDTH = 1e-3
 _XY_MAX = 12.0
@@ -150,12 +159,14 @@ def kernel_integral(x: float | np.ndarray, y: float | np.ndarray, rho: float, *,
                     z_max: float = _INTEGRAL_Z, panels: int = 50) -> float | np.ndarray:
     """Oracle: convergent two-sided z-integral representation (see module notes).
 
-    ``x`` and ``y`` broadcast against each other; scalars give a float.  The
-    P bundle at x +- z is computed once per distinct x and the V bundle at
-    z +- y once per distinct y.  The tail is monitored per point: the last
-    panel must contribute less than 1e-11, otherwise that point is redone with
-    z_max doubled (the default already leaves ~1e-15 tails for |x|, |y| <= 12);
-    a tail still above it after three doublings raises ConvergenceError.
+    ``x`` and ``y`` broadcast against each other; scalars give a float.  Each
+    pass builds one pair of exponential tables over its z-grid per ray and
+    contracts every shift against them: P(x + z) and P(x - z) for each
+    distinct x, V(z + u) for each distinct u in [y, -y] (module notes).  The
+    tail is monitored per point: the last panel must contribute less than
+    1e-11, otherwise that point is redone with z_max doubled (the default
+    already leaves ~1e-15 tails for |x|, |y| <= 12); a tail still above it
+    after three doublings raises ConvergenceError.
     """
     xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     if not (math.isfinite(rho) and (np.abs(xb) <= _XY_MAX).all()
@@ -174,20 +185,20 @@ def kernel_integral(x: float | np.ndarray, y: float | np.ndarray, rho: float, *,
         half = (edges[1:] - edges[:-1]) / 2
         zs = (mids[:, None] + half[:, None] * _GL_X[None, :]).ravel()
         ws = (half[:, None] * _GL_W[None, :]).ravel()
-        m = len(zs)
-        uy, iy = np.unique(yf[todo], return_inverse=True)
-        v = np.array([_upper_v_bundle(np.concatenate([u + zs, zs - u]), rho, kmax=0)[0]
-                      for u in uy])
-        retry = []
-        for u in np.unique(xf[todo]):
-            at = xf[todo] == u
-            p = _p_bundle(np.concatenate([u + zs, u - zs]), rho, kmax=0)[0]
-            vu = v[iy[at]]
-            contrib = -ws * (p[:m] * vu[:, :m] + p[m:] * vu[:, m:])
-            done = np.abs(contrib[:, -_INTEGRAL_NODES:].sum(axis=1)) < 1e-11
-            out[todo[at][done]] = contrib[done].sum(axis=1)
-            retry.append(todo[at][~done])
-        todo = np.concatenate(retry)
+        # P: t and z are real on its ray, so e^{it(x - z)} = e^{itx} conj(e^{itz})
+        p_tab = _ray_tables(1.0, zs)
+        ux, ix = np.unique(xf[todo], return_inverse=True)
+        p_plus, p_minus = (_shifted_ray_sums(1.0, tab, ux, rho, weight_sign=-1.0).real / math.pi
+                           for tab in (p_tab, tuple(t.conj() for t in p_tab)))
+        # V(z + y) and V(z - y) from one table: shifts y and -y
+        yt = yf[todo]
+        uy, iy = np.unique(np.concatenate([yt, -yt]), return_inverse=True)
+        v = -_shifted_ray_sums(V_RAY, _ray_tables(V_RAY, zs), uy, rho,
+                               weight_sign=+1.0).real / math.pi
+        contrib = -ws * (p_plus[ix] * v[iy[:todo.size]] + p_minus[ix] * v[iy[todo.size:]])
+        done = np.abs(contrib[:, -_INTEGRAL_NODES:].sum(axis=1)) < 1e-11
+        out[todo[done]] = contrib[done].sum(axis=1)
+        todo = todo[~done]
         z_max *= 2.0
         panels *= 2
     return float(out[0]) if xb.ndim == 0 else out.reshape(xb.shape)

@@ -18,6 +18,16 @@ nodes by up to 4.5e-16, hundreds of ulp for those nearest 0.  Per group, one
 matmul sums the coefficients against the panel factors, and a product with
 the node factors, summed over q, finishes it.
 
+Shared tables.  The panel and node-offset factors depend on z alone
+(``_ray_tables``), and e^{i t (u + z)} = e^{i t u} e^{i t z}: a sum at u + z
+for many shifts u over one z-grid folds e^{i t u} into the 288 coefficients
+per shift and contracts them all against one pair of tables
+(``_shifted_ray_sums``), 60 exponentials per z plus 288 per shift.  The
+shifts stack on a leading axis of the matmul, so each is summed with the same
+array shapes whatever else is in the batch.  ``kernel_integral`` takes its
+four ray sums this way; ``_ray_bundle`` is the same contraction with no
+shift and rounds exactly as before.
+
 Contour conventions (these were cross-validated against the 3x3 matrix
 representation of the kernel, which is orientation-unambiguous):
 
@@ -53,6 +63,8 @@ from .errors import DomainError
 HALF_RANGE = 4.8
 PANEL_WIDTH = 0.2
 NODES_PER_PANEL = 12
+
+V_RAY = cmath.exp(1j * math.pi / 4)    # direction of the ray that carries V
 
 _P_ARG_MAX = 60.0
 _PJ_ARG_MAX = 40.0
@@ -115,6 +127,48 @@ def _ray_rule(half_range: float, panel_width: float, nodes: int) -> _RayRule:
     return rule
 
 
+def _ray_coefficients(rot: complex, rho: float, kmax: int, weight_sign: float,
+                      rule: _RayRule) -> np.ndarray:
+    """(kmax+1, nodes per panel, panels) array of w t'(r) e^{weight} (it)^k on t = r rot."""
+    tt = rule.nodes * rot
+    t2 = tt * tt
+    coef = np.empty((kmax + 1,) + tt.shape, dtype=complex)
+    coef[0] = rule.weights * rot * np.exp(weight_sign * (t2 * t2 / 4 + rho * t2 / 2))
+    for k in range(1, kmax + 1):
+        coef[k] = coef[k - 1] * (1j * tt)
+    return coef
+
+
+def _ray_tables(rot: complex, z: np.ndarray,
+                rule: _RayRule | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The panel factors e^{i rot m_p z} (panels, len(z)) and the node-offset
+    factors e^{i rot h_g xi_q z} (groups, nodes per panel, len(z))."""
+    rule = rule or _ray_rule(HALF_RANGE, PANEL_WIDTH, NODES_PER_PANEL)
+    lz = 1j * rot * np.asarray(z)
+    return (np.exp(np.multiply.outer(rule.mids, lz)),
+            np.exp(np.multiply.outer(rule.offsets, lz)))
+
+
+def _ray_contract(coef: np.ndarray, tables: tuple[np.ndarray, np.ndarray],
+                  rule: _RayRule) -> np.ndarray:
+    """sum_{q,p} coef[..., q, p] e^{i t_qp z} at every z of ``tables``.
+
+    Any leading axes of ``coef`` stack: each slice goes through matmuls of
+    the same shapes, so its sums do not depend on what else is stacked.  One
+    buffer holds every group's matmul product and its node-offset product in
+    turn: fresh temporaries of this size cost more in page faults than the
+    arithmetic.
+    """
+    by_panel, by_offset = tables
+    out = np.zeros(coef.shape[:-2] + by_panel.shape[1:], dtype=complex)
+    terms = np.empty(coef.shape[:-1] + by_panel.shape[1:], dtype=complex)
+    for g, panels in enumerate(rule.groups):
+        np.matmul(coef[..., panels], by_panel[panels], out=terms)
+        terms *= by_offset[g]
+        out += terms.sum(axis=-2)
+    return out
+
+
 def _ray_bundle(rot: complex, z: np.ndarray, rho: float, kmax: int = 2, *,
                 weight_sign: float = -1.0, rule: _RayRule | None = None) -> np.ndarray:
     """Derivative bundle of int_0^inf e^{s*(t^4/4) ... } over the outward ray t = r * rot.
@@ -128,19 +182,22 @@ def _ray_bundle(rot: complex, z: np.ndarray, rho: float, kmax: int = 2, *,
     The sum over the rule runs through the panel split (module notes).
     """
     rule = rule or _ray_rule(HALF_RANGE, PANEL_WIDTH, NODES_PER_PANEL)
-    tt = rule.nodes * rot
-    t2 = tt * tt
-    coef = np.empty((kmax + 1,) + tt.shape, dtype=complex)
-    coef[0] = rule.weights * rot * np.exp(weight_sign * (t2 * t2 / 4 + rho * t2 / 2))
-    for k in range(1, kmax + 1):
-        coef[k] = coef[k - 1] * (1j * tt)
-    lz = 1j * rot * np.asarray(z)
-    by_panel = np.exp(np.multiply.outer(rule.mids, lz))
-    by_offset = np.exp(np.multiply.outer(rule.offsets, lz))
-    out = np.zeros((kmax + 1, lz.size), dtype=complex)
-    for g, panels in enumerate(rule.groups):
-        out += ((coef[..., panels] @ by_panel[panels]) * by_offset[g]).sum(axis=1)
-    return out
+    return _ray_contract(_ray_coefficients(rot, rho, kmax, weight_sign, rule),
+                         _ray_tables(rot, z, rule), rule)
+
+
+def _shifted_ray_sums(rot: complex, tables: tuple[np.ndarray, np.ndarray],
+                      shifts: np.ndarray, rho: float, *, weight_sign: float) -> np.ndarray:
+    """(len(shifts), len(z)) values of the ray sum (kmax = 0) at u + z.
+
+    ``tables`` are ``_ray_tables(rot, z)``: e^{it(u+z)} = e^{itu} e^{itz}, so
+    each shift u only multiplies the coefficients by e^{itu}, and one pair of
+    tables serves every shift (module notes).
+    """
+    rule = _ray_rule(HALF_RANGE, PANEL_WIDTH, NODES_PER_PANEL)
+    coef = _ray_coefficients(rot, rho, 0, weight_sign, rule)
+    phase = np.exp(np.multiply.outer(np.asarray(shifts, dtype=float), 1j * rule.nodes * rot))
+    return _ray_contract(coef * phase[:, None], tables, rule)[:, 0]
 
 
 def _p_bundle(x: np.ndarray, rho: float, kmax: int = 2, *,
@@ -165,7 +222,7 @@ def _upper_v_bundle(y: np.ndarray, rho: float, kmax: int = 2, *,
 
     For real y the 3pi/4 ray is -conj of the pi/4 ray, so V = -Re ray(pi/4) / pi.
     """
-    ray = _ray_bundle(cmath.exp(1j * math.pi / 4), np.asarray(y, dtype=float), rho, kmax,
+    ray = _ray_bundle(V_RAY, np.asarray(y, dtype=float), rho, kmax,
                       weight_sign=+1.0, rule=rule)
     return -ray.real / math.pi
 

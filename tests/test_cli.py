@@ -138,6 +138,18 @@ class TestHamiltonian:
         assert out == ""
         assert json.loads(err)["error"] == "DomainError"
 
+    def test_solver_statistics_metadata(self, capsys):
+        code, out, _ = run_cli(["hamiltonian", "--gamma", "0.5", "--s-max", "7",
+                                "--s-min", "6"], capsys)
+        assert code == 0
+        meta = dict(ln[2:].split(": ", 1) for ln in out.splitlines() if ": " in ln)
+        steps, nfev, min_step = int(meta["steps"]), int(meta["nfev"]), float(meta["min_step"])
+        # DOP853 takes 12 evaluations per accepted step, capped at 0.05 in s
+        assert steps >= 20 and nfev >= 12 * steps
+        assert 0.0 < min_step <= 0.05
+        rows = [ln for ln in out.splitlines() if not ln.startswith("#")]
+        assert rows[0].startswith("s,re_p0,") and len(rows) == 1 + int(meta["samples"])
+
     def test_zero_length_sweep_exit_1(self, capsys):
         # a constant dense output drops the imaginary parts: rows of zeros
         code, out, err = run_cli(["hamiltonian", "--s-max", "8", "--s-min", "8"], capsys)

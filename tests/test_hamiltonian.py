@@ -274,6 +274,63 @@ class TestTrajectory:
 
 
 @pytest.fixture(scope="module")
+def sweeps():
+    """scipy's dense output of a backward sweep 8 -> 5 and of a forward one back to 8."""
+    from scipy.integrate import solve_ivp
+    ic = ham.resolvent_anchor_state(8.0, ModelParams(0.5, 0.3))
+    y = real_coordinates(ic.to_array())
+    out = []
+    for a, b in ((8.0, 5.0), (5.0, 8.0)):
+        sol = solve_ivp(ham._sweep_rhs, (a, b), y, method="DOP853", rtol=1e-10,
+                        atol=1e-15, max_step=0.05, dense_output=True)
+        out.append((a, b, sol))
+        y = sol.y[:, -1]
+    return out
+
+
+class TestDenseSampler:
+    """The stacked sampler reproduces OdeSolution bit for bit.
+
+    It reads the interpolants' t_old, h, F and y_old: a scipy release that
+    renames them, or changes the recurrence, fails here.
+    """
+
+    @pytest.mark.parametrize("direction", [0, 1], ids=["backward", "forward"])
+    def test_bitwise_against_ode_solution(self, sweeps, direction):
+        a, b, sol = sweeps[direction]
+        sample = ham._DenseSampler.of(sol.sol)
+        # the trajectory grid, every step point (segment boundaries) and both ends
+        for s in (np.linspace(a, b, 400), sol.t, np.array([a, b]), sol.t[::-1]):
+            got = sample(s)
+            assert got.shape == (8, len(s))
+            assert got.tobytes() == sol.sol(s).tobytes()
+
+    @pytest.mark.parametrize("direction", [0, 1], ids=["backward", "forward"])
+    def test_scalar_gives_one_state(self, sweeps, direction):
+        a, b, sol = sweeps[direction]
+        sample = ham._DenseSampler.of(sol.sol)
+        for s in (a, b, float(sol.t[7]), 0.5 * (a + b)):
+            got = sample(s)
+            assert got.shape == (8,)
+            assert got.tobytes() == sol.sol(s).tobytes()
+
+    def test_trajectory_samples_and_step_statistics(self, sweeps, monkeypatch):
+        a, b, sol = sweeps[0]
+        seen = []
+        real = ham.solve_ivp
+        monkeypatch.setattr(ham, "solve_ivp",
+                            lambda *args, **kw: seen.append(real(*args, **kw)) or seen[-1])
+        ic = ham.resolvent_anchor_state(8.0, ModelParams(0.5, 0.3))
+        t = ham.integrate(a, b, ic, 1e-10)
+        ref = seen[0].sol(t.s).T
+        assert np.array_equal(real_coordinates(t.states), ref)
+        assert t.dense(6.5).shape == (8,)
+        assert t.steps == len(seen[0].t) - 1 == len(sol.t) - 1
+        assert t.nfev == seen[0].nfev
+        assert t.min_step == np.abs(np.diff(seen[0].t)).min() > 0
+
+
+@pytest.fixture(scope="module")
 def traj():
     p = ModelParams(0.5, 0.0)
     return p, ham.asymptotic_trajectory(p, 10.0, 0.5, tol=1e-11)

@@ -104,6 +104,74 @@ class TestIntegralForm:
                 assert abs(batched[i, j] - scalar) <= 1e-15
 
 
+def direct_kernel_integral(xs, ys, rho, z_max=25.0, panels=50):
+    """The z-integral with P and V summed node by node over the ray rule, no tables."""
+    rule = pc._ray_rule(pc.HALF_RANGE, pc.PANEL_WIDTH, pc.NODES_PER_PANEL)
+    r, w = rule.nodes.ravel(), rule.weights.ravel()
+
+    def ray(rot, u, sign):
+        t = r * rot
+        c = w * rot * np.exp(sign * (t ** 4 / 4 + rho * t ** 2 / 2))
+        return c @ np.exp(np.multiply.outer(1j * t, u))
+
+    edges = np.linspace(0.0, z_max, panels + 1)
+    mids, half = (edges[:-1] + edges[1:]) / 2, (edges[1:] - edges[:-1]) / 2
+    gx, gw = np.polynomial.legendre.leggauss(16)
+    zs, ws = (mids[:, None] + half[:, None] * gx).ravel(), (half[:, None] * gw).ravel()
+    p = {x: ray(1.0, np.concatenate([x + zs, x - zs]), -1.0).real / np.pi for x in set(xs)}
+    v = {y: -ray(np.exp(1j * np.pi / 4), np.concatenate([y + zs, zs - y]), +1.0).real / np.pi
+         for y in set(ys)}
+    m = len(zs)
+    return np.array([-(ws * (p[x][:m] * v[y][:m] + p[x][m:] * v[y][m:])).sum()
+                     for x, y in zip(xs, ys)])
+
+
+class TestSharedTables:
+    """One exponential table pair per ray and z-grid, shared by every x and y."""
+
+    XS = np.array([-12.0, -7.5, -1.0, 3.3, 12.0])
+    YS = np.array([-12.0, -4.0, 0.5, 8.0, 12.0])
+
+    @pytest.mark.parametrize("rho", [-2.0, 0.0, 1.7])
+    def test_matches_node_by_node_sums(self, rho):
+        # x and y take different values, so a P shift applied to V (or the
+        # reverse) shows, and so does P(x - z) taken from the unconjugated table
+        xs, ys = (g.ravel() for g in np.meshgrid(self.XS, self.YS, indexing="ij"))
+        k = kn.kernel_integral(xs, ys, rho)
+        ref = direct_kernel_integral(xs, ys, rho)
+        assert np.abs(k - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", [1, 3, 9])
+    def test_one_table_pair_per_ray_and_pass(self, n, monkeypatch):
+        calls = []
+        real = kn._ray_tables
+        monkeypatch.setattr(kn, "_ray_tables",
+                            lambda rot, z, *a: calls.append((rot, len(z))) or real(rot, z, *a))
+        grid = np.linspace(-3, 3, n)
+        xs, ys = np.meshgrid(grid, grid[::-1] / 2, indexing="ij")
+        kn.kernel_integral(xs, ys, 0.4)
+        assert calls == [(1.0, 800), (pc.V_RAY, 800)]
+        calls.clear()
+        # at z_max = 5 points double once: one more pair for the pass, none per point
+        kn.kernel_integral(xs, ys, 0.4, z_max=5.0)
+        assert calls == [(rot, m) for m in (800, 1600) for rot in (1.0, pc.V_RAY)]
+
+    def test_third_doubling_grid(self):
+        # z = 200: the V table reaches e^-665 and the e^{ity} modulation at
+        # y = -12 e^41, both normal doubles.  Beyond |u| ~ 40 the ray rule no
+        # longer resolves e^{itu}, so the far z-range adds ~6e-10 of noise
+        # against the default grid; |x| <= 2 keeps its tail below 1e-11.
+        xs, ys = (g.ravel() for g in np.meshgrid([-2.0, 2.0], [-12.0, 12.0], indexing="ij"))
+        far = kn.kernel_integral(xs, ys, -2.0, z_max=200.0, panels=400)
+        ref = direct_kernel_integral(xs, ys, -2.0, z_max=200.0, panels=400)
+        assert np.abs(far - ref).max() <= 1e-13 * np.abs(ref).max()
+        grid = np.array([-2.0, -0.5, 0.0, 1.5, 2.0])
+        xs, ys = (g.ravel() for g in np.meshgrid(grid, self.YS, indexing="ij"))
+        for rho in (-2.0, 0.0, 1.7):
+            far = kn.kernel_integral(xs, ys, rho, z_max=200.0, panels=400)
+            assert np.abs(far - kn.kernel_integral(xs, ys, rho)).max() <= 1e-9
+
+
 class TestRhForm:
     def test_real_output(self):
         # realness asserted inside via the 1e-9 imaginary budget
