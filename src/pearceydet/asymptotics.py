@@ -180,6 +180,8 @@ VAR_CONSTANT = (1.0 + _LOG_9_2 + EULER_GAMMA) / math.pi ** 2
 
 def counting_stats(s: float, rho: float) -> CountingStats:
     """mu(s), sigma(s)^2 and the additive variance constant."""
+    if not (math.isfinite(s) and math.isfinite(rho)):
+        raise DomainError(f"counting_stats needs finite s and rho, got s = {s}, rho = {rho}")
     if s < 1:
         raise DomainError(f"counting_stats validated for s >= 1, got {s}")
     mu = (3.0 * math.sqrt(3.0) / (4.0 * math.pi) * s ** (4.0 / 3.0)
@@ -209,7 +211,8 @@ def clt_distance(s: float, rho: float, t_grid: np.ndarray) -> float:
 
     The expectation is exp(F(s; gamma(nu), rho) - t mu / sigma) at
     nu = -t / (2 pi sigma), F converged to 1e-8 over the whole gamma grid at
-    once (one Nystrom matrix per order).
+    once (one Nystrom matrix per order).  An s below 4 and a non-finite s or
+    rho raise DomainError before any quadrature (``counting_stats``).
     """
     if s < 4:
         raise DomainError(f"clt_distance validated for s >= 4, got {s}")
@@ -220,8 +223,7 @@ def clt_distance(s: float, rho: float, t_grid: np.ndarray) -> float:
     ts = [t for t in np.asarray(t_grid, float) if t != 0.0]
     nus = [-t / (2.0 * math.pi * sigma) for t in ts]
     gammas = [-math.expm1(-2.0 * math.pi * nu) for nu in nus]
-    worst = 0.0
-    for t, res in zip(ts, _logdet_converged_many(s, rho, gammas, 1e-8)):
-        mgf = math.exp(res.f - t * stats.mu / sigma)
-        worst = max(worst, abs(mgf - math.exp(t * t / 2.0)))
-    return worst
+    dists = [abs(math.exp(res.f - t * stats.mu / sigma) - math.exp(t * t / 2.0))
+             for t, res in zip(ts, _logdet_converged_many(s, rho, gammas, 1e-8))]
+    # np.max keeps a NaN distance, which the builtin max would drop
+    return float(np.max(dists, initial=0.0))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericsError
-from .specfun import EULER_GAMMA, digamma, kummer_psi_b1, ln_gamma
+from .specfun import EULER_GAMMA, _cmul, digamma, kummer_psi_b1, ln_gamma
 
 SECTOR_ANGLES = (0.0, math.pi / 3.0, 5.0 * math.pi / 6.0, math.pi,
                  7.0 * math.pi / 6.0, 5.0 * math.pi / 3.0)
@@ -66,77 +66,136 @@ def sector_of(z: complex) -> int:
 
 def _check_beta(beta: complex) -> complex:
     beta = complex(beta)
-    if abs(beta.real) > 1e-14 or abs(beta) > 0.5:
+    if not (abs(beta.real) <= 1e-14 and abs(beta) <= 0.5):
         raise DomainError(f"beta must be purely imaginary with |beta| <= 0.5, got {beta}")
     return 1j * beta.imag
 
 
-def jump_matrix(ray: int, beta: complex) -> np.ndarray:
-    """The constant jump on ray 1..6."""
+def _jumps(beta: complex) -> np.ndarray:
+    """The six constant jumps, stacked: entry k - 1 is the jump on ray k."""
     e_p = cmath.exp(beta * math.pi * 1j)
     e_m = cmath.exp(-beta * math.pi * 1j)
-    mats = {
-        1: [[0.0, e_m], [-e_p, 0.0]],
-        2: [[1.0, 0.0], [e_p, 1.0]],
-        3: [[1.0, 0.0], [e_m, 1.0]],
-        4: [[0.0, e_p], [-e_m, 0.0]],
-        5: [[1.0, 0.0], [e_m, 1.0]],
-        6: [[1.0, 0.0], [e_p, 1.0]],
-    }
-    if ray not in mats:
+    return np.array([
+        [[0.0, e_m], [-e_p, 0.0]],
+        [[1.0, 0.0], [e_p, 1.0]],
+        [[1.0, 0.0], [e_m, 1.0]],
+        [[0.0, e_p], [-e_m, 0.0]],
+        [[1.0, 0.0], [e_m, 1.0]],
+        [[1.0, 0.0], [e_p, 1.0]],
+    ], dtype=complex)
+
+
+def _sector_products(jumps: np.ndarray) -> np.ndarray:
+    """Accumulated jump products, stacked: entry k - 1 carries the base formula into sector k.
+
+    Counterclockwise: crossing an outward ray k multiplies by J_k on the
+    right, crossing an inward one by J_k^{-1}.
+    """
+    acc = np.eye(2, dtype=complex)
+    out = [acc]
+    for k in range(2, 7):
+        j = jumps[k - 1]
+        acc = acc @ (j if _RAY_OUTWARD[k - 1] else np.linalg.inv(j))
+        out.append(acc)
+    return np.array(out)
+
+
+@dataclass(frozen=True)
+class _BetaFactors:
+    """Everything of the parametrix that depends on beta alone, computed once.
+
+    ``ln_gamma`` holds ln Gamma at beta, 1 - beta, 1 + beta and -beta, in
+    that order (empty at beta = 0, where the parametrix is diagonal).
+    """
+
+    beta: complex
+    jumps: np.ndarray       # (6, 2, 2), see _jumps
+    sectors: np.ndarray     # (6, 2, 2), see _sector_products
+    ln_gamma: tuple
+
+    @classmethod
+    def of(cls, beta: "complex | _BetaFactors") -> "_BetaFactors":
+        """The factors of a checked beta; factors pass through unchanged."""
+        if isinstance(beta, cls):
+            return beta
+        jumps = _jumps(beta)
+        lg = () if beta == 0 else tuple(ln_gamma(a) for a in
+                                        (beta, 1.0 - beta, 1.0 + beta, -beta))
+        return cls(beta, jumps, _sector_products(jumps), lg)
+
+
+def jump_matrix(ray: int, beta: complex) -> np.ndarray:
+    """The constant jump on ray 1..6."""
+    if ray not in range(1, 7):
         raise DomainError(f"ray must be 1..6, got {ray}")
-    return np.array(mats[ray], dtype=complex)
+    return _jumps(beta)[ray - 1]
 
 
-def _base_matrix(z: complex, arg_z: float, beta: complex) -> np.ndarray:
+def _base_matrix(z: complex | np.ndarray, arg_z: float | np.ndarray,
+                 beta: complex | _BetaFactors) -> np.ndarray:
     """The explicit solution of the model problem in the sector between rays 1 and 2.
 
     ``arg_z`` is the continued argument of z (counterclockwise from the base
-    sector); it fixes the log branches of the psi functions.
+    sector); it fixes the log branches of the psi functions.  z and arg_z
+    are scalars or arrays of one shape; the result has shape z.shape + (2, 2).
     """
+    bf = _BetaFactors.of(beta)
+    beta = bf.beta
+    z = np.asarray(z, dtype=complex)
+    e_half_minus = np.exp(-0.5j * z)
+    e_half_plus = np.exp(0.5j * z)
+    m = np.zeros(z.shape + (2, 2), dtype=complex)
     if beta == 0:
-        return np.array([[cmath.exp(-0.5j * z), 0.0],
-                         [0.0, cmath.exp(0.5j * z)]], dtype=complex)
-    w_up = z * 1j
-    w_dn = z * (-1j)
-    arg_up = arg_z + math.pi / 2.0
-    arg_dn = arg_z - math.pi / 2.0
-    e_half_minus = cmath.exp(-0.5j * z)
-    e_half_plus = cmath.exp(0.5j * z)
-    r_top = -cmath.exp(ln_gamma(1.0 - beta) - ln_gamma(beta))
-    r_bot = -cmath.exp(ln_gamma(1.0 + beta) - ln_gamma(-beta))
-    m = np.array([
-        [kummer_psi_b1(beta, w_up, arg_z=arg_up)
-         * cmath.exp(2.0 * beta * math.pi * 1j) * e_half_minus,
-         r_top * kummer_psi_b1(1.0 - beta, w_dn, arg_z=arg_dn)
-         * cmath.exp(beta * math.pi * 1j) * e_half_plus],
-        [r_bot * kummer_psi_b1(1.0 + beta, w_up, arg_z=arg_up)
-         * cmath.exp(beta * math.pi * 1j) * e_half_minus,
-         kummer_psi_b1(-beta, w_dn, arg_z=arg_dn) * e_half_plus],
-    ], dtype=complex)
+        m[..., 0, 0] = e_half_minus
+        m[..., 1, 1] = e_half_plus
+        return m
+    # one series pass for the four psi functions: a = beta, 1 - beta, 1 + beta,
+    # -beta at the points z e^{+pi i/2}, z e^{-pi i/2}, z e^{+pi i/2}, z e^{-pi i/2}
+    w = np.stack([z * 1j, z * (-1j)])[[0, 1, 0, 1]]
+    arg_w = np.stack([arg_z + math.pi / 2.0, arg_z - math.pi / 2.0])[[0, 1, 0, 1]]
+    a = np.array([beta, 1.0 - beta, 1.0 + beta, -beta]).reshape((4,) + (1,) * z.ndim)
+    psi = kummer_psi_b1(a, w, arg_z=arg_w)
+    lg_b, lg_1mb, lg_1pb, lg_mb = bf.ln_gamma
+    r_top = -cmath.exp(lg_1mb - lg_b)
+    r_bot = -cmath.exp(lg_1pb - lg_mb)
+    e_b = cmath.exp(beta * math.pi * 1j)
+    # products in the order, and with the rounding, of the scalar formula
+    m[..., 0, 0] = _cmul(_cmul(psi[0], cmath.exp(2.0 * beta * math.pi * 1j)), e_half_minus)
+    m[..., 0, 1] = _cmul(_cmul(_cmul(r_top, psi[1]), e_b), e_half_plus)
+    m[..., 1, 0] = _cmul(_cmul(_cmul(r_bot, psi[2]), e_b), e_half_minus)
+    m[..., 1, 1] = _cmul(psi[3], e_half_plus)
     c1 = np.array([[cmath.exp(-1.5 * beta * math.pi * 1j), 0.0],
                    [0.0, cmath.exp(0.5 * beta * math.pi * 1j)]], dtype=complex)
     return c1 @ m
 
 
 def _sector_factor(sector: int, beta: complex) -> np.ndarray:
-    """Accumulated jump product carrying the base formula into ``sector``.
-
-    Counterclockwise: crossing an outward ray k multiplies by J_k on the
-    right, crossing an inward one by J_k^{-1}.
-    """
-    acc = np.eye(2, dtype=complex)
-    for k in range(2, sector + 1):
-        j = jump_matrix(k, beta)
-        acc = acc @ (j if _RAY_OUTWARD[k - 1] else np.linalg.inv(j))
-    return acc
+    """The jump product carrying the base formula into ``sector`` (see _sector_products)."""
+    return _sector_products(_jumps(beta))[sector - 1]
 
 
 def phi_chf(pt: SectorPoint, beta: complex) -> np.ndarray:
     """The parametrix at a sector point."""
-    beta = _check_beta(beta)
+    bf = _BetaFactors.of(_check_beta(beta))
     arg = cmath.phase(pt.z) % (2.0 * math.pi)
-    return _base_matrix(pt.z, arg, beta) @ _sector_factor(pt.sector, beta)
+    return _base_matrix(pt.z, arg, bf) @ bf.sectors[pt.sector - 1]
+
+
+def _jump_residuals(rays: np.ndarray, base: np.ndarray, base_cw: np.ndarray,
+                    bf: _BetaFactors) -> np.ndarray:
+    """max-norm of Phi_+ - Phi_- J at points on the given rays.
+
+    ``base`` is the base matrix at each point's own ray angle, ``base_cw``
+    the one of the clockwise sector: the same except on ray 1, whose
+    clockwise sector 6 continues the argument to 2 pi.
+    """
+    k = np.asarray(rays) - 1
+    ccw = base @ bf.sectors[k]
+    cw = base_cw @ bf.sectors[k - 1]            # index -1 is sector 6, ray 1's
+    outward = np.array(_RAY_OUTWARD)[k, None, None]
+    plus = np.where(outward, ccw, cw)
+    minus = np.where(outward, cw, ccw)
+    return np.abs(plus - minus @ bf.jumps[k]).max(axis=(-2, -1))
 
 
 def chf_jump_residual(ray: int, r: float, beta: complex) -> float:
@@ -150,23 +209,16 @@ def chf_jump_residual(ray: int, r: float, beta: complex) -> float:
     closes the monodromy of the psi log branches against the full jump cycle
     and is the substantive check.
     """
-    beta = _check_beta(beta)
+    bf = _BetaFactors.of(_check_beta(beta))
+    if ray not in range(1, 7):
+        raise DomainError(f"ray must be 1..6, got {ray}")
     if not 0.1 <= r <= 10.0:
         raise DomainError(f"jump residual validated for 0.1 <= r <= 10, got {r}")
     phi_ray = SECTOR_ANGLES[ray - 1]
     z = r * cmath.exp(1j * phi_ray)
-    base = _base_matrix(z, phi_ray, beta)
-    ccw = base @ _sector_factor(ray, beta)
-    if ray > 1:
-        cw = base @ _sector_factor(ray - 1, beta)
-    else:
-        cw = _base_matrix(z, 2.0 * math.pi, beta) @ _sector_factor(6, beta)
-    j = jump_matrix(ray, beta)
-    if _RAY_OUTWARD[ray - 1]:
-        plus, minus = ccw, cw
-    else:
-        plus, minus = cw, ccw
-    return float(np.abs(plus - minus @ j).max())
+    base = _base_matrix(z, phi_ray, bf)
+    cw = base if ray > 1 else _base_matrix(z, 2.0 * math.pi, bf)
+    return float(_jump_residuals(ray, base, cw, bf))
 
 
 @dataclass(frozen=True)
@@ -175,6 +227,41 @@ class ChfExpansion:
 
     upsilon0: np.ndarray
     upsilon1_21: complex
+
+
+def _origin_points() -> tuple[np.ndarray, np.ndarray]:
+    """The sample points z = r e^{3 pi i/4}, r in _VERIFY_RADII, and their arguments."""
+    z = np.array([r * cmath.exp(0.75j * math.pi) for r in _VERIFY_RADII])
+    return z, np.array([cmath.phase(v) % (2.0 * math.pi) for v in z])
+
+
+def _origin_expansion(bf: _BetaFactors, z: np.ndarray, phi: np.ndarray) -> ChfExpansion:
+    """The closed-form origin data, checked against the parametrix ``phi`` at ``z``."""
+    beta = bf.beta
+    lg_b, lg_1mb, lg_1pb, lg_mb = bf.ln_gamma
+    gamma_c = 1.0 - cmath.exp(2.0 * beta * math.pi * 1j)
+    u0 = np.array([
+        [cmath.exp(lg_1mb) * cmath.exp(-beta * math.pi * 1j),
+         cmath.exp(-lg_b) * (digamma(1.0 - beta) + 2.0 * EULER_GAMMA)],
+        [cmath.exp(lg_1pb),
+         -cmath.exp(beta * math.pi * 1j) * cmath.exp(-lg_mb)
+         * (digamma(-beta) + 2.0 * EULER_GAMMA)],
+    ], dtype=complex)
+    u1_21 = beta * math.pi * 1j * cmath.exp(-beta * math.pi * 1j) / cmath.sin(beta * math.pi)
+    u0_inv = np.linalg.inv(u0)
+    sig3_half = np.array([[cmath.exp(-0.5 * beta * math.pi * 1j), 0.0],
+                          [0.0, cmath.exp(0.5 * beta * math.pi * 1j)]], dtype=complex)
+    u_inv = np.zeros((len(z), 2, 2), dtype=complex)
+    u_inv[:, 0, 0] = u_inv[:, 1, 1] = 1.0
+    u_inv[:, 0, 1] = [gamma_c / (2.0 * math.pi * 1j) * cmath.log(v * cmath.exp(-0.5j * math.pi))
+                      for v in z]
+    d = u0_inv @ (phi @ sig3_half @ u_inv) - np.eye(2)
+    for r, v, d21 in zip(_VERIFY_RADII, z, d[:, 1, 0]):
+        first_order = abs(d21 - u1_21 * v)
+        if first_order > _FIRST_ORDER_BUDGET:
+            raise NumericsError(
+                f"origin expansion mismatch at |z| = {r}: (2,1) remainder {first_order:.3e}")
+    return ChfExpansion(u0, u1_21)
 
 
 def chf_origin_expansion(beta: complex) -> ChfExpansion:
@@ -186,47 +273,42 @@ def chf_origin_expansion(beta: complex) -> ChfExpansion:
 
     has (2,1) entry within ``_FIRST_ORDER_BUDGET`` (the O(z^2) remainder).
     """
-    beta = _check_beta(beta)
-    if beta == 0:
+    bf = _BetaFactors.of(_check_beta(beta))
+    if bf.beta == 0:
         raise DomainError("origin expansion degenerates at beta = 0")
-    gamma_c = 1.0 - cmath.exp(2.0 * beta * math.pi * 1j)
-    u0 = np.array([
-        [cmath.exp(ln_gamma(1.0 - beta)) * cmath.exp(-beta * math.pi * 1j),
-         cmath.exp(-ln_gamma(beta)) * (digamma(1.0 - beta) + 2.0 * EULER_GAMMA)],
-        [cmath.exp(ln_gamma(1.0 + beta)),
-         -cmath.exp(beta * math.pi * 1j) * cmath.exp(-ln_gamma(-beta))
-         * (digamma(-beta) + 2.0 * EULER_GAMMA)],
-    ], dtype=complex)
-    u1_21 = beta * math.pi * 1j * cmath.exp(-beta * math.pi * 1j) / cmath.sin(beta * math.pi)
-    u0_inv = np.linalg.inv(u0)
-    sig3_half = np.array([[cmath.exp(-0.5 * beta * math.pi * 1j), 0.0],
-                          [0.0, cmath.exp(0.5 * beta * math.pi * 1j)]], dtype=complex)
-    for r in _VERIFY_RADII:
-        z = r * cmath.exp(0.75j * math.pi)
-        phi = phi_chf(SectorPoint(z, 2), beta)
-        log_factor = gamma_c / (2.0 * math.pi * 1j) * cmath.log(z * cmath.exp(-0.5j * math.pi))
-        u_inv = np.array([[1.0, log_factor], [0.0, 1.0]], dtype=complex)
-        d = u0_inv @ (phi @ sig3_half @ u_inv) - np.eye(2)
-        first_order = abs(d[1, 0] - u1_21 * z)
-        if first_order > _FIRST_ORDER_BUDGET:
-            raise NumericsError(
-                f"origin expansion mismatch at |z| = {r}: (2,1) remainder {first_order:.3e}")
-    return ChfExpansion(u0, u1_21)
+    z, arg = _origin_points()
+    return _origin_expansion(bf, z, _base_matrix(z, arg, bf) @ bf.sectors[1])
 
 
 def verification_report(beta: complex) -> dict:
-    """JSON-able per-ray jump residual table plus origin-expansion diagnostics."""
-    beta = _check_beta(beta)
-    rays = {}
-    for ray in range(1, 7):
-        rays[str(ray)] = {f"{r:g}": chf_jump_residual(ray, r, beta) for r in _REPORT_RADII}
-    out = {
-        "beta_im": beta.imag,
-        "ray_residuals": rays,
-        "max_ray_residual": max(v for tbl in rays.values() for v in tbl.values()),
-    }
+    """JSON-able per-ray jump residual table plus origin-expansion diagnostics.
+
+    The base matrices at all its points, the ray points (ray 1's twice, at
+    both of its arguments) and the origin-expansion samples, come from one
+    call.
+    """
+    bf = _BetaFactors.of(_check_beta(beta))
+    beta = bf.beta
+    rays = np.repeat(np.arange(1, 7), len(_REPORT_RADII))
+    radii = np.tile(_REPORT_RADII, 6)
+    args = np.array(SECTOR_ANGLES)[rays - 1]
+    z_ray = np.array([r * cmath.exp(1j * a) for r, a in zip(radii, args)])
+    on_1 = rays == 1
+    z_origin, arg_origin = _origin_points() if beta != 0 else (np.empty(0), np.empty(0))
+    # rows: the ray points, ray 1's points again at 2 pi, the origin samples
+    base = _base_matrix(np.concatenate([z_ray, z_ray[on_1], z_origin]),
+                        np.concatenate([args, np.full(on_1.sum(), 2.0 * math.pi), arg_origin]),
+                        bf)
+    base_ray, base_2pi, base_origin = np.split(base, [len(z_ray), len(z_ray) + on_1.sum()])
+    base_cw = base_ray.copy()
+    base_cw[on_1] = base_2pi
+    res = _jump_residuals(rays, base_ray, base_cw, bf).tolist()
+    table = {str(ray): {} for ray in range(1, 7)}
+    for ray, r, v in zip(rays.tolist(), radii.tolist(), res):
+        table[str(ray)][f"{r:g}"] = v
+    out = {"beta_im": beta.imag, "ray_residuals": table, "max_ray_residual": max(res)}
     if beta != 0:
-        exp = chf_origin_expansion(beta)
+        exp = _origin_expansion(bf, z_origin, base_origin @ bf.sectors[1])
         out["upsilon0"] = [[[v.real, v.imag] for v in row] for row in exp.upsilon0]
         out["upsilon1_21"] = [exp.upsilon1_21.real, exp.upsilon1_21.imag]
     return out

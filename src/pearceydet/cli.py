@@ -28,6 +28,9 @@ from .fredholm import fredholm_logdet, logdet_converged, moments_mgf, moments_tr
 from .kernel import kernel_integral, kernel_point, kernel_rh
 
 
+_FLOAT_TYPES = {float, np.float64}
+
+
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"
@@ -52,8 +55,14 @@ def _emit(args, rows: list[dict], diagnostics: dict) -> None:
     if rows:
         cols = list(rows[0].keys())
         lines.append(",".join(cols))
+        # one format call per all-float row: the same text as _fmt, value by value
+        floats = ",".join(["%.17g"] * len(cols))
         for row in rows:
-            lines.append(",".join(_fmt(row[c]) for c in cols))
+            vals = tuple(map(row.__getitem__, cols))
+            if set(map(type, vals)) <= _FLOAT_TYPES:
+                lines.append(floats % vals)
+            else:
+                lines.append(",".join(map(_fmt, vals)))
     _write(args.out, "\n".join(lines) + "\n")
 
 

@@ -52,10 +52,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-from scipy.integrate import simpson, solve_ivp
+from scipy.integrate import DOP853, simpson, solve_ivp
 
 from .errors import ConvergenceError, DomainError
 from .params import ModelParams
@@ -376,14 +377,40 @@ def resolvent_anchor_state(s0: float, params: ModelParams) -> HamState:
     return project_invariants(state, params)
 
 
+class _StepRecord(NamedTuple):
+    """What DOP853's dense output of one step reads, kept for a later pass."""
+
+    t_old: float
+    t: float
+    h: float                  # the solver's h_previous
+    y_old: np.ndarray         # (8,) real coordinates at the step start
+    y: np.ndarray             # (8,) ... and at its end
+    k: np.ndarray             # (13, 8) the step's stages, the last one f(t, y)
+
+
+class _DeferredDOP853(DOP853):
+    """DOP853 whose dense output only records the step.
+
+    scipy's ``_dense_output_impl`` evaluates three extra stages per step, one
+    call at a time; ``_DenseSampler.of`` evaluates them for all steps at once.
+    They still count towards ``nfev``.
+    """
+
+    def _dense_output_impl(self) -> _StepRecord:
+        self.nfev += len(self.A_EXTRA)
+        return _StepRecord(self.t_old, self.t, self.h_previous, self.y_old, self.y,
+                           self.K.copy())
+
+
 @dataclass(frozen=True)
 class _DenseSampler:
     """DOP853's dense output with every step interpolant stacked, sampled in one pass.
 
-    ``OdeSolution.__call__`` evaluates its step interpolants one segment at a
-    time in Python; this runs the same Horner recurrence on the same
-    coefficients for all samples at once, so it returns the same values bit
-    for bit.  Segments are picked by ``OdeSolution``'s own rule.
+    ``of`` builds the interpolant coefficients of all steps with the
+    operations of scipy's ``DOP853._dense_output_impl``, and ``__call__``
+    runs the Horner recurrence of ``Dop853DenseOutput`` for all samples at
+    once, so both give scipy's values bit for bit.  Segments are picked by
+    ``OdeSolution``'s own rule.
     """
 
     ts_sorted: np.ndarray     # step boundaries, ascending
@@ -396,11 +423,31 @@ class _DenseSampler:
 
     @classmethod
     def of(cls, sol) -> "_DenseSampler":
-        """From ``solve_ivp(..., dense_output=True).sol``."""
-        steps = sol.interpolants
-        return cls(sol.ts_sorted, sol.side, sol.ascending,
-                   np.array([seg.t_old for seg in steps]), np.array([seg.h for seg in steps]),
-                   np.stack([seg.F for seg in steps]), np.stack([seg.y_old for seg in steps]))
+        """From ``solve_ivp(..., method=_DeferredDOP853, dense_output=True).sol``."""
+        steps = sol.interpolants            # _StepRecord of each step
+        t_old = np.array([st.t_old for st in steps])
+        h = np.array([st.h for st in steps])
+        y_old = np.stack([st.y_old for st in steps])
+        y = np.stack([st.y for st in steps])
+        n_done = steps[0].k.shape[0]
+        k = np.empty((len(steps), n_done + len(DOP853.A_EXTRA), y.shape[1]))
+        k[:, :n_done] = [st.k for st in steps]
+        # the three extra stages, each for all steps at once, then F: the
+        # statements of DOP853._dense_output_impl with a leading step axis
+        for i, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=n_done):
+            dy = np.matmul(a[:i], k[:, :i]) * h[:, None]
+            k[:, i] = np.array(_flow(t_old + c * h, *(y_old + dy).T)).T
+        hh = h[:, None]
+        f_old = k[:, 0]
+        delta_y = y - y_old
+        f = np.empty((len(steps), 3 + len(DOP853.D), y.shape[1]))
+        f[:, 0] = delta_y
+        f[:, 1] = hh * f_old - delta_y
+        f[:, 2] = 2 * delta_y - hh * (k[:, n_done - 1] + f_old)
+        f[:, 3:] = hh[:, None] * np.matmul(DOP853.D, k)
+        # sampling divides by t - t_old, as Dop853DenseOutput does
+        t_end = np.array([st.t for st in steps])
+        return cls(sol.ts_sorted, sol.side, sol.ascending, t_old, t_end - t_old, f, y_old)
 
     def __call__(self, t: float | np.ndarray) -> np.ndarray:
         """Real coordinates at t: shape (8,) for a scalar, (8, N) for N samples."""
@@ -451,9 +498,10 @@ def integrate(s_from: float, s_to: float, init: HamState,
     """Adaptive high-order Runge-Kutta run from s_from to s_to with dense output.
 
     The sweep advances the eight real coordinates of the family (module
-    notes) with the right-hand side on Python floats; the samples and the
-    dense output are complex states again, both read from one
-    ``_DenseSampler``.  The trajectory records the solver's step count,
+    notes) with the right-hand side on Python floats; the three extra
+    dense-output stages of every step are evaluated in one array pass after
+    the sweep (``_DeferredDOP853``).  The samples and the dense output are
+    complex states again, both read from one ``_DenseSampler``.  The trajectory records the solver's step count,
     right-hand-side evaluations and smallest step.  Raises ConvergenceError on step
     failure or if the conserved constraint blows past 1e-3 (a diverged
     trajectory, not a tolerance issue), and DomainError for a tol that is not
@@ -482,7 +530,7 @@ def integrate(s_from: float, s_to: float, init: HamState,
     # anchor: absolute step noise there is amplified by exp(dtheta3/2) on the
     # way down, so a loose atol (not rtol) is what destroys backward sweeps.
     sol = solve_ivp(_sweep_rhs, (s_from, s_to), np.where(_REAL_PART, y0.real, y0.imag),
-                    method="DOP853", rtol=tol, atol=1e-15, max_step=_MAX_STEP,
+                    method=_DeferredDOP853, rtol=tol, atol=1e-15, max_step=_MAX_STEP,
                     dense_output=True)
     if not sol.success:
         raise ConvergenceError(f"integrator failed: {sol.message}")

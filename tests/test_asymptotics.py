@@ -111,6 +111,11 @@ class TestCountingStats:
     def test_sigma2_at_one(self):
         assert asym.counting_stats(1.0, 0.0).sigma2 == 0.0
 
+    @pytest.mark.parametrize("s,rho", [(math.inf, 0.0), (math.nan, 0.0), (4.0, math.nan)])
+    def test_non_finite_input(self, s, rho):
+        with pytest.raises(DomainError):
+            asym.counting_stats(s, rho)
+
     def test_var_const(self):
         assert asym.VAR_CONSTANT == pytest.approx(0.31220024, abs=1e-7)
         direct = (1 + math.log(4.5) + 0.57721566490153286) / math.pi ** 2
@@ -156,6 +161,28 @@ class TestCltDistance:
         grid = np.linspace(-0.5, 0.5, 5)
         d10 = asym.clt_distance(10.0, 0.0, grid)
         assert d10 < 0.2
+
+    @pytest.mark.parametrize("s,rho", [(math.inf, 0.0), (math.nan, 0.0), (4.0, math.nan),
+                                       (4.0, -math.inf)])
+    def test_non_finite_input(self, s, rho, monkeypatch):
+        from pearceydet import fredholm
+        monkeypatch.setattr(fredholm, "_logdet_converged_many",
+                            lambda *a: pytest.fail("quadrature ran"))
+        with pytest.raises(DomainError):
+            asym.clt_distance(s, rho, np.linspace(-0.5, 0.5, 5))
+
+    def test_nan_distance_kept(self, monkeypatch):
+        # the builtin max(0.0, nan) is 0.0: a NaN mgf used to read as a perfect fit
+        from pearceydet import fredholm
+        real = fredholm._logdet_converged_many
+
+        def one_nan(*args):
+            out = real(*args)
+            out[1] = fredholm.DetResult(math.nan, out[1].order, out[1].err_est)
+            return out
+
+        monkeypatch.setattr(fredholm, "_logdet_converged_many", one_nan)
+        assert math.isnan(asym.clt_distance(4.0, 0.0, np.linspace(-0.5, 0.5, 5)))
 
 
 class TestGamma1Fit:

@@ -6,7 +6,7 @@ import pytest
 
 from pearceydet import chf
 from pearceydet.errors import DomainError, NumericsError
-from pearceydet.specfun import digamma, ln_gamma, EULER_GAMMA
+from pearceydet.specfun import digamma, kummer_psi_b1, ln_gamma, EULER_GAMMA
 
 BETAS = (0.05j, 0.11j, 0.3j)
 
@@ -53,6 +53,16 @@ class TestPhiChf:
     def test_rejects_bad_beta(self):
         with pytest.raises(DomainError):
             chf.phi_chf(chf.SectorPoint(1 + 1j, 1), 0.3 + 0.1j)
+
+    @pytest.mark.parametrize("beta", [complex(0, math.nan), complex(0, math.inf),
+                                      complex(math.nan, 0.1)])
+    def test_rejects_non_finite_beta(self, beta):
+        # NaN passed both comparisons: every series point then ran to its term cap
+        for call in (lambda: chf.verification_report(beta),
+                     lambda: chf.chf_jump_residual(1, 1.0, beta),
+                     lambda: chf.chf_origin_expansion(beta)):
+            with pytest.raises(DomainError):
+                call()
 
 
 class TestJumps:
@@ -149,3 +159,74 @@ class TestReport:
         assert rep["max_ray_residual"] < 1e-9
         assert set(rep["ray_residuals"].keys()) == {str(k) for k in range(1, 7)}
         assert "upsilon1_21" in rep
+
+
+def _report_points():
+    """(z, continued argument) of every base-matrix evaluation of a report."""
+    pts = []
+    for ray, ang in enumerate(chf.SECTOR_ANGLES, start=1):
+        for r in chf._REPORT_RADII:
+            z = r * cmath.exp(1j * ang)
+            pts.append((z, ang))
+            if ray == 1:
+                pts.append((z, 2.0 * math.pi))
+    for r in chf._VERIFY_RADII:
+        z = r * cmath.exp(0.75j * math.pi)
+        pts.append((z, cmath.phase(z) % (2.0 * math.pi)))
+    return pts
+
+
+def _psi_b1_loop(a: complex, z: complex, arg_z: float) -> complex:
+    """The scalar log-series loop the array series replaced, kept as its reference."""
+    log_z = math.log(abs(z)) + 1j * arg_z
+    dig_a, dig_1 = digamma(a), -EULER_GAMMA
+    poch, series, phi_sum = 1.0 + 0.0j, dig_a - 2.0 * dig_1, 1.0 + 0.0j
+    for k in range(10000):
+        dig_a = dig_a + 1.0 / (a + k)
+        dig_1 = dig_1 + 1.0 / (1.0 + k)
+        poch *= (a + k) * z / ((k + 1.0) ** 2)
+        term = poch * (dig_a - 2.0 * dig_1)
+        series += term
+        phi_sum += poch
+        if abs(term) + abs(poch) < 1e-17 * max(abs(series), 1.0):
+            return -cmath.exp(-ln_gamma(a)) * (log_z * phi_sum + series)
+    raise AssertionError("reference series did not converge")
+
+
+class TestArraySeries:
+    """The report's one array pass against the scalar path, point by point."""
+
+    @pytest.mark.parametrize("beta", (0.03j, 0.2j, 0.4j))
+    def test_kummer_array_equals_scalar(self, beta):
+        z, arg = (np.array(col) for col in zip(*_report_points()))
+        assert len(z) == 30
+        up, dn = (z * 1j, arg + math.pi / 2), (z * -1j, arg - math.pi / 2)
+        for a, (w, arg_w) in ((beta, up), (1 - beta, dn), (1 + beta, up), (-beta, dn)):
+            got = kummer_psi_b1(a, w, arg_z=arg_w)
+            assert got.shape == (30,)
+            points = list(zip(w.tolist(), arg_w.tolist()))
+            assert got.tolist() == [kummer_psi_b1(a, wi, arg_z=gi) for wi, gi in points]
+            assert got.tolist() == [_psi_b1_loop(a, wi, gi) for wi, gi in points]
+        # two values of a in one call, broadcast against their points
+        both = kummer_psi_b1(np.array([[beta], [1 - beta]]), np.stack([up[0], dn[0]]),
+                             arg_z=np.stack([up[1], dn[1]]))
+        assert both[1].tolist() == kummer_psi_b1(1 - beta, dn[0], arg_z=dn[1]).tolist()
+
+    @pytest.mark.parametrize("beta", (0.03j, 0.2j, 0.4j))
+    def test_report_against_scalar_path(self, beta):
+        rep = chf.verification_report(beta)
+        for ray in range(1, 7):
+            for r in chf._REPORT_RADII:
+                want = chf.chf_jump_residual(ray, r, beta)
+                assert abs(rep["ray_residuals"][str(ray)][f"{r:g}"] - want) <= 1e-15
+        exp = chf.chf_origin_expansion(beta)
+        assert rep["upsilon0"] == [[[v.real, v.imag] for v in row] for row in exp.upsilon0]
+        assert rep["upsilon1_21"] == [exp.upsilon1_21.real, exp.upsilon1_21.imag]
+
+    def test_base_matrix_array_equals_scalar(self):
+        bf = chf._BetaFactors.of(0.2j)
+        z, arg = (np.array(col) for col in zip(*_report_points()))
+        got = chf._base_matrix(z, arg, bf)
+        assert got.shape == (30, 2, 2)
+        for zi, gi, m in zip(z, arg, got):
+            assert m.tobytes() == chf._base_matrix(complex(zi), float(gi), 0.2j).tobytes()

@@ -96,6 +96,14 @@ class TestChfVerify:
         assert payload["results"][0]["max_ray_residual"] <= 1e-9
 
 
+    def test_non_finite_beta_exit_1(self, capsys):
+        # the array series would run every point to its term cap
+        code, out, err = run_cli(["chf-verify", "--beta-im", "nan"], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
+
 class TestKernelGrid:
     def test_all_oracles(self, capsys):
         code, out, _ = run_cli(["kernel", "--rho", "0", "--s-min", "-1",
@@ -216,6 +224,18 @@ class TestUsage:
     ])
     def test_non_finite_s_exit_1(self, argv, capsys):
         # NaN passed both s <= 0 and s > 12: NaN rows, or an error after doubling
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("argv", [
+        ["clt", "--s", "inf"],
+        ["clt", "--s", "4", "--rho", "nan"],
+        ["moments", "--s", "4", "--rho", "nan"],
+    ])
+    def test_non_finite_stats_input_exit_1(self, argv, capsys):
+        # these printed "inf,0", hit the Nystrom order cap, or raised SignError
         code, out, err = run_cli(argv, capsys)
         assert code == 1
         assert out == ""

@@ -177,6 +177,14 @@ class TestMoments:
         assert mt[0] == pytest.approx(mm[0], abs=1e-6)
         assert mt[1] == pytest.approx(mm[1], abs=1e-5)
 
+    @pytest.mark.parametrize("rho", [math.nan, math.inf])
+    def test_non_finite_rho(self, rho, monkeypatch):
+        # a NaN rho gave NaN trace moments and a SignError from the MGF route
+        monkeypatch.setattr(fr, "_nystrom", lambda *a: pytest.fail("quadrature ran"))
+        for moments in (fr.moments_trace, fr.moments_mgf):
+            with pytest.raises(DomainError):
+                moments(4.0, rho, 64)
+
     @pytest.mark.parametrize("s, rho, n", [(3.0, 0.0, 128), (9.0, -1.2, 384)])
     def test_trace_of_square_without_product(self, s, rho, n):
         mean, var = fr.moments_trace(s, rho, n)

@@ -273,61 +273,100 @@ class TestTrajectory:
                                       ic_mode="asymptotic")
 
 
+_SWEEP_OPTIONS = dict(rtol=1e-10, atol=1e-15, max_step=0.05, dense_output=True)
+
+
 @pytest.fixture(scope="module")
 def sweeps():
-    """scipy's dense output of a backward sweep 8 -> 5 and of a forward one back to 8."""
+    """A backward sweep 8 -> 5 and a forward one back to 8, each run twice.
+
+    Each entry is (a, b, ref, run): ``ref`` is scipy's standard DOP853 with
+    its own dense output, ``run`` the same sweep through ``_DeferredDOP853``.
+    """
     from scipy.integrate import solve_ivp
     ic = ham.resolvent_anchor_state(8.0, ModelParams(0.5, 0.3))
     y = real_coordinates(ic.to_array())
     out = []
     for a, b in ((8.0, 5.0), (5.0, 8.0)):
-        sol = solve_ivp(ham._sweep_rhs, (a, b), y, method="DOP853", rtol=1e-10,
-                        atol=1e-15, max_step=0.05, dense_output=True)
-        out.append((a, b, sol))
-        y = sol.y[:, -1]
+        ref = solve_ivp(ham._sweep_rhs, (a, b), y, method="DOP853", **_SWEEP_OPTIONS)
+        run = solve_ivp(ham._sweep_rhs, (a, b), y, method=ham._DeferredDOP853,
+                        **_SWEEP_OPTIONS)
+        out.append((a, b, ref, run))
+        y = ref.y[:, -1]
     return out
 
 
 class TestDenseSampler:
-    """The stacked sampler reproduces OdeSolution bit for bit.
+    """The deferred dense output reproduces scipy's DOP853 dense output bit for bit.
 
-    It reads the interpolants' t_old, h, F and y_old: a scipy release that
-    renames them, or changes the recurrence, fails here.
+    ``_DenseSampler.of`` rebuilds every step interpolant from the recorded
+    steps with scipy's own operations; a scipy release that changes them
+    fails here (see also ``test_scipy_internals``).
     """
 
     @pytest.mark.parametrize("direction", [0, 1], ids=["backward", "forward"])
     def test_bitwise_against_ode_solution(self, sweeps, direction):
-        a, b, sol = sweeps[direction]
-        sample = ham._DenseSampler.of(sol.sol)
+        a, b, ref, run = sweeps[direction]
+        assert run.t.tobytes() == ref.t.tobytes()
+        assert run.nfev == ref.nfev
+        sample = ham._DenseSampler.of(run.sol)
         # the trajectory grid, every step point (segment boundaries) and both ends
-        for s in (np.linspace(a, b, 400), sol.t, np.array([a, b]), sol.t[::-1]):
+        for s in (np.linspace(a, b, 400), ref.t, np.array([a, b]), ref.t[::-1]):
             got = sample(s)
             assert got.shape == (8, len(s))
-            assert got.tobytes() == sol.sol(s).tobytes()
+            assert got.tobytes() == ref.sol(s).tobytes()
 
     @pytest.mark.parametrize("direction", [0, 1], ids=["backward", "forward"])
     def test_scalar_gives_one_state(self, sweeps, direction):
-        a, b, sol = sweeps[direction]
-        sample = ham._DenseSampler.of(sol.sol)
-        for s in (a, b, float(sol.t[7]), 0.5 * (a + b)):
+        a, b, ref, run = sweeps[direction]
+        sample = ham._DenseSampler.of(run.sol)
+        for s in (a, b, float(ref.t[7]), 0.5 * (a + b)):
             got = sample(s)
             assert got.shape == (8,)
-            assert got.tobytes() == sol.sol(s).tobytes()
+            assert got.tobytes() == ref.sol(s).tobytes()
 
     def test_trajectory_samples_and_step_statistics(self, sweeps, monkeypatch):
-        a, b, sol = sweeps[0]
-        seen = []
+        a, b, ref_fixture, _ = sweeps[0]
+        calls = []
         real = ham.solve_ivp
         monkeypatch.setattr(ham, "solve_ivp",
-                            lambda *args, **kw: seen.append(real(*args, **kw)) or seen[-1])
+                            lambda *args, **kw: calls.append((args, kw)) or real(*args, **kw))
         ic = ham.resolvent_anchor_state(8.0, ModelParams(0.5, 0.3))
         t = ham.integrate(a, b, ic, 1e-10)
-        ref = seen[0].sol(t.s).T
-        assert np.array_equal(real_coordinates(t.states), ref)
-        assert t.dense(6.5).shape == (8,)
-        assert t.steps == len(seen[0].t) - 1 == len(sol.t) - 1
-        assert t.nfev == seen[0].nfev
-        assert t.min_step == np.abs(np.diff(seen[0].t)).min() > 0
+        [(args, kw)] = calls
+        assert kw["method"] is ham._DeferredDOP853
+        # the same sweep through scipy's standard DOP853 and its dense output
+        ref = real(*args, **{**kw, "method": "DOP853"})
+        assert real_coordinates(t.states).tobytes() == ref.sol(t.s).T.tobytes()
+        assert real_coordinates(t.dense(6.5)).tobytes() == ref.sol(6.5).tobytes()
+        assert t.steps == len(ref.t) - 1 == len(ref_fixture.t) - 1
+        assert t.nfev == ref.nfev
+        assert t.min_step == np.abs(np.diff(ref.t)).min() > 0
+
+    def test_scipy_internals(self):
+        # what _DeferredDOP853 records and _DenseSampler.of reads of scipy's DOP853
+        from scipy.integrate import DOP853
+        from scipy.integrate._ivp import dop853_coefficients as coef
+        stages = coef.N_STAGES_EXTENDED
+        assert DOP853.A_EXTRA.shape == (3, stages)
+        assert DOP853.C_EXTRA.shape == (3,)
+        assert DOP853.D.shape == (coef.INTERPOLATOR_POWER - 3, stages)
+        assert coef.INTERPOLATOR_POWER == 7
+        assert DOP853.n_stages + 1 + len(DOP853.A_EXTRA) == stages
+        ic = ham.resolvent_anchor_state(8.0, ModelParams(0.5, 0.3))
+        solver, plain = (method(ham._sweep_rhs, 8.0, real_coordinates(ic.to_array()), 5.0,
+                                rtol=1e-10, atol=1e-15, max_step=0.05)
+                         for method in (ham._DeferredDOP853, DOP853))
+        solver.step()
+        plain.step()
+        step = solver.dense_output()
+        plain.dense_output()
+        assert step.k.shape == (DOP853.n_stages + 1, 8) == (13, 8)
+        assert (step.t_old, step.t) == (8.0, solver.t)
+        assert step.h == step.t - step.t_old
+        # the last stage is f at the step's end, which the interpolant reads as f_new
+        assert step.k[-1].tobytes() == np.asarray(ham._sweep_rhs(step.t, step.y)).tobytes()
+        assert solver.nfev == plain.nfev
 
 
 @pytest.fixture(scope="module")

@@ -173,3 +173,21 @@ class TestKummerPsi:
             sf.kummer_psi_b1(0.3, 40.0)
         with pytest.raises(PoleError):
             sf.kummer_psi_b1(0.3, 0.0)
+
+    def test_arrays_broadcast(self):
+        # a, z and arg_z broadcast; each point rounds as its scalar evaluation
+        a = np.array([[0.3], [0.7 + 0.2j]])
+        z = np.array([0.01 + 0.02j, 1.0, -2.0 + 0.5j, 4.0j, 25.0])
+        got = sf.kummer_psi_b1(a, z)
+        assert got.shape == (2, 5)
+        for i in range(2):
+            assert got[i].tolist() == [sf.kummer_psi_b1(complex(a[i, 0]), complex(v)) for v in z]
+        branch = sf.kummer_psi_b1(0.3, -2.0 + 0.0j, arg_z=np.array([math.pi, -math.pi]))
+        assert branch.tolist() == [sf.kummer_psi_b1(0.3, -2.0, arg_z=g) for g in (math.pi, -math.pi)]
+        assert isinstance(sf.kummer_psi_b1(0.3, 1.0), complex)
+
+    def test_non_finite_arguments(self):
+        for a, z, arg_z in ((0.3, complex(math.nan, 0.0), None), (0.3, 1.0, math.inf),
+                            (math.nan, 1.0, None), (0.3, np.array([1.0, math.inf]), None)):
+            with pytest.raises(DomainError):
+                sf.kummer_psi_b1(a, z, arg_z=arg_z)
