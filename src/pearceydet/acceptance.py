@@ -18,8 +18,8 @@ from . import asymptotics as asym
 from . import hamiltonian as ham
 from .chf import chf_origin_expansion, verification_report
 from .fredholm import (
+    _logdet_converged_many,
     fredholm_logdet,
-    logdet_converged,
     moments_mgf,
     moments_trace,
     resolvent_boundary_trace,
@@ -120,8 +120,9 @@ def criterion_5_large_gap_law() -> CriterionResult:
     p = ModelParams(0.5, 0.0)
     s_grid = [4.0, 6.0, 8.0, 10.0]
     errs = []
-    for s in s_grid:
-        f_num = logdet_converged(s, p, 1e-10).f
+    dets = _logdet_converged_many([(s, p.gamma) for s in s_grid], p.rho, 1e-10)
+    for s, det in zip(s_grid, dets):
+        f_num = det.f
         gap = asym.f_large_gap(s, p)
         errs.append(abs(f_num - gap.total))
         if s == 10.0:
@@ -231,7 +232,8 @@ def criterion_10_gamma1_regime() -> CriterionResult:
     slopes = {}
     for rho in (0.0, 1.0):
         p = ModelParams(1.0, rho)
-        f_vals = np.array([logdet_converged(s, p, 1e-6).f for s in s_grid])
+        f_vals = np.array([r.f for r in _logdet_converged_many(
+            [(s, p.gamma) for s in s_grid], rho, 1e-6)])
         fit = asym.fit_gamma1_constant(s_grid, f_vals, rho)
         fits[rho] = fit
         resid = f_vals - np.array([asym.f_gamma1(s, rho) for s in s_grid])

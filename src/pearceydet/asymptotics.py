@@ -211,8 +211,9 @@ def clt_distance(s: float, rho: float, t_grid: np.ndarray) -> float:
 
     The expectation is exp(F(s; gamma(nu), rho) - t mu / sigma) at
     nu = -t / (2 pi sigma), F converged to 1e-8 over the whole gamma grid at
-    once (one Nystrom matrix per order).  An s below 4 and a non-finite s or
-    rho raise DomainError before any quadrature (``counting_stats``).
+    once (one Nystrom matrix and one stacked factorisation per order).  An s
+    below 4 and a non-finite s or rho raise DomainError before any quadrature
+    (``counting_stats``).
     """
     if s < 4:
         raise DomainError(f"clt_distance validated for s >= 4, got {s}")
@@ -223,7 +224,8 @@ def clt_distance(s: float, rho: float, t_grid: np.ndarray) -> float:
     ts = [t for t in np.asarray(t_grid, float) if t != 0.0]
     nus = [-t / (2.0 * math.pi * sigma) for t in ts]
     gammas = [-math.expm1(-2.0 * math.pi * nu) for nu in nus]
+    dets = _logdet_converged_many([(s, g) for g in gammas], rho, 1e-8)
     dists = [abs(math.exp(res.f - t * stats.mu / sigma) - math.exp(t * t / 2.0))
-             for t, res in zip(ts, _logdet_converged_many(s, rho, gammas, 1e-8))]
+             for t, res in zip(ts, dets)]
     # np.max keeps a NaN distance, which the builtin max would drop
     return float(np.max(dists, initial=0.0))

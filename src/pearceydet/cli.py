@@ -24,7 +24,8 @@ from .params import ModelParams
 from . import asymptotics as asym
 from . import chf as chf_mod
 from . import hamiltonian as ham
-from .fredholm import fredholm_logdet, logdet_converged, moments_mgf, moments_trace
+from .fredholm import (_logdet_converged_many, fredholm_logdet, logdet_converged,
+                       moments_mgf, moments_trace)
 from .kernel import kernel_integral, kernel_point, kernel_rh
 
 
@@ -113,7 +114,10 @@ def _cmd_kernel(args) -> None:
 
 
 def _default_tol(gamma: float) -> float:
-    # the undeformed determinant carries a ~1e-7 roundoff floor at large s
+    # at gamma = 1 rounding sets a floor under the doubling difference that
+    # grows with s: F spreads over n in [64, 512] by 5.9e-10 at s = 8, 7.5e-8
+    # at s = 10 and 1.7e-4 at s = 12 (rho = 0): 1e-6 sits above it up to
+    # s = 10 but below it at s = 12, where the doubling raises ConvergenceError
     return 1e-6 if gamma == 1.0 else 1e-9
 
 
@@ -137,8 +141,10 @@ def _cmd_scan(args) -> None:
     # the Barnes-G constant depends on gamma alone: once per scan, not per s
     constant = asym.gap_constant(params) if params.gamma < 1.0 else None
 
-    def one(s):
-        f_num = logdet_converged(s, params, tol).f
+    grid = _s_grid(args)
+    dets = _logdet_converged_many([(s, params.gamma) for s in grid], params.rho, tol)
+
+    def one(s, f_num):
         row = {"s": float(s), "f_num": f_num}
         if params.gamma < 1.0:
             gap = asym.f_large_gap(s, params, constant)
@@ -149,7 +155,7 @@ def _cmd_scan(args) -> None:
         row["err"] = abs(f_num - row["f_asy"])
         return row
 
-    _emit(args, [one(s) for s in _s_grid(args)], {"tol": tol})
+    _emit(args, [one(s, det.f) for s, det in zip(grid, dets)], {"tol": tol})
 
 
 def _cmd_hamiltonian(args) -> None:

@@ -1,22 +1,39 @@
 """Nystrom discretization of det(I - gamma K) on (-s, s) and derived statistics.
 
-Every routine builds its operator through one builder, ``_nystrom``: the
-cached Gauss-Legendre rule of order n scaled to (-s, s), and one dense K over
-the nodes plus any extra points (the ends +-s, an anchor).  One K at fixed
-(s, rho, n) serves every gamma.  The determinant uses the symmetrized
-weighting D^{1/2} K D^{1/2} (equal to the plain weighting in determinant but
-better conditioned), partial-pivot LU with explicit sign bookkeeping, and
-order doubling over a whole gamma grid for convergence control.
+Every Nystrom matrix is assembled by ``_kernel_matrix_from_session`` over the
+cached Gauss-Legendre rule of order n scaled to (-s, s): through ``_nystrom``
+(one square over the nodes plus any extra points, the ends +-s or an anchor)
+at a fixed order, or from bundles shared across a grid while doubling.  One K
+at fixed (s, rho, n) serves every gamma.  The determinant uses the
+symmetrized weighting D^{1/2} K D^{1/2} (equal to the plain weighting in
+determinant but better conditioned) and order doubling for convergence
+control.
+
+Lockstep doubling.  ``_logdet_converged_many`` converges a whole grid of
+(s, gamma) points at once: every point still pending doubles its order
+together with the others.  At each order one P and one Q bundle cover the
+nodes of every pending s, each pending s gets its K from its slice of them,
+and that K serves all of its pending gammas before the next s is built, so
+only one operator is alive at a time.  A point leaves the grid once two
+successive orders agree, so each point follows the doubling it would follow
+on its own.
 
 The determinant is folded by parity.  P is even and Q odd, so K(-x, -y) =
 K(x, y); the rule is a bitwise mirror image, so the symmetrized matrix A is
 exactly centrosymmetric, and I - gamma A maps even and odd vectors to
-themselves.  ``_parity_logdet`` therefore factors two half-size blocks, the
+themselves.  ``_parity_logdets`` therefore factors two half-size blocks, the
 even part U + M and the odd part U - M over the nonnegative nodes, instead of
-one n x n matrix: about a quarter of the LU work.  Each block must have a
-positive determinant on its own, which a full factorization cannot see (two
-negative factors multiply to a positive one).  The resolvent solves keep the
-full matrix, since their right-hand sides have no parity.
+one n x n matrix: about a quarter of the LU work.  Both blocks of every gamma
+of one operator go through one stacked factorisation (``_logdet_lu``), and
+each block must have a positive determinant on its own, which a full
+factorization cannot see (two negative factors multiply to a positive one).
+
+The resolvent solves (``resolvent_boundary_trace`` here, the anchor in
+``hamiltonian``) still factor the full matrix, though their right-hand sides
+do have parity: the anchor's forward ones, 2 pi (P, P', P''), are even, odd
+and even, and the trace's two columns K(x_i, s) and K(x_i, -s) are mirror
+images of each other, so their sum is even and their difference odd.  Those
+solves could split into the same two half-size blocks; they do not yet.
 
 ``gamma`` is accepted slightly outside [0, 1]: the moment-generating-function
 route differentiates F(s; 1 - e^{-2 pi nu}, rho) at nu = 0 and the CLT check
@@ -30,8 +47,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
+from . import kernel
 from .errors import ConvergenceError, DomainError, SignError
 # _diag_and_slope is unused here; the benchmark's tracer looks it up on this module
 from .kernel import _diag_and_slope, _kernel_matrix_from_session  # noqa: F401
@@ -111,36 +128,46 @@ def _check_args(s: float, gamma: float, n: int) -> None:
         raise DomainError(f"quadrature order {n} outside [1, {_N_MAX}]")
 
 
-def _logdet_lu(m: np.ndarray) -> float:
-    """Sum of log|u_kk| with the sign tracked through pivots; raises if negative."""
-    lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
-    diag = np.diag(lu)
-    sign = 1 if np.count_nonzero(piv != np.arange(len(piv))) % 2 == 0 else -1
-    sign *= 1 if np.count_nonzero(diag < 0) % 2 == 0 else -1
-    if sign <= 0 or np.any(diag == 0.0):
-        raise SignError("determinant of I - gamma K came out non-positive")
-    return float(np.log(np.abs(diag)).sum())
+def _logdet_lu(m: np.ndarray) -> np.ndarray:
+    """ln det of every matrix of a stack (..., h, h), NaN where one is not positive.
+
+    A non-positive determinant has no real logarithm; the caller decides
+    whether that raises ``SignError`` or marks a coarse order to retry.
+    """
+    sign, logabs = np.linalg.slogdet(m)
+    return np.where(sign > 0, logabs, np.nan)
 
 
-def _parity_logdet(a: np.ndarray, g: float) -> float:
-    """ln det(I - g A) for a centrosymmetric A, as its even part plus its odd part.
+def _parity_logdets(a: np.ndarray, gammas) -> np.ndarray:
+    """ln det(I - g A) at each g of ``gammas`` for a centrosymmetric A: even part plus odd part.
 
     U holds the rows and columns of the nonnegative nodes and M the same rows
     against the mirrored columns; the even part acts as U + M and the odd part
     as U - M.  An odd order's centre node x = 0 is its own mirror image: in
     the even basis (e_0, e_j + e_-j) its column is A(x_i, 0), not the
     2 A(x_i, 0) of U + M, so that column is halved.  The odd block's first
-    column is then exactly 0 and contributes a factor 1.
+    column is then exactly 0 and contributes a factor 1.  Both blocks of every
+    gamma are factored in one (G, 2, h, h) stack; a gamma with a block of
+    non-positive determinant gives NaN (``_logdet_lu``).
     """
     n = len(a)
     h = n // 2
     u = a[h:, h:]
     m = a[h:, (n - 1) // 2::-1]
-    even = u + m
+    blocks = np.stack([u + m, u - m])
     if n % 2:
-        even[:, 0] *= 0.5
-    eye = np.eye(n - h)
-    return _logdet_lu(eye - g * even) + _logdet_lu(eye - g * (u - m))
+        blocks[0, :, 0] *= 0.5
+    # -g * B with 1 added on the diagonal: bitwise I - g B
+    stack = np.multiply.outer(-np.asarray(gammas, dtype=float), blocks)
+    diag = np.arange(n - h)
+    stack[..., diag, diag] += 1.0
+    return _logdet_lu(stack).sum(axis=1)
+
+
+def _positive(logdets: np.ndarray) -> np.ndarray:
+    if np.isnan(logdets).any():
+        raise SignError("determinant of I - gamma K came out non-positive")
+    return logdets
 
 
 def _nystrom(s: float, rho: float, n: int, extra=()):
@@ -171,21 +198,30 @@ def fredholm_logdet(s: float, params: ModelParams, n: int, *,
     if g == 0.0:
         return DetResult(0.0, n, 0.0)
     _, w, k = _nystrom(s, params.rho, n)
-    return DetResult(_parity_logdet(_symmetrized(w, k), g), n, math.nan)
+    f = _positive(_parity_logdets(_symmetrized(w, k), [g]))[0]
+    return DetResult(float(f), n, math.nan)
 
 
 def logdet_converged(s: float, params: ModelParams, tol: float = 1e-10, *,
                      gamma: float | None = None) -> DetResult:
     """Double n from 16 until |F_{2n} - F_n| < tol; error estimate is that difference."""
     g = params.gamma if gamma is None else gamma
-    return _logdet_converged_many(s, params.rho, [g], tol)[0]
+    return _logdet_converged_many([(s, g)], params.rho, tol)[0]
 
 
-def _logdet_converged_many(s: float, rho: float, gammas, tol: float) -> list[DetResult]:
-    """``logdet_converged`` at every gamma of a grid, one K per order for all of them."""
+def _logdet_converged_many(points, rho: float, tol: float) -> list[DetResult]:
+    """``logdet_converged`` at every (s, gamma) of a grid, doubling in lockstep.
+
+    At each order one P and one Q bundle cover the nodes of every pending s;
+    each pending s then gets one K from its slice of them, which serves all of
+    its pending gammas in one stacked factorisation (module notes).  The
+    ``ConvergenceError`` names the first point in grid order that is still
+    pending at n = 2048.
+    """
     if tol < 1e-12:
         raise DomainError(f"tol = {tol} below the achievable 1e-12 floor")
-    done = [DetResult(0.0, _N_START, 0.0) if g == 0.0 else None for g in gammas]
+    points = [(float(s), float(g)) for s, g in points]
+    done = [DetResult(0.0, _N_START, 0.0) if g == 0.0 else None for _, g in points]
     prev: list[float | None] = [None] * len(done)
     n = _N_START
     while True:
@@ -193,23 +229,32 @@ def _logdet_converged_many(s: float, rho: float, gammas, tol: float) -> list[Det
         if not todo:
             return done
         if n > _N_MAX:
+            s, g = points[todo[0]]
             raise ConvergenceError(f"logdet did not converge to {tol} by n = {_N_MAX} "
-                                   f"at s = {s}, gamma = {gammas[todo[0]]}")
+                                   f"at s = {s}, gamma = {g}")
+        by_s: dict[float, list[int]] = {}
         for i in todo:
-            _check_args(s, gammas[i], n)
-        _, w, k = _nystrom(s, rho, n)
-        a = _symmetrized(w, k)
-        for i in todo:
-            try:
-                f = _parity_logdet(a, gammas[i])
-            except SignError:
-                # a coarse Nystrom stage can push an eigenvalue of the discretized
-                # kernel past 1/gamma; finer stages recover
-                prev[i] = None
-                continue
-            if prev[i] is not None and abs(f - prev[i]) < tol:
-                done[i] = DetResult(f, n, abs(f - prev[i]))
-            prev[i] = f
+            _check_args(*points[i], n)
+            by_s.setdefault(points[i][0], []).append(i)
+        rule = gauss_legendre(n)
+        x = np.multiply.outer(list(by_s), rule.nodes)        # a row of nodes per s
+        p = kernel._p_bundle(x.ravel(), rho).reshape(3, *x.shape)
+        q = kernel._q_bundle(x.ravel(), rho).reshape(3, *x.shape)
+        for j, (s, idx) in enumerate(by_s.items()):
+            xj = x[j]
+            k = _kernel_matrix_from_session(rho, xj, xj, p=p[:, j], q=q[:, j])
+            fs = _parity_logdets(_symmetrized(s * rule.weights, k),
+                                 [points[i][1] for i in idx])
+            del k                       # one operator alive at a time
+            for i, f in zip(idx, fs.tolist()):
+                if math.isnan(f):
+                    # a coarse Nystrom stage can push an eigenvalue of the discretized
+                    # kernel past 1/gamma; finer stages recover
+                    prev[i] = None
+                    continue
+                if prev[i] is not None and abs(f - prev[i]) < tol:
+                    done[i] = DetResult(f, n, abs(f - prev[i]))
+                prev[i] = f
         n *= 2
 
 
@@ -248,25 +293,23 @@ def moments_mgf(s: float, rho: float, n: int) -> tuple[float, float]:
 
     Central second-order differences at the two step sizes with one Richardson
     sweep; mean = -G'(0)/(2 pi), variance = G''(0)/(4 pi^2) for G(nu) = F(gamma(nu)).
-    One K serves all four evaluations.  The variance carries about 9
-    significant digits: its second difference at h = 5e-4 divides the
-    rounding of F by h^2 = 2.5e-7.  Reordering the same LU moved it by up to
-    1.7e-9 relative where ``moments_trace``'s variance moved by 9e-16.
+    One K serves all four evaluations, factored in one stack.  The variance
+    carries about 9 significant digits: its second difference at h = 5e-4
+    divides the rounding of F by h^2 = 2.5e-7.  Reordering the same LU moved
+    it by up to 1.7e-9 relative where ``moments_trace``'s variance moved by
+    9e-16.
     """
     _check_rho(rho)
     _check_args(s, 1.0, n)
-    _, w, k = _nystrom(s, rho, n)
-    a = _symmetrized(w, k)
-
-    def g_of(nu: float) -> float:
-        gam = -math.expm1(-2.0 * math.pi * nu)
+    gammas = [-math.expm1(-2.0 * math.pi * nu) for h in _MGF_STEPS for nu in (h, -h)]
+    for gam in gammas:
         _check_args(s, gam, n)
-        return _parity_logdet(a, gam)
-
+    _, w, k = _nystrom(s, rho, n)
+    g = _positive(_parity_logdets(_symmetrized(w, k), gammas)).tolist()
     d1 = []
     d2 = []
-    for h in _MGF_STEPS:
-        gp, gm = g_of(h), g_of(-h)
+    for j, h in enumerate(_MGF_STEPS):
+        gp, gm = g[2 * j], g[2 * j + 1]
         d1.append((gp - gm) / (2.0 * h))
         d2.append((gp + gm) / (h * h))
     ratio = (_MGF_STEPS[0] / _MGF_STEPS[1]) ** 2

@@ -715,13 +715,14 @@ def integral_representation_check(s_lo: float, s_hi: float, params: ModelParams,
     if params.gamma == 0.0:
         return {"discrepancy": 0.0, "delta_f": 0.0, "integral": 0.0}
     traj = asymptotic_trajectory(params, s_from=max(s_anchor, s_hi), s_to=s_lo)
-    from .fredholm import logdet_converged
+    from .fredholm import _logdet_converged_many
 
     grid = np.linspace(s_lo, s_hi, 801)
     h_vals = traj.h_at(grid).real
     integral = 2.0 * float(simpson(h_vals, x=grid))
-    delta_f = (logdet_converged(s_hi, params, _CHECK_DET_TOL).f
-               - logdet_converged(s_lo, params, _CHECK_DET_TOL).f)
+    f_hi, f_lo = _logdet_converged_many([(s_hi, params.gamma), (s_lo, params.gamma)],
+                                        params.rho, _CHECK_DET_TOL)
+    delta_f = f_hi.f - f_lo.f
     return {"discrepancy": abs(delta_f - integral), "delta_f": delta_f,
             "integral": integral}
 

@@ -113,19 +113,22 @@ def _batched(bundle, pts: np.ndarray, rho: float, split: int | None) -> np.ndarr
 
 
 def _kernel_matrix_from_session(rho: float, x: np.ndarray, y: np.ndarray, *,
-                                split: int | None = None) -> np.ndarray:
+                                split: int | None = None, p: np.ndarray | None = None,
+                                q: np.ndarray | None = None) -> np.ndarray:
     """Dense K(x_i, y_j) with the band branch applied entrywise.
 
     Pass the same array as x and y for a square: the Q bundle then serves the
     diagonal too.  ``split`` computes the bundles of a square in two batches,
     the first ``split`` points and the rest, so that the block over the first
     batch is bitwise the same with or without the points after it (a
-    multi-threaded BLAS rounds a batch differently by its size).
+    multi-threaded BLAS rounds a batch differently by its size).  ``p`` and
+    ``q`` are the P bundle at x and the Q bundle at y when the caller has them
+    already (a grid shares one bundle call across its operators).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    p = _batched(_p_bundle, x, rho, split)
-    q = _batched(_q_bundle, y, rho, split)
+    p = _batched(_p_bundle, x, rho, split) if p is None else p
+    q = _batched(_q_bundle, y, rho, split) if q is None else q
     p0, p1, p2 = p
     q0, q1, q2 = q
     # the numerator P Q'' - P'Q' + P''Q - rho P Q, accumulated in place in

@@ -7,7 +7,7 @@ from pearceydet import asymptotics as asym
 from pearceydet import fredholm as fr
 from pearceydet import kernel as kn
 from pearceydet import pearcey as pc
-from pearceydet.errors import DomainError, SignError
+from pearceydet.errors import ConvergenceError, DomainError, SignError
 from pearceydet.kernel import kernel_diagonal_band
 from pearceydet.params import ModelParams
 
@@ -130,7 +130,18 @@ class TestParityFold:
         a = fr._symmetrized(w, k)
         sign, full = np.linalg.slogdet(np.eye(n) - gamma * a)
         assert sign == 1.0
-        assert abs(fr._parity_logdet(a, gamma) - full) <= 1e-13 * max(1.0, abs(full))
+        assert abs(fr._parity_logdets(a, [gamma])[0] - full) <= 1e-13 * max(1.0, abs(full))
+
+    @pytest.mark.parametrize("n", _PARITY_ORDERS)
+    def test_stack_matches_one_gamma_at_a_time(self, n):
+        # each gamma of a stack is factored on its own: the stack changes no bit
+        _, w, k = fr._nystrom(6.0, -0.4, n)
+        a = fr._symmetrized(w, k)
+        gammas = [0.9, -3.0, 0.25, 1.0]
+        stacked = fr._parity_logdets(a, gammas)
+        assert stacked.shape == (4,)
+        # (NaN marks a non-positive block, at the coarsest orders)
+        np.testing.assert_array_equal(stacked, [fr._parity_logdets(a, [g])[0] for g in gammas])
 
     def test_parity_blocks_catch_a_sign_the_full_determinant_hides(self):
         # n = 2: both 1x1 parity factors of det(I - gamma A) are negative, so the
@@ -139,7 +150,105 @@ class TestParityFold:
         a = fr._symmetrized(w, k)
         assert np.linalg.det(np.eye(2) - 0.95 * a) > 0
         with pytest.raises(SignError):
-            fr._parity_logdet(a, 0.95)
+            fr._positive(fr._parity_logdets(a, [0.95]))
+        with pytest.raises(SignError):
+            fr.fredholm_logdet(9.0, ModelParams(0.95, -1.3), 2)
+        # in a stack only that gamma is marked, and the others keep their value
+        f = fr._parity_logdets(a, [0.95, 0.1])
+        assert math.isnan(f[0]) and f[1] == fr._parity_logdets(a, [0.1])[0]
+
+
+def _one_point(s, gamma, rho, tol):
+    return fr.logdet_converged(s, ModelParams(max(gamma, 0.0), rho), tol, gamma=gamma)
+
+
+class TestLogdetGrid:
+    @pytest.mark.parametrize("gamma, rho", [(0.5, 0.0), (0.99, -2.0), (0.05, 1.5),
+                                            (0.9, 2.0), (-3.0, 0.7)])
+    def test_matches_one_point_calls(self, gamma, rho):
+        ss = np.linspace(1.0, 12.0, 7)
+        grid = fr._logdet_converged_many([(s, gamma) for s in ss], rho, 1e-9)
+        for s, res in zip(ss, grid):
+            one = _one_point(s, gamma, rho, 1e-9)
+            assert res.order == one.order
+            assert res.f == pytest.approx(one.f, rel=1e-13, abs=1e-300)
+            assert res.err_est < 1e-9
+
+    def test_several_gammas_per_s(self):
+        points = [(s, g) for s in (3.0, 8.0) for g in (0.3, -1.0, 0.97)] + [(3.0, 0.5)]
+        grid = fr._logdet_converged_many(points, 0.4, 1e-10)
+        for (s, g), res in zip(points, grid):
+            one = _one_point(s, g, 0.4, 1e-10)
+            assert res.order == one.order
+            assert res.f == pytest.approx(one.f, rel=1e-13)
+
+    def test_coarse_sign_error_recovers_alone(self):
+        # at n = 16 a parity block of (s, gamma, rho) = (10, 0.95, -2) is negative
+        with pytest.raises(SignError):
+            fr.fredholm_logdet(10.0, ModelParams(0.95, -2.0), 16)
+        points = [(4.0, 0.95), (10.0, 0.95), (6.0, 0.95), (10.0, 0.5)]
+        grid = fr._logdet_converged_many(points, -2.0, 1e-9)
+        for (s, g), res in zip(points, grid):
+            one = _one_point(s, g, -2.0, 1e-9)
+            assert res.order == one.order
+            assert res.f == pytest.approx(one.f, rel=1e-13)
+        # the failed stage does not count: 16 is dropped, 32 and 64 must agree
+        assert grid[1].order >= 64
+
+    def test_convergence_error_names_first_pending_point(self, monkeypatch):
+        monkeypatch.setattr(fr, "_N_MAX", 32)
+        points = [(1.0, 0.5), (11.0, 0.99), (12.0, 0.99)]
+        with pytest.raises(ConvergenceError, match=r"n = 32 at s = 11\.0, gamma = 0\.99"):
+            fr._logdet_converged_many(points, -1.0, 1e-12)
+
+    def test_gamma_zero_points(self, monkeypatch):
+        points = [(2.0, 0.0), (5.0, 0.7), (5.0, 0.0), (13.0, 0.0)]
+        grid = fr._logdet_converged_many(points, 0.0, 1e-10)
+        for i in (0, 2, 3):
+            assert grid[i] == fr.DetResult(0.0, 16, 0.0)
+        assert grid[1] == _one_point(5.0, 0.7, 0.0, 1e-10)
+        # a grid of gamma = 0 alone computes nothing
+        monkeypatch.setattr(kn, "_p_bundle", lambda *a: pytest.fail("bundle ran"))
+        assert fr._logdet_converged_many([(3.0, 0.0)], 1.0, 1e-10) == [fr.DetResult(0.0, 16, 0.0)]
+
+    def test_domain_checked_before_quadrature(self, monkeypatch):
+        monkeypatch.setattr(kn, "_p_bundle", lambda *a: pytest.fail("bundle ran"))
+        for points in ([(2.0, 0.5), (13.0, 0.5)], [(2.0, 0.5), (3.0, 1.5)],
+                       [(math.nan, 0.5)]):
+            with pytest.raises(DomainError):
+                fr._logdet_converged_many(points, 0.0, 1e-10)
+        with pytest.raises(DomainError):
+            fr._logdet_converged_many([(2.0, 0.5)], 0.0, 1e-13)
+
+    def test_one_bundle_per_order_and_one_matrix_per_operator(self, monkeypatch):
+        calls = {"p": [], "q": [], "k": []}
+        real_p, real_q, real_k = kn._p_bundle, kn._q_bundle, fr._kernel_matrix_from_session
+
+        def p_bundle(x, rho, *args, **kwargs):
+            calls["p"].append(np.size(x))
+            return real_p(x, rho, *args, **kwargs)
+
+        def q_bundle(y, rho, *args, **kwargs):
+            calls["q"].append(np.size(y))
+            return real_q(y, rho, *args, **kwargs)
+
+        def matrix(rho, x, y, **kwargs):
+            calls["k"].append(np.size(x))
+            return real_k(rho, x, y, **kwargs)
+
+        monkeypatch.setattr(kn, "_p_bundle", p_bundle)
+        monkeypatch.setattr(kn, "_q_bundle", q_bundle)
+        monkeypatch.setattr(fr, "_kernel_matrix_from_session", matrix)
+        points = [(s, g) for s in (1.0, 6.0, 11.0) for g in (0.2, 0.99)]
+        grid = fr._logdet_converged_many(points, 0.5, 1e-10)
+        # the orders each s was pending at: 16 up to its largest accepted order
+        last = {}
+        for (s, _), res in zip(points, grid):
+            last[s] = max(last.get(s, 0), res.order)
+        orders = [16 * 2 ** j for j in range(int(math.log2(max(last.values()) // 16)) + 1)]
+        pending = [[s for s in last if last[s] >= n] for n in orders]
+        assert calls["p"] == calls["q"] == [n * len(ss) for n, ss in zip(orders, pending)]
+        assert calls["k"] == [n for n, ss in zip(orders, pending) for _ in ss]
 
 
 class TestResolventTrace:
