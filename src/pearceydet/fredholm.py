@@ -1,19 +1,21 @@
 """Nystrom discretization of det(I - gamma K) on (-s, s) and derived statistics.
 
-Every Nystrom matrix is assembled by ``_kernel_matrix_from_session`` over the
-cached Gauss-Legendre rule of order n scaled to (-s, s): through ``_nystrom``
-(one square over the nodes plus any extra points, the ends +-s or an anchor)
-at a fixed order, or from bundles shared across a grid while doubling.  One K
-at fixed (s, rho, n) serves every gamma.  The determinant uses the
-symmetrized weighting D^{1/2} K D^{1/2} (equal to the plain weighting in
-determinant but better conditioned) and order doubling for convergence
-control.
+Every Nystrom matrix comes from one builder, ``_nystrom``, over the cached
+Gauss-Legendre rule of order n scaled to (-s, s).  It takes the s values to
+build at one order, makes one P and one Q bundle call over all their nodes
+plus one more each for any extra points (the ends +-s or an anchor), and
+yields the operators one at a time, each one square over its nodes and the
+extra points.  The fixed-order routines pass one s, the lockstep doubling
+every pending s.  One K at fixed (s, rho, n) serves every gamma.  The
+determinant uses the symmetrized weighting D^{1/2} K D^{1/2} (equal to the
+plain weighting in determinant but better conditioned) and order doubling
+for convergence control.
 
 Lockstep doubling.  ``_logdet_converged_many`` converges a whole grid of
 (s, gamma) points at once: every point still pending doubles its order
-together with the others.  At each order one P and one Q bundle cover the
-nodes of every pending s, each pending s gets its K from its slice of them,
-and that K serves all of its pending gammas before the next s is built, so
+together with the others.  At each order ``_nystrom`` covers the nodes of
+every pending s with one P and one Q bundle call; each K it yields serves
+all of that s's pending gammas and is dropped before the next s is built, so
 only one operator is alive at a time.  A point leaves the grid once two
 successive orders agree, so each point follows the doubling it would follow
 on its own.
@@ -170,19 +172,30 @@ def _positive(logdets: np.ndarray) -> np.ndarray:
     return logdets
 
 
-def _nystrom(s: float, rho: float, n: int, extra=()):
-    """Nodes x and weights w of the order-n rule on (-s, s), and K over x then ``extra``.
+def _nystrom(ss, rho: float, n: int, extra=()):
+    """Yield (s, x, w, K) per s of ``ss``: the order-n rule on (-s, s), K over x then ``extra``.
 
-    K is one square over all the points, so each P/Q bundle is computed once:
-    K[:n, :n] is the Nystrom matrix, the same bits whatever ``extra`` holds
-    and exactly centrosymmetric, and the other rows and columns hold K at the
-    extra points.
+    One P and one Q bundle call cover the nodes of every s, and one more each
+    the extra points, so a K[:n, :n] is the same bits whatever ``extra``
+    holds, and exactly centrosymmetric; the other rows and columns of K hold
+    its values at the extra points.  Each K is assembled only when it is
+    yielded: a consumer that drops it before the next keeps one operator
+    alive at a time.
     """
     rule = gauss_legendre(n)
-    x = s * rule.nodes
-    w = s * rule.weights
-    pts = np.concatenate([x, extra])
-    return x, w, _kernel_matrix_from_session(rho, pts, pts, split=n)
+    x = np.multiply.outer(ss, rule.nodes)                 # a row of nodes per s
+    p = kernel._p_bundle(x.ravel(), rho).reshape(3, *x.shape)
+    q = kernel._q_bundle(x.ravel(), rho).reshape(3, *x.shape)
+    extra = np.asarray(extra, dtype=float)
+    if extra.size:
+        p_extra, q_extra = kernel._p_bundle(extra, rho), kernel._q_bundle(extra, rho)
+    for j, s in enumerate(ss):
+        pts, pj, qj = x[j], p[:, j], q[:, j]
+        if extra.size:
+            pts = np.concatenate([pts, extra])
+            pj = np.concatenate([pj, p_extra], axis=1)
+            qj = np.concatenate([qj, q_extra], axis=1)
+        yield s, x[j], s * rule.weights, _kernel_matrix_from_session(rho, pts, pts, p=pj, q=qj)
 
 
 def _symmetrized(w: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -197,7 +210,7 @@ def fredholm_logdet(s: float, params: ModelParams, n: int, *,
     _check_args(s, g, n)
     if g == 0.0:
         return DetResult(0.0, n, 0.0)
-    _, w, k = _nystrom(s, params.rho, n)
+    [(_, _, w, k)] = _nystrom((s,), params.rho, n)
     f = _positive(_parity_logdets(_symmetrized(w, k), [g]))[0]
     return DetResult(float(f), n, math.nan)
 
@@ -212,14 +225,14 @@ def logdet_converged(s: float, params: ModelParams, tol: float = 1e-10, *,
 def _logdet_converged_many(points, rho: float, tol: float) -> list[DetResult]:
     """``logdet_converged`` at every (s, gamma) of a grid, doubling in lockstep.
 
-    At each order one P and one Q bundle cover the nodes of every pending s;
-    each pending s then gets one K from its slice of them, which serves all of
-    its pending gammas in one stacked factorisation (module notes).  The
+    At each order ``_nystrom`` builds one K per pending s from one P and one
+    Q bundle call over all their nodes; each K serves all of its pending
+    gammas in one stacked factorisation (module notes).  The
     ``ConvergenceError`` names the first point in grid order that is still
     pending at n = 2048.
     """
-    if tol < 1e-12:
-        raise DomainError(f"tol = {tol} below the achievable 1e-12 floor")
+    if not tol >= 1e-12:
+        raise DomainError(f"tol = {tol} is not at or above the achievable 1e-12 floor")
     points = [(float(s), float(g)) for s, g in points]
     done = [DetResult(0.0, _N_START, 0.0) if g == 0.0 else None for _, g in points]
     prev: list[float | None] = [None] * len(done)
@@ -236,15 +249,9 @@ def _logdet_converged_many(points, rho: float, tol: float) -> list[DetResult]:
         for i in todo:
             _check_args(*points[i], n)
             by_s.setdefault(points[i][0], []).append(i)
-        rule = gauss_legendre(n)
-        x = np.multiply.outer(list(by_s), rule.nodes)        # a row of nodes per s
-        p = kernel._p_bundle(x.ravel(), rho).reshape(3, *x.shape)
-        q = kernel._q_bundle(x.ravel(), rho).reshape(3, *x.shape)
-        for j, (s, idx) in enumerate(by_s.items()):
-            xj = x[j]
-            k = _kernel_matrix_from_session(rho, xj, xj, p=p[:, j], q=q[:, j])
-            fs = _parity_logdets(_symmetrized(s * rule.weights, k),
-                                 [points[i][1] for i in idx])
+        for s, _, w, k in _nystrom(list(by_s), rho, n):
+            idx = by_s[s]
+            fs = _parity_logdets(_symmetrized(w, k), [points[i][1] for i in idx])
             del k                       # one operator alive at a time
             for i, f in zip(idx, fs.tolist()):
                 if math.isnan(f):
@@ -258,19 +265,18 @@ def _logdet_converged_many(points, rho: float, tol: float) -> list[DetResult]:
         n *= 2
 
 
-def resolvent_boundary_trace(s: float, params: ModelParams, n: int, *,
-                             gamma: float | None = None) -> float:
+def resolvent_boundary_trace(s: float, params: ModelParams, n: int) -> float:
     """-R(s,s) - R(-s,-s), the s-derivative of the log-determinant.
 
     The resolvent R = gamma K (I - gamma K)^{-1} is extended off-grid by the
     Nystrom formula R(u, v) = gamma K(u, v) + gamma sum_i w_i K(u, x_i) R(x_i, v),
     the node values obtained from one dense solve per boundary point.
     """
-    g = params.gamma if gamma is None else gamma
+    g = params.gamma
     _check_args(s, g, n)
     if g == 0.0:
         return 0.0
-    _, w, k = _nystrom(s, params.rho, n, (s, -s))
+    [(_, _, w, k)] = _nystrom((s,), params.rho, n, (s, -s))
     a = np.eye(n) - g * (k[:n, :n] * w[None, :])
     r_nodes = np.linalg.solve(a, g * k[:n, n:])                       # R(x_i, ±s)
     r_ends = [g * k[n + i, n + i] + g * (k[n + i, :n] * w) @ r_nodes[:, i] for i in range(2)]
@@ -281,7 +287,7 @@ def moments_trace(s: float, rho: float, n: int) -> tuple[float, float]:
     """(E N(s), Var N(s)) from the determinantal trace formulas tr(WK), tr(WK)^2."""
     _check_rho(rho)
     _check_args(s, 1.0, n)
-    _, w, k = _nystrom(s, rho, n)
+    [(_, _, w, k)] = _nystrom((s,), rho, n)
     wk = w[:, None] * k
     mean = float(np.trace(wk))
     var = mean - float((wk * wk.T).sum())   # tr((WK)^2)
@@ -304,7 +310,7 @@ def moments_mgf(s: float, rho: float, n: int) -> tuple[float, float]:
     gammas = [-math.expm1(-2.0 * math.pi * nu) for h in _MGF_STEPS for nu in (h, -h)]
     for gam in gammas:
         _check_args(s, gam, n)
-    _, w, k = _nystrom(s, rho, n)
+    [(_, _, w, k)] = _nystrom((s,), rho, n)
     g = _positive(_parity_logdets(_symmetrized(w, k), gammas)).tolist()
     d1 = []
     d2 = []

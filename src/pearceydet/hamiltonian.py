@@ -199,10 +199,9 @@ def hamiltonian_partials(state: HamState) -> tuple[np.ndarray, np.ndarray, compl
     return dp, dq, ds
 
 
-def hamiltonian_flow_derivative(state: HamState) -> complex:
-    """dH/ds along the flow by exact composition of the right-hand side."""
+def hamiltonian_flow_derivative(state: HamState, rhs: np.ndarray) -> complex:
+    """dH/ds along the flow by exact composition of the right-hand side ``rhs`` at ``state``."""
     dp, dq, ds = hamiltonian_partials(state)
-    rhs = _rhs_array(state.s, state.to_array())
     return ds + (dp * rhs[:4]).sum(axis=0) + (dq * rhs[4:]).sum(axis=0)
 
 
@@ -336,7 +335,7 @@ def resolvent_anchor_state(s0: float, params: ModelParams) -> HamState:
         return asymptotic_state(s0, params)
 
     n = _ANCHOR_N
-    x, w, k = _nystrom(s0, rho, n, (s0,))                  # K over (x, s0)
+    [(_, x, w, k)] = _nystrom((s0,), rho, n, (s0,))        # K over (x, s0)
     kmat = k[:n, :n]
     pts = np.append(x, s0)
     f_all = 2.0 * math.pi * _p_bundle(pts, rho).T          # rows: (P0, P0', P0'') * 2pi
@@ -569,7 +568,7 @@ def asymptotic_trajectory(params: ModelParams, s_from: float = 10.0, s_to: float
 # -- exact composed derivatives of p0, q0 ------------------------------------
 
 def p0_q0_derivatives(state: HamState) -> dict[str, complex]:
-    """p0', p0'', p0''', q0', q0'' by exact composition of the right-hand side."""
+    """p0', p0'', p0''', q0', q0'', (p2 q2)', (p3 q3)' by exact composition of the flow."""
     st = state
     s = st.s
     p0, p1, p2, p3 = st.p0, st.p1, st.p2, st.p3
@@ -593,7 +592,8 @@ def p0_q0_derivatives(state: HamState) -> dict[str, complex]:
                 + (p2d * p3 * q2 * q2 + p2 * p3d * q2 * q2 + 2.0 * p2 * p3 * q2 * q2d) / s)
     p0ddd = (_SQRT2 * d_p2q2 - 2.0 * d_p0p3q1 - _SQRT2 * d_p3q3
              - 4.0 * _SQRT2 * d_scaled)
-    return {"p0d": p0d, "p0dd": p0dd, "p0ddd": p0ddd, "q0d": q0d, "q0dd": q0dd}
+    return {"p0d": p0d, "p0dd": p0dd, "p0ddd": p0ddd, "q0d": q0d, "q0dd": q0dd,
+            "d_p2q2": d_p2q2, "d_p3q3": d_p3q3}
 
 
 def coupled_p0q0_residual(traj: Trajectory, params: ModelParams,
@@ -668,7 +668,7 @@ def identity_report(traj: Trajectory, params: ModelParams) -> dict[str, np.ndarr
     denom = np.where(regular, denom, 1.0)
     out = {}
 
-    hdot = hamiltonian_flow_derivative(st)
+    hdot = hamiltonian_flow_derivative(st, rhs)
     form1 = st.p3 * st.q1 - 2.0 / (s * s) * (st.p2 * st.q2) ** 2
     form2 = np.where(regular,
                      -denom / _SQRT2 - (p0d * q0d) ** 2 / (s * s * denom * denom),
@@ -677,13 +677,10 @@ def identity_report(traj: Trajectory, params: ModelParams) -> dict[str, np.ndarr
     out["dh_form2"] = np.abs(hdot - form2)
     out["dh_cross"] = np.abs(form1 - form2)
 
-    h = hamiltonian_value(st)
+    h = traj.h
     lhs_action = (p_arr * qdot).sum(axis=0) - h
     d_p0q0 = p0d * st.q0 + st.p0 * q0d
-    d_p2q2 = (-_SQRT2 * st.p3 * st.q0 * st.q2 - st.p1 * st.q2
-              + _SQRT2 * st.p0 * st.p2 * st.q1 + st.p2 * st.q3)
-    d_p3q3 = -st.p2 * st.q3 + s * st.p3 * st.q1 + _SQRT2 * st.p3 * st.q0 * st.q2
-    rhs_action = h + 0.25 * (2.0 * d_p0q0 + d_p2q2 + 2.0 * d_p3q3
+    rhs_action = h + 0.25 * (2.0 * d_p0q0 + d["d_p2q2"] + 2.0 * d["d_p3q3"]
                              - 3.0 * h - 3.0 * s * hdot)
     out["action"] = np.abs(lhs_action - rhs_action)
 

@@ -29,11 +29,11 @@ Q equation).  Two independent oracles are provided:
 * ``kernel_rh`` - the 3x3 matrix representation through tilde_psi.
 
 Every dense K is assembled by ``_kernel_matrix_from_session``, which computes
-the P bundle at the rows and the Q bundle at the columns once per call; a
-square call over all the points a computation needs therefore computes each
-bundle once, and nothing is cached between calls.  The P and Q bundles are
-real by construction, so only ``kernel_rh``, built from complex contour
-solutions, checks that its value is real.
+the P bundle at the rows and the Q bundle at the columns once per call unless
+the caller passes them in (``fredholm._nystrom`` does, with one bundle call
+for the nodes of all its operators); nothing is cached between calls.  The P
+and Q bundles are real by construction, so only ``kernel_rh``, built from
+complex contour solutions, checks that its value is real.
 """
 from __future__ import annotations
 
@@ -106,29 +106,20 @@ def kernel_point(x: float, y: float, rho: float) -> float:
     return kernel_rational(x, y, rho)
 
 
-def _batched(bundle, pts: np.ndarray, rho: float, split: int | None) -> np.ndarray:
-    if split is None or split >= len(pts):
-        return bundle(pts, rho)
-    return np.concatenate([bundle(pts[:split], rho), bundle(pts[split:], rho)], axis=1)
-
-
 def _kernel_matrix_from_session(rho: float, x: np.ndarray, y: np.ndarray, *,
-                                split: int | None = None, p: np.ndarray | None = None,
+                                p: np.ndarray | None = None,
                                 q: np.ndarray | None = None) -> np.ndarray:
     """Dense K(x_i, y_j) with the band branch applied entrywise.
 
     Pass the same array as x and y for a square: the Q bundle then serves the
-    diagonal too.  ``split`` computes the bundles of a square in two batches,
-    the first ``split`` points and the rest, so that the block over the first
-    batch is bitwise the same with or without the points after it (a
-    multi-threaded BLAS rounds a batch differently by its size).  ``p`` and
-    ``q`` are the P bundle at x and the Q bundle at y when the caller has them
-    already (a grid shares one bundle call across its operators).
+    diagonal too.  ``p`` and ``q`` are the P bundle at x and the Q bundle at y
+    when the caller has them already (``fredholm._nystrom`` computes them for
+    all its operators at once).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    p = _batched(_p_bundle, x, rho, split) if p is None else p
-    q = _batched(_q_bundle, y, rho, split) if q is None else q
+    p = _p_bundle(x, rho) if p is None else p
+    q = _q_bundle(y, rho) if q is None else q
     p0, p1, p2 = p
     q0, q1, q2 = q
     # the numerator P Q'' - P'Q' + P''Q - rho P Q, accumulated in place in

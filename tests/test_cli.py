@@ -39,6 +39,15 @@ class TestDet:
         assert out == ""
         assert json.loads(err)["error"] == "SignError"
 
+    @pytest.mark.parametrize("argv", [["det", "--s", "4"],
+                                      ["scan", "--s-min", "1", "--s-max", "3", "--s-steps", "3"]])
+    def test_nan_tol_exit_1(self, argv, capsys):
+        # a NaN tolerance doubled to n = 2048 and failed "did not converge to nan"
+        code, out, err = run_cli(argv + ["--tol", "nan"], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
     def test_numerical_error_exit_code(self, capsys):
         code, out, err = run_cli(["det", "--s", "50", "--gamma", "0.5"], capsys)
         assert code == 1

@@ -120,13 +120,25 @@ class TestParityFold:
     @pytest.mark.parametrize("rho", [-2.0, 0.0, 1.7])
     def test_nystrom_matrix_is_centrosymmetric(self, n, rho):
         # K(-x, -y) = K(x, y) on a mirror-image rule holds bitwise, so the fold is exact
-        k = fr._nystrom(4.0, rho, n)[2]
+        [(_, _, _, k)] = fr._nystrom((4.0,), rho, n)
         assert np.array_equal(k, k[::-1, ::-1])
+
+    @pytest.mark.parametrize("s, rho, n", [(4.0, 0.0, 16), (8.0, 0.3, 256), (2.5, -1.7, 127),
+                                           (12.0, 2.0, 64), (0.5, -2.0, 3)])
+    def test_extra_points_leave_the_nystrom_block_bitwise(self, s, rho, n):
+        # the extra points get bundle calls of their own, so the anchor's (s,) and
+        # the boundary trace's (s, -s) change no bit of the Nystrom matrix
+        [(_, x, w, k)] = fr._nystrom((s,), rho, n)
+        for extra in ((s,), (s, -s)):
+            [(s_e, x_e, w_e, k_e)] = fr._nystrom((s,), rho, n, extra)
+            assert s_e == s and k_e.shape == (n + len(extra),) * 2
+            assert np.array_equal(x_e, x) and np.array_equal(w_e, w)
+            assert k_e[:n, :n].tobytes() == k.tobytes()
 
     @pytest.mark.parametrize("n", _PARITY_ORDERS)
     @pytest.mark.parametrize("gamma", [0.7, -3.0])
     def test_matches_full_slogdet(self, n, gamma):
-        _, w, k = fr._nystrom(2.5, 0.6, n)
+        [(_, _, w, k)] = fr._nystrom((2.5,), 0.6, n)
         a = fr._symmetrized(w, k)
         sign, full = np.linalg.slogdet(np.eye(n) - gamma * a)
         assert sign == 1.0
@@ -135,7 +147,7 @@ class TestParityFold:
     @pytest.mark.parametrize("n", _PARITY_ORDERS)
     def test_stack_matches_one_gamma_at_a_time(self, n):
         # each gamma of a stack is factored on its own: the stack changes no bit
-        _, w, k = fr._nystrom(6.0, -0.4, n)
+        [(_, _, w, k)] = fr._nystrom((6.0,), -0.4, n)
         a = fr._symmetrized(w, k)
         gammas = [0.9, -3.0, 0.25, 1.0]
         stacked = fr._parity_logdets(a, gammas)
@@ -146,7 +158,7 @@ class TestParityFold:
     def test_parity_blocks_catch_a_sign_the_full_determinant_hides(self):
         # n = 2: both 1x1 parity factors of det(I - gamma A) are negative, so the
         # full determinant is positive, but F = ln E[(1 - gamma)^N] has no real value
-        _, w, k = fr._nystrom(9.0, -1.3, 2)
+        [(_, _, w, k)] = fr._nystrom((9.0,), -1.3, 2)
         a = fr._symmetrized(w, k)
         assert np.linalg.det(np.eye(2) - 0.95 * a) > 0
         with pytest.raises(SignError):
@@ -219,6 +231,15 @@ class TestLogdetGrid:
                 fr._logdet_converged_many(points, 0.0, 1e-10)
         with pytest.raises(DomainError):
             fr._logdet_converged_many([(2.0, 0.5)], 0.0, 1e-13)
+
+    def test_nan_tol_rejected_before_quadrature(self, monkeypatch):
+        # a NaN tolerance passed a `tol < 1e-12` guard and doubled to n = 2048
+        monkeypatch.setattr(kn, "_p_bundle", lambda *a: pytest.fail("bundle ran"))
+        for tol in (math.nan, -math.inf):
+            with pytest.raises(DomainError):
+                fr._logdet_converged_many([(4.0, 0.5)], 0.0, tol)
+        with pytest.raises(DomainError):
+            fr.logdet_converged(4.0, ModelParams(0.5, 0.0), math.nan)
 
     def test_one_bundle_per_order_and_one_matrix_per_operator(self, monkeypatch):
         calls = {"p": [], "q": [], "k": []}
@@ -297,7 +318,7 @@ class TestMoments:
     @pytest.mark.parametrize("s, rho, n", [(3.0, 0.0, 128), (9.0, -1.2, 384)])
     def test_trace_of_square_without_product(self, s, rho, n):
         mean, var = fr.moments_trace(s, rho, n)
-        _, w, k = fr._nystrom(s, rho, n)
+        [(_, _, w, k)] = fr._nystrom((s,), rho, n)
         wk = w[:, None] * k
         product = float(np.trace(wk @ wk))
         assert mean - var == pytest.approx(product, rel=1e-13)
@@ -342,5 +363,5 @@ class TestAssemblies:
             return real(y, *args, **kwargs)
 
         monkeypatch.setattr(pc, "_upper_v_bundle", counting)
-        fr._nystrom(5.0, 0.3, 128)
+        list(fr._nystrom((5.0,), 0.3, 128))
         assert sum(columns) == 128
