@@ -24,8 +24,8 @@ from .params import ModelParams
 from . import asymptotics as asym
 from . import chf as chf_mod
 from . import hamiltonian as ham
-from .fredholm import (_logdet_converged_many, fredholm_logdet, logdet_converged,
-                       moments_mgf, moments_trace)
+from .fredholm import (_check_args, _logdet_converged_many, fredholm_logdet,
+                       logdet_converged, moments_mgf, moments_trace)
 from .kernel import kernel_integral, kernel_point, kernel_rh
 
 
@@ -172,18 +172,24 @@ def _cmd_hamiltonian(args) -> None:
 
 def _cmd_moments(args) -> None:
     n = 384 if args.quad_order is None else args.quad_order
+    n_mgf = min(n, 256)
+    grid = _s_grid(args)
+    # every s of the grid is checked before any quadrature: the kernel range
+    # here, then s >= 1 and a finite s and rho in counting_stats
+    for s in grid:
+        _check_args(s, 1.0, n)
+    stats = [asym.counting_stats(s, args.rho) for s in grid]
 
-    def one(s):
+    def one(s, st):
         mean_t, var_t = moments_trace(s, args.rho, n)
-        mean_m, var_m = moments_mgf(s, args.rho, min(n, 256))
-        stats = asym.counting_stats(s, args.rho)
+        mean_m, var_m = moments_mgf(s, args.rho, n_mgf)
         return {"s": float(s), "mean_trace": mean_t, "var_trace": var_t,
                 "mean_mgf": mean_m, "var_mgf": var_m,
-                "mu": stats.mu, "sigma2": stats.sigma2,
-                "var_minus_sigma2": var_t - stats.sigma2}
+                "mu": st.mu, "sigma2": st.sigma2,
+                "var_minus_sigma2": var_t - st.sigma2}
 
-    _emit(args, [one(s) for s in _s_grid(args)],
-          {"quad_order": n, "var_const": asym.VAR_CONSTANT})
+    _emit(args, [one(s, st) for s, st in zip(grid, stats)],
+          {"quad_order": n, "mgf_order": n_mgf, "var_const": asym.VAR_CONSTANT})
 
 
 def _cmd_clt(args) -> None:

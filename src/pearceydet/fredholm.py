@@ -4,12 +4,16 @@ Every Nystrom matrix comes from one builder, ``_nystrom``, over the cached
 Gauss-Legendre rule of order n scaled to (-s, s).  It takes the s values to
 build at one order, makes one P and one Q bundle call over all their nodes
 plus one more each for any extra points (the ends +-s or an anchor), and
-yields the operators one at a time, each one square over its nodes and the
-extra points.  The fixed-order routines pass one s, the lockstep doubling
-every pending s.  One K at fixed (s, rho, n) serves every gamma.  The
-determinant uses the symmetrized weighting D^{1/2} K D^{1/2} (equal to the
-plain weighting in determinant but better conditioned) and order doubling
-for convergence control.
+yields the operators one at a time, each from one assembly call.  Without
+extra points an operator is the half block K[n//2:, :], the rows of the
+nonnegative nodes, which is all the determinants and the trace moments read
+(parity fold below): (n - n//2) x n entries instead of n x n, each the bits
+the full square would hold.  With extra points it is the full square over
+the nodes and the extra points, for the resolvent solves.  The fixed-order
+routines pass one s, the lockstep doubling every pending s.  One K at fixed
+(s, rho, n) serves every gamma.  The determinant uses the symmetrized
+weighting D^{1/2} K D^{1/2} (equal to the plain weighting in determinant but
+better conditioned) and order doubling for convergence control.
 
 Lockstep doubling.  ``_logdet_converged_many`` converges a whole grid of
 (s, gamma) points at once: every point still pending doubles its order
@@ -23,12 +27,15 @@ on its own.
 The determinant is folded by parity.  P is even and Q odd, so K(-x, -y) =
 K(x, y); the rule is a bitwise mirror image, so the symmetrized matrix A is
 exactly centrosymmetric, and I - gamma A maps even and odd vectors to
-themselves.  ``_parity_logdets`` therefore factors two half-size blocks, the
-even part U + M and the odd part U - M over the nonnegative nodes, instead of
-one n x n matrix: about a quarter of the LU work.  Both blocks of every gamma
-of one operator go through one stacked factorisation (``_logdet_lu``), and
-each block must have a positive determinant on its own, which a full
-factorization cannot see (two negative factors multiply to a positive one).
+themselves.  The rows of the nonnegative nodes therefore determine A, and
+only they are assembled.  ``_parity_logdets`` factors two half-size blocks
+built from them, the even part U + M and the odd part U - M over the
+nonnegative nodes, instead of one n x n matrix: about a quarter of the LU
+work.  ``moments_trace`` folds its two traces over the same rows.  Both
+blocks of every gamma of one operator go through one stacked factorisation
+(``_logdet_lu``), and each block must have a positive determinant on its
+own, which a full factorization cannot see (two negative factors multiply to
+a positive one).
 
 The resolvent solves (``resolvent_boundary_trace`` here, the anchor in
 ``hamiltonian``) still factor the full matrix, though their right-hand sides
@@ -143,8 +150,9 @@ def _logdet_lu(m: np.ndarray) -> np.ndarray:
 def _parity_logdets(a: np.ndarray, gammas) -> np.ndarray:
     """ln det(I - g A) at each g of ``gammas`` for a centrosymmetric A: even part plus odd part.
 
-    U holds the rows and columns of the nonnegative nodes and M the same rows
-    against the mirrored columns; the even part acts as U + M and the odd part
+    ``a`` is the half block A[n//2:, :] of the rows of the nonnegative nodes,
+    which determines A.  U holds its columns of the nonnegative nodes and M
+    the mirrored columns; the even part acts as U + M and the odd part
     as U - M.  An odd order's centre node x = 0 is its own mirror image: in
     the even basis (e_0, e_j + e_-j) its column is A(x_i, 0), not the
     2 A(x_i, 0) of U + M, so that column is halved.  The odd block's first
@@ -152,10 +160,10 @@ def _parity_logdets(a: np.ndarray, gammas) -> np.ndarray:
     gamma are factored in one (G, 2, h, h) stack; a gamma with a block of
     non-positive determinant gives NaN (``_logdet_lu``).
     """
-    n = len(a)
+    n = a.shape[1]
     h = n // 2
-    u = a[h:, h:]
-    m = a[h:, (n - 1) // 2::-1]
+    u = a[:, h:]
+    m = a[:, (n - 1) // 2::-1]
     blocks = np.stack([u + m, u - m])
     if n % 2:
         blocks[0, :, 0] *= 0.5
@@ -173,12 +181,16 @@ def _positive(logdets: np.ndarray) -> np.ndarray:
 
 
 def _nystrom(ss, rho: float, n: int, extra=()):
-    """Yield (s, x, w, K) per s of ``ss``: the order-n rule on (-s, s), K over x then ``extra``.
+    """Yield (s, x, w, K) per s of ``ss``: the order-n rule on (-s, s) and its operator K.
 
-    One P and one Q bundle call cover the nodes of every s, and one more each
-    the extra points, so a K[:n, :n] is the same bits whatever ``extra``
-    holds, and exactly centrosymmetric; the other rows and columns of K hold
-    its values at the extra points.  Each K is assembled only when it is
+    Without ``extra`` K is the half block K[n//2:, :], the rows of the
+    nonnegative nodes against all n columns: centrosymmetry gives the other
+    rows bitwise (module notes), and every entry is the bits the full square
+    would hold.  With ``extra`` K is the full square over x then the extra
+    points, for the resolvent solves; its K[:n, :n] is the same bits whatever
+    ``extra`` holds, and the other rows and columns hold its values at the
+    extra points.  One P and one Q bundle call cover the nodes of every s,
+    and one more each the extra points.  Each K is assembled only when it is
     yielded: a consumer that drops it before the next keeps one operator
     alive at a time.
     """
@@ -189,18 +201,21 @@ def _nystrom(ss, rho: float, n: int, extra=()):
     extra = np.asarray(extra, dtype=float)
     if extra.size:
         p_extra, q_extra = kernel._p_bundle(extra, rho), kernel._q_bundle(extra, rho)
+    first = 0 if extra.size else n // 2                   # the first row assembled
     for j, s in enumerate(ss):
         pts, pj, qj = x[j], p[:, j], q[:, j]
         if extra.size:
             pts = np.concatenate([pts, extra])
             pj = np.concatenate([pj, p_extra], axis=1)
             qj = np.concatenate([qj, q_extra], axis=1)
-        yield s, x[j], s * rule.weights, _kernel_matrix_from_session(rho, pts, pts, p=pj, q=qj)
+        k = _kernel_matrix_from_session(rho, pts[first:], pts, p=pj[:, first:], q=qj)
+        yield s, x[j], s * rule.weights, k
 
 
 def _symmetrized(w: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """D^{1/2} K D^{1/2} on the rows K holds, the last len(k) of the rule."""
     sqrt_w = np.sqrt(w)
-    return sqrt_w[:, None] * k * sqrt_w[None, :]
+    return sqrt_w[len(w) - len(k):, None] * k * sqrt_w[None, :]
 
 
 def fredholm_logdet(s: float, params: ModelParams, n: int, *,
@@ -284,13 +299,32 @@ def resolvent_boundary_trace(s: float, params: ModelParams, n: int) -> float:
 
 
 def moments_trace(s: float, rho: float, n: int) -> tuple[float, float]:
-    """(E N(s), Var N(s)) from the determinantal trace formulas tr(WK), tr(WK)^2."""
+    """(E N(s), Var N(s)) from the determinantal trace formulas tr(WK), tr(WK)^2.
+
+    B = WK is centrosymmetric, so its diagonal and the diagonal of B^2 are
+    mirror images, and both traces come from the rows of the nonnegative
+    nodes, the half block H = B[n//2:, :].  tr(B) sums the diagonal mirrored
+    out to all n nodes, in the order (and to the bits) of the full square's
+    trace.  tr(B^2) folds: each row's (B^2)_ii counts twice but the centre
+    row of an odd order, its own mirror image, counts once.  Row i of H meets
+    column i of B, whose entries at the negative nodes are read from H
+    mirrored: B(x_j, x_i) = B(-x_j, -x_i).
+    """
     _check_rho(rho)
     _check_args(s, 1.0, n)
     [(_, _, w, k)] = _nystrom((s,), rho, n)
-    wk = w[:, None] * k
-    mean = float(np.trace(wk))
-    var = mean - float((wk * wk.T).sum())   # tr((WK)^2)
+    h = n // 2
+    wk = w[h:, None] * k                    # H: the rows of the nonnegative nodes
+    u = wk[:, h:]
+    # column i at the negative nodes, x_j = -x_l with l from the last node down:
+    # B(x_j, x_i) = B(x_l, -x_i), the mirrored columns of H's rows reversed
+    lower = wk[::-1][:h, (n - 1) // 2::-1]
+    col_dot_row = (u * u.T).sum(axis=1) + (wk[:, :h] * lower.T).sum(axis=1)
+    times = np.full(n - h, 2.0)
+    times[:n % 2] = 1.0                     # the centre of an odd order is counted once
+    diag = np.diagonal(u)
+    mean = float(np.concatenate([diag[::-1][:h], diag]).sum())
+    var = mean - float(times @ col_dot_row)   # tr((WK)^2)
     return mean, var
 
 

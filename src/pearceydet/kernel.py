@@ -31,9 +31,14 @@ Q equation).  Two independent oracles are provided:
 Every dense K is assembled by ``_kernel_matrix_from_session``, which computes
 the P bundle at the rows and the Q bundle at the columns once per call unless
 the caller passes them in (``fredholm._nystrom`` does, with one bundle call
-for the nodes of all its operators); nothing is cached between calls.  The P
-and Q bundles are real by construction, so only ``kernel_rh``, built from
-complex contour solutions, checks that its value is real.
+for the nodes of all its operators); nothing is cached between calls.  The
+rows need not be the columns: the Nystrom operators of the determinants and
+traces keep only the rows of the nonnegative nodes, the tail of the columns,
+and the band branch then takes the Q bundle at the rows as the tail of the
+column bundle, so a square and a half block each cost one P and one Q
+bundle.  The P and Q bundles are real by construction, so only
+``kernel_rh``, built from complex contour solutions, checks that its value
+is real.
 """
 from __future__ import annotations
 
@@ -111,10 +116,12 @@ def _kernel_matrix_from_session(rho: float, x: np.ndarray, y: np.ndarray, *,
                                 q: np.ndarray | None = None) -> np.ndarray:
     """Dense K(x_i, y_j) with the band branch applied entrywise.
 
-    Pass the same array as x and y for a square: the Q bundle then serves the
-    diagonal too.  ``p`` and ``q`` are the P bundle at x and the Q bundle at y
-    when the caller has them already (``fredholm._nystrom`` computes them for
-    all its operators at once).
+    When x is the tail of y (the same array for a square, or the nonnegative
+    nodes of a mirror-image rule for ``fredholm._nystrom``'s half block), the
+    band branch reads the Q bundle at x from the tail of the one at y, so an
+    assembly makes at most one P and one Q bundle call.  ``p`` and ``q`` are
+    the P bundle at x and the Q bundle at y when the caller has them already
+    (``fredholm._nystrom`` computes them for all its operators at once).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -138,7 +145,11 @@ def _kernel_matrix_from_session(rho: float, x: np.ndarray, y: np.ndarray, *,
     dxy[bi, bj] = 1.0
     k /= dxy
     if bi.size:
-        diag, slope = _diag_and_slope(rho, x, p, q if y is x else None)
+        # rows that are the tail of the columns (a square, or the half block of
+        # ``fredholm._nystrom``) take the Q bundle at the rows from the columns'
+        first = len(y) - len(x)
+        tail = first >= 0 and np.array_equal(x, y[first:])
+        diag, slope = _diag_and_slope(rho, x, p, q[:, first:] if tail else None)
         k[bi, bj] = diag[bi] - slope[bi] * d_band
     return k
 

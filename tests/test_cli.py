@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from pearceydet import fredholm as fr
 from pearceydet.cli import main
 
 
@@ -94,6 +95,29 @@ class TestDeterminism:
         _, out1, _ = run_cli(args, capsys)
         _, out2, _ = run_cli(args, capsys)
         assert out1 == out2
+
+
+class TestMoments:
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--s", "0.5"],
+        ["moments", "--s-min", "2", "--s-max", "0.5", "--s-steps", "4"],
+        ["moments", "--s-min", "2", "--s-max", "13", "--s-steps", "4"],
+    ])
+    def test_every_s_checked_before_quadrature(self, argv, capsys, monkeypatch):
+        # an s below 1 was rejected only after both operators at it were built
+        monkeypatch.setattr(fr, "_nystrom", lambda *a: pytest.fail("quadrature ran"))
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("flags, quad, mgf", [([], 384, 256),
+                                                  (["--quad-order", "127"], 127, 127)])
+    def test_mgf_order_written(self, flags, quad, mgf, capsys):
+        code, out, _ = run_cli(["moments", "--s", "4"] + flags, capsys)
+        assert code == 0
+        assert f"# quad_order: {quad}" in out.splitlines()
+        assert f"# mgf_order: {mgf}" in out.splitlines()
 
 
 class TestChfVerify:

@@ -115,20 +115,39 @@ class TestLogdetConverged:
 _PARITY_ORDERS = [1, 2, 3, 16, 127, 256, 384]
 
 
+def _full_square(s, rho, n):
+    """The order-n rule on (-s, s), its weights and the full square K over its nodes."""
+    [(_, x, w, _)] = fr._nystrom((s,), rho, n)
+    return x, w, kn.kernel_matrix(x, rho)
+
+
+def _symmetrized_square(w, k):
+    sqrt_w = np.sqrt(w)
+    return sqrt_w[:, None] * k * sqrt_w[None, :]
+
+
 class TestParityFold:
     @pytest.mark.parametrize("n", _PARITY_ORDERS)
     @pytest.mark.parametrize("rho", [-2.0, 0.0, 1.7])
     def test_nystrom_matrix_is_centrosymmetric(self, n, rho):
         # K(-x, -y) = K(x, y) on a mirror-image rule holds bitwise, so the fold is exact
-        [(_, _, _, k)] = fr._nystrom((4.0,), rho, n)
+        _, _, k = _full_square(4.0, rho, n)
         assert np.array_equal(k, k[::-1, ::-1])
+
+    @pytest.mark.parametrize("n", _PARITY_ORDERS)
+    @pytest.mark.parametrize("rho", [-2.0, 0.0, 1.7])
+    def test_half_block_is_the_rows_of_the_nonnegative_nodes(self, n, rho):
+        # each entry of the half block is the full square's, to the bit
+        [(_, x, _, k)] = fr._nystrom((1.0,), rho, n)
+        assert k.shape == (n - n // 2, n)
+        assert k.tobytes() == kn.kernel_matrix(x, rho)[n // 2:].tobytes()
 
     @pytest.mark.parametrize("s, rho, n", [(4.0, 0.0, 16), (8.0, 0.3, 256), (2.5, -1.7, 127),
                                            (12.0, 2.0, 64), (0.5, -2.0, 3)])
     def test_extra_points_leave_the_nystrom_block_bitwise(self, s, rho, n):
         # the extra points get bundle calls of their own, so the anchor's (s,) and
         # the boundary trace's (s, -s) change no bit of the Nystrom matrix
-        [(_, x, w, k)] = fr._nystrom((s,), rho, n)
+        x, w, k = _full_square(s, rho, n)
         for extra in ((s,), (s, -s)):
             [(s_e, x_e, w_e, k_e)] = fr._nystrom((s,), rho, n, extra)
             assert s_e == s and k_e.shape == (n + len(extra),) * 2
@@ -138,11 +157,12 @@ class TestParityFold:
     @pytest.mark.parametrize("n", _PARITY_ORDERS)
     @pytest.mark.parametrize("gamma", [0.7, -3.0])
     def test_matches_full_slogdet(self, n, gamma):
-        [(_, _, w, k)] = fr._nystrom((2.5,), 0.6, n)
-        a = fr._symmetrized(w, k)
+        [(_, x, w, k)] = fr._nystrom((2.5,), 0.6, n)
+        a = _symmetrized_square(w, kn.kernel_matrix(x, 0.6))
         sign, full = np.linalg.slogdet(np.eye(n) - gamma * a)
         assert sign == 1.0
-        assert abs(fr._parity_logdets(a, [gamma])[0] - full) <= 1e-13 * max(1.0, abs(full))
+        f = fr._parity_logdets(fr._symmetrized(w, k), [gamma])[0]
+        assert abs(f - full) <= 1e-13 * max(1.0, abs(full))
 
     @pytest.mark.parametrize("n", _PARITY_ORDERS)
     def test_stack_matches_one_gamma_at_a_time(self, n):
@@ -158,9 +178,11 @@ class TestParityFold:
     def test_parity_blocks_catch_a_sign_the_full_determinant_hides(self):
         # n = 2: both 1x1 parity factors of det(I - gamma A) are negative, so the
         # full determinant is positive, but F = ln E[(1 - gamma)^N] has no real value
-        [(_, _, w, k)] = fr._nystrom((9.0,), -1.3, 2)
+        [(_, x, w, k)] = fr._nystrom((9.0,), -1.3, 2)
         a = fr._symmetrized(w, k)
-        assert np.linalg.det(np.eye(2) - 0.95 * a) > 0
+        assert a.shape == (1, 2)        # one row: the half block
+        full = _symmetrized_square(w, kn.kernel_matrix(x, -1.3))
+        assert np.linalg.det(np.eye(2) - 0.95 * full) > 0
         with pytest.raises(SignError):
             fr._positive(fr._parity_logdets(a, [0.95]))
         with pytest.raises(SignError):
@@ -254,7 +276,7 @@ class TestLogdetGrid:
             return real_q(y, rho, *args, **kwargs)
 
         def matrix(rho, x, y, **kwargs):
-            calls["k"].append(np.size(x))
+            calls["k"].append((np.size(x), np.size(y)))
             return real_k(rho, x, y, **kwargs)
 
         monkeypatch.setattr(kn, "_p_bundle", p_bundle)
@@ -269,7 +291,8 @@ class TestLogdetGrid:
         orders = [16 * 2 ** j for j in range(int(math.log2(max(last.values()) // 16)) + 1)]
         pending = [[s for s in last if last[s] >= n] for n in orders]
         assert calls["p"] == calls["q"] == [n * len(ss) for n, ss in zip(orders, pending)]
-        assert calls["k"] == [n for n, ss in zip(orders, pending) for _ in ss]
+        # one half block per operator: the rows of the nonnegative nodes
+        assert calls["k"] == [(n - n // 2, n) for n, ss in zip(orders, pending) for _ in ss]
 
 
 class TestResolventTrace:
@@ -318,10 +341,22 @@ class TestMoments:
     @pytest.mark.parametrize("s, rho, n", [(3.0, 0.0, 128), (9.0, -1.2, 384)])
     def test_trace_of_square_without_product(self, s, rho, n):
         mean, var = fr.moments_trace(s, rho, n)
-        [(_, _, w, k)] = fr._nystrom((s,), rho, n)
+        _, w, k = _full_square(s, rho, n)
         wk = w[:, None] * k
         product = float(np.trace(wk @ wk))
         assert mean - var == pytest.approx(product, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 3, 127, 385])
+    @pytest.mark.parametrize("s, rho", [(5.0, 0.0), (2.0, -1.2), (10.0, 1.7)])
+    def test_odd_orders_count_the_centre_row_once(self, n, s, rho):
+        # the fold over the half block against the trace formulas on the full square
+        mean, var = fr.moments_trace(s, rho, n)
+        _, w, k = _full_square(s, rho, n)
+        wk = w[:, None] * k
+        full_mean = float(np.trace(wk))
+        full_var = full_mean - float((wk * wk.T).sum())
+        assert mean == full_mean        # the diagonal mirrored out, summed in its order
+        assert var == pytest.approx(full_var, rel=1e-13)
 
     def test_small_interval_limit(self):
         # E N(s) -> 2 s K(0,0;rho) as s -> 0+
@@ -333,25 +368,29 @@ class TestMoments:
 
 class TestAssemblies:
     def test_one_square_per_operator_and_order(self, monkeypatch):
-        # each square K assembled, by its size; 1x1 point evaluations are not squares
-        squares = []
+        # each operator assembled, by its (rows, cols); 1x1 point evaluations are not
+        # operators.  Determinants take the half block, the resolvent the full square
+        shapes = []
         real = kn._kernel_matrix_from_session
 
         def counting(first, x, y, **kwargs):
-            if x is y and np.size(x) > 1:
-                squares.append(np.size(x))
+            if np.size(y) > 1:
+                shapes.append((np.size(x), np.size(y)))
             return real(first, x, y, **kwargs)
 
         monkeypatch.setattr(kn, "_kernel_matrix_from_session", counting)
         monkeypatch.setattr(fr, "_kernel_matrix_from_session", counting)
         fr.moments_mgf(6.0, 0.0, 64)
-        assert squares == [64]
-        squares.clear()
+        assert shapes == [(32, 64)]
+        shapes.clear()
+        fr.moments_trace(6.0, 0.0, 65)
+        assert shapes == [(33, 65)]
+        shapes.clear()
         asym.clt_distance(8.0, 0.0, np.linspace(-0.5, 0.5, 11))
-        assert squares == [16, 32, 64]
-        squares.clear()
+        assert shapes == [(8, 16), (16, 32), (32, 64)]
+        shapes.clear()
         fr.resolvent_boundary_trace(5.0, ModelParams(0.5, 0.0), 64)
-        assert squares == [66]
+        assert shapes == [(66, 66)]
 
     def test_v_bundle_once_per_node(self, monkeypatch):
         # on mirror-image nodes [x, -x] holds each node twice; V runs once per node
