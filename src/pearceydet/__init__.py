@@ -30,6 +30,7 @@ from .fredholm import (
     gauss_legendre,
     logdet_converged,
     moments_mgf,
+    moments_operator,
     moments_trace,
     resolvent_boundary_trace,
 )

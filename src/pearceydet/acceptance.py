@@ -21,6 +21,7 @@ from .fredholm import (
     _logdet_converged_many,
     fredholm_logdet,
     moments_mgf,
+    moments_operator,
     moments_trace,
     resolvent_boundary_trace,
 )
@@ -203,15 +204,16 @@ def criterion_8_integral_representation() -> CriterionResult:
 
 def criterion_9_counting_statistics() -> CriterionResult:
     t0 = time.time()
-    mt = moments_trace(3.0, 0.0, 128)
-    mm = moments_mgf(3.0, 0.0, 128)
+    op = moments_operator(3.0, 0.0, 128)
+    mt = moments_trace(*op)
+    mm = moments_mgf(*op)
     agree = abs(mt[0] - mm[0]) <= 1e-5 and abs(mt[1] - mm[1]) <= 1e-5
-    var10 = moments_trace(10.0, 0.0, 512)[1]
+    var10 = moments_trace(*moments_operator(10.0, 0.0, 512))[1]
     var_gap = var10 - asym.counting_stats(10.0, 0.0).sigma2
     var_ok = abs(var_gap - 0.312200) <= 0.02
     mean_errs = []
     for s in (4.0, 6.0, 8.0, 10.0):
-        mean_errs.append(abs(moments_trace(s, 0.0, 384)[0]
+        mean_errs.append(abs(moments_trace(*moments_operator(s, 0.0, 384))[0]
                              - asym.counting_stats(s, 0.0).mu))
     mean_monotone = all(e2 < e1 for e1, e2 in zip(mean_errs, mean_errs[1:]))
     t_grid = np.linspace(-0.5, 0.5, 11)

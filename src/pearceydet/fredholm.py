@@ -298,21 +298,32 @@ def resolvent_boundary_trace(s: float, params: ModelParams, n: int) -> float:
     return float(-sum(r_ends))
 
 
-def moments_trace(s: float, rho: float, n: int) -> tuple[float, float]:
-    """(E N(s), Var N(s)) from the determinantal trace formulas tr(WK), tr(WK)^2.
+def moments_operator(s: float, rho: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(w, K): the order-n weights on (-s, s) and the half block both moment routes read.
 
-    B = WK is centrosymmetric, so its diagonal and the diagonal of B^2 are
-    mirror images, and both traces come from the rows of the nonnegative
-    nodes, the half block H = B[n//2:, :].  tr(B) sums the diagonal mirrored
-    out to all n nodes, in the order (and to the bits) of the full square's
-    trace.  tr(B^2) folds: each row's (B^2)_ii counts twice but the centre
-    row of an odd order, its own mirror image, counts once.  Row i of H meets
-    column i of B, whose entries at the negative nodes are read from H
-    mirrored: B(x_j, x_i) = B(-x_j, -x_i).
+    One operator serves ``moments_trace`` and ``moments_mgf`` at its (s, rho, n):
+    K is the half block K[n//2:, :] that ``_nystrom`` yields (module notes).
     """
     _check_rho(rho)
     _check_args(s, 1.0, n)
     [(_, _, w, k)] = _nystrom((s,), rho, n)
+    return w, k
+
+
+def moments_trace(w: np.ndarray, k: np.ndarray) -> tuple[float, float]:
+    """(E N(s), Var N(s)) from the determinantal trace formulas tr(WK), tr(WK)^2.
+
+    ``w`` and ``k`` are the operator of ``moments_operator``, which the MGF
+    route reads too.  B = WK is centrosymmetric, so its diagonal and the
+    diagonal of B^2 are mirror images, and both traces come from the rows of
+    the nonnegative nodes, the half block H = B[n//2:, :].  tr(B) sums the
+    diagonal mirrored out to all n nodes, in the order (and to the bits) of
+    the full square's trace.  tr(B^2) folds: each row's (B^2)_ii counts twice
+    but the centre row of an odd order, its own mirror image, counts once.
+    Row i of H meets column i of B, whose entries at the negative nodes are
+    read from H mirrored: B(x_j, x_i) = B(-x_j, -x_i).
+    """
+    n = len(w)
     h = n // 2
     wk = w[h:, None] * k                    # H: the rows of the nonnegative nodes
     u = wk[:, h:]
@@ -328,23 +339,19 @@ def moments_trace(s: float, rho: float, n: int) -> tuple[float, float]:
     return mean, var
 
 
-def moments_mgf(s: float, rho: float, n: int) -> tuple[float, float]:
+def moments_mgf(w: np.ndarray, k: np.ndarray) -> tuple[float, float]:
     """Moments from nu-differentiation of F(s; 1 - e^{-2 pi nu}, rho) at nu = 0.
 
-    Central second-order differences at the two step sizes with one Richardson
-    sweep; mean = -G'(0)/(2 pi), variance = G''(0)/(4 pi^2) for G(nu) = F(gamma(nu)).
-    One K serves all four evaluations, factored in one stack.  The variance
-    carries about 9 significant digits: its second difference at h = 5e-4
-    divides the rounding of F by h^2 = 2.5e-7.  Reordering the same LU moved
-    it by up to 1.7e-9 relative where ``moments_trace``'s variance moved by
-    9e-16.
+    ``w`` and ``k`` are the operator of ``moments_operator``, the one
+    ``moments_trace`` reads.  Central second-order differences at the two
+    step sizes with one Richardson sweep; mean = -G'(0)/(2 pi), variance =
+    G''(0)/(4 pi^2) for G(nu) = F(gamma(nu)).  The operator serves all four
+    evaluations, factored in one stack.  The variance carries about 9
+    significant digits: its second difference at h = 5e-4 divides the
+    rounding of F by h^2 = 2.5e-7.  Reordering the same LU moved it by up to
+    1.7e-9 relative where ``moments_trace``'s variance moved by 9e-16.
     """
-    _check_rho(rho)
-    _check_args(s, 1.0, n)
     gammas = [-math.expm1(-2.0 * math.pi * nu) for h in _MGF_STEPS for nu in (h, -h)]
-    for gam in gammas:
-        _check_args(s, gam, n)
-    [(_, _, w, k)] = _nystrom((s,), rho, n)
     g = _positive(_parity_logdets(_symmetrized(w, k), gammas)).tolist()
     d1 = []
     d2 = []

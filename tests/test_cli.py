@@ -111,13 +111,30 @@ class TestMoments:
         assert out == ""
         assert json.loads(err)["error"] == "DomainError"
 
-    @pytest.mark.parametrize("flags, quad, mgf", [([], 384, 256),
-                                                  (["--quad-order", "127"], 127, 127)])
-    def test_mgf_order_written(self, flags, quad, mgf, capsys):
+    @pytest.mark.parametrize("flags, quad", [([], 256), (["--quad-order", "127"], 127)])
+    def test_mgf_order_written(self, flags, quad, capsys):
+        # one order serves both routes: no separate mgf_order line
         code, out, _ = run_cli(["moments", "--s", "4"] + flags, capsys)
         assert code == 0
         assert f"# quad_order: {quad}" in out.splitlines()
-        assert f"# mgf_order: {mgf}" in out.splitlines()
+        assert not any(line.startswith("# mgf_order") for line in out.splitlines())
+
+    def test_mgf_values_kept(self, capsys):
+        # the MGF route keeps its n = 256 order, now shared with the trace route
+        code, out, _ = run_cli(["moments", "--s", "8.3", "--rho", "0.4"], capsys)
+        assert code == 0
+        header, row = out.splitlines()[-2:]
+        values = dict(zip(header.split(","), map(float, row.split(","))))
+        assert values["mean_mgf"] == pytest.approx(6.4915209712176445, rel=1e-12)
+        assert values["var_mgf"] == pytest.approx(0.59338748715643208, rel=1e-12)
+
+    @pytest.mark.parametrize("s, n", [("12", "12"), ("4", "2")])
+    def test_non_positive_variance_exit_1(self, s, n, capsys):
+        # too coarse an order gave var_trace -2.37 (s = 12) and -1.74 (s = 4) with exit 0
+        code, out, err = run_cli(["moments", "--s", s, "--quad-order", n], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "ConvergenceError"
 
 
 class TestChfVerify:

@@ -7,6 +7,7 @@ from pearceydet import asymptotics as asym
 from pearceydet import fredholm as fr
 from pearceydet import kernel as kn
 from pearceydet import pearcey as pc
+from pearceydet.cli import main
 from pearceydet.errors import ConvergenceError, DomainError, SignError
 from pearceydet.kernel import kernel_diagonal_band
 from pearceydet.params import ModelParams
@@ -317,7 +318,7 @@ class TestResolventTrace:
 class TestMoments:
     def test_mean_equals_density_integral(self):
         s, rho, n = 2.0, 0.0, 128
-        mean, _ = fr.moments_trace(s, rho, n)
+        mean, _ = fr.moments_trace(*fr.moments_operator(s, rho, n))
         rule = fr.gauss_legendre(200)
         xs = s * rule.nodes
         dens = np.array([kernel_diagonal_band(float(x), float(x), rho) for x in xs])
@@ -325,22 +326,30 @@ class TestMoments:
         assert mean == pytest.approx(direct, abs=1e-8)
 
     def test_trace_vs_mgf(self):
-        mt = fr.moments_trace(3.0, 0.0, 128)
-        mm = fr.moments_mgf(3.0, 0.0, 128)
+        op = fr.moments_operator(3.0, 0.0, 128)
+        mt = fr.moments_trace(*op)
+        mm = fr.moments_mgf(*op)
         assert mt[0] == pytest.approx(mm[0], abs=1e-6)
         assert mt[1] == pytest.approx(mm[1], abs=1e-5)
+
+    @pytest.mark.parametrize("rho", [-4.0, 0.0, 4.0])
+    @pytest.mark.parametrize("s", [1.0, 4.0, 12.0])
+    def test_trace_route_at_256_is_at_rounding(self, s, rho):
+        # the trace route is converged by n = 256: 384 moves it by rounding only
+        at256 = fr.moments_trace(*fr.moments_operator(s, rho, 256))
+        at384 = fr.moments_trace(*fr.moments_operator(s, rho, 384))
+        assert at256 == pytest.approx(at384, rel=2e-11)
 
     @pytest.mark.parametrize("rho", [math.nan, math.inf])
     def test_non_finite_rho(self, rho, monkeypatch):
         # a NaN rho gave NaN trace moments and a SignError from the MGF route
         monkeypatch.setattr(fr, "_nystrom", lambda *a: pytest.fail("quadrature ran"))
-        for moments in (fr.moments_trace, fr.moments_mgf):
-            with pytest.raises(DomainError):
-                moments(4.0, rho, 64)
+        with pytest.raises(DomainError):
+            fr.moments_operator(4.0, rho, 64)
 
     @pytest.mark.parametrize("s, rho, n", [(3.0, 0.0, 128), (9.0, -1.2, 384)])
     def test_trace_of_square_without_product(self, s, rho, n):
-        mean, var = fr.moments_trace(s, rho, n)
+        mean, var = fr.moments_trace(*fr.moments_operator(s, rho, n))
         _, w, k = _full_square(s, rho, n)
         wk = w[:, None] * k
         product = float(np.trace(wk @ wk))
@@ -350,7 +359,7 @@ class TestMoments:
     @pytest.mark.parametrize("s, rho", [(5.0, 0.0), (2.0, -1.2), (10.0, 1.7)])
     def test_odd_orders_count_the_centre_row_once(self, n, s, rho):
         # the fold over the half block against the trace formulas on the full square
-        mean, var = fr.moments_trace(s, rho, n)
+        mean, var = fr.moments_trace(*fr.moments_operator(s, rho, n))
         _, w, k = _full_square(s, rho, n)
         wk = w[:, None] * k
         full_mean = float(np.trace(wk))
@@ -361,29 +370,35 @@ class TestMoments:
     def test_small_interval_limit(self):
         # E N(s) -> 2 s K(0,0;rho) as s -> 0+
         s, rho = 0.05, 0.0
-        mean, _ = fr.moments_mgf(s, rho, 32)
+        mean, _ = fr.moments_mgf(*fr.moments_operator(s, rho, 32))
         assert mean == pytest.approx(2 * s * kernel_diagonal_band(0.0, 0.0, rho),
                                      abs=1e-4)
 
 
+def _assembled_shapes(monkeypatch) -> list:
+    """The (rows, cols) of each operator assembled from now on; 1x1 point
+    evaluations are not operators."""
+    shapes = []
+    real = kn._kernel_matrix_from_session
+
+    def counting(first, x, y, **kwargs):
+        if np.size(y) > 1:
+            shapes.append((np.size(x), np.size(y)))
+        return real(first, x, y, **kwargs)
+
+    monkeypatch.setattr(kn, "_kernel_matrix_from_session", counting)
+    monkeypatch.setattr(fr, "_kernel_matrix_from_session", counting)
+    return shapes
+
+
 class TestAssemblies:
     def test_one_square_per_operator_and_order(self, monkeypatch):
-        # each operator assembled, by its (rows, cols); 1x1 point evaluations are not
-        # operators.  Determinants take the half block, the resolvent the full square
-        shapes = []
-        real = kn._kernel_matrix_from_session
-
-        def counting(first, x, y, **kwargs):
-            if np.size(y) > 1:
-                shapes.append((np.size(x), np.size(y)))
-            return real(first, x, y, **kwargs)
-
-        monkeypatch.setattr(kn, "_kernel_matrix_from_session", counting)
-        monkeypatch.setattr(fr, "_kernel_matrix_from_session", counting)
-        fr.moments_mgf(6.0, 0.0, 64)
+        # determinants take the half block, the resolvent the full square
+        shapes = _assembled_shapes(monkeypatch)
+        fr.moments_mgf(*fr.moments_operator(6.0, 0.0, 64))
         assert shapes == [(32, 64)]
         shapes.clear()
-        fr.moments_trace(6.0, 0.0, 65)
+        fr.moments_trace(*fr.moments_operator(6.0, 0.0, 65))
         assert shapes == [(33, 65)]
         shapes.clear()
         asym.clt_distance(8.0, 0.0, np.linspace(-0.5, 0.5, 11))
@@ -391,6 +406,13 @@ class TestAssemblies:
         shapes.clear()
         fr.resolvent_boundary_trace(5.0, ModelParams(0.5, 0.0), 64)
         assert shapes == [(66, 66)]
+
+    def test_moments_one_operator_per_s(self, monkeypatch, capsys):
+        # the trace and MGF routes read one half block per s, at the default order
+        shapes = _assembled_shapes(monkeypatch)
+        assert main(["moments", "--rho", "0", "--s-min", "4", "--s-max", "12",
+                     "--s-steps", "3"]) == 0
+        assert shapes == [(128, 256)] * 3
 
     def test_v_bundle_once_per_node(self, monkeypatch):
         # on mirror-image nodes [x, -x] holds each node twice; V runs once per node
