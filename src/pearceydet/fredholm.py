@@ -3,7 +3,7 @@
 Every Nystrom matrix comes from one builder, ``_nystrom``, over the cached
 Gauss-Legendre rule of order n scaled to (-s, s).  It takes the s values to
 build at one order, makes one P and one Q bundle call over all their nodes
-plus one more each for any extra points (the ends +-s or an anchor), and
+plus one more each for any extra points (the end s, or an anchor s0), and
 yields the operators one at a time, each from one assembly call.  Without
 extra points an operator is the half block K[n//2:, :], the rows of the
 nonnegative nodes, which is all the determinants and the trace moments read
@@ -37,12 +37,12 @@ blocks of every gamma of one operator go through one stacked factorisation
 own, which a full factorization cannot see (two negative factors multiply to
 a positive one).
 
-The resolvent solves (``resolvent_boundary_trace`` here, the anchor in
-``hamiltonian``) still factor the full matrix, though their right-hand sides
-do have parity: the anchor's forward ones, 2 pi (P, P', P''), are even, odd
-and even, and the trace's two columns K(x_i, s) and K(x_i, -s) are mirror
-images of each other, so their sum is even and their difference odd.  Those
-solves could split into the same two half-size blocks; they do not yet.
+Every resolvent solve goes through ``_resolvent_solves``: one LU of
+I - gamma K W, a forward and a dual solve, each refined once, over the square
+of ``_nystrom`` with one extra point: the end s of ``resolvent_boundary_trace``
+(one column, as R(-s, -s) = R(s, s)) or the anchor s0 in ``hamiltonian``.  The
+right-hand sides have parity, so the solves could split into the same two
+half-size blocks; they do not yet.
 
 ``gamma`` is accepted slightly outside [0, 1]: the moment-generating-function
 route differentiates F(s; 1 - e^{-2 pi nu}, rho) at nu = 0 and the CLT check
@@ -56,6 +56,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.linalg
 
 from . import kernel
 from .errors import ConvergenceError, DomainError, SignError
@@ -187,12 +188,12 @@ def _nystrom(ss, rho: float, n: int, extra=()):
     nonnegative nodes against all n columns: centrosymmetry gives the other
     rows bitwise (module notes), and every entry is the bits the full square
     would hold.  With ``extra`` K is the full square over x then the extra
-    points, for the resolvent solves; its K[:n, :n] is the same bits whatever
-    ``extra`` holds, and the other rows and columns hold its values at the
-    extra points.  One P and one Q bundle call cover the nodes of every s,
-    and one more each the extra points.  Each K is assembled only when it is
-    yielded: a consumer that drops it before the next keeps one operator
-    alive at a time.
+    points, for the resolvent solves (one point: s, or the anchor's s0); its
+    K[:n, :n] is the same bits whatever ``extra`` holds, and the other rows
+    and columns hold its values at the extra points.  One P and one Q bundle
+    call cover the nodes of every s, and one more each the extra points.
+    Each K is assembled only when it is yielded: a consumer that drops it
+    before the next keeps one operator alive at a time.
     """
     rule = gauss_legendre(n)
     x = np.multiply.outer(ss, rule.nodes)                 # a row of nodes per s
@@ -280,22 +281,41 @@ def _logdet_converged_many(points, rho: float, tol: float) -> list[DetResult]:
         n *= 2
 
 
+def _resolvent_solves(kmat: np.ndarray, w: np.ndarray, g: float,
+                      f: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solutions of A x = f and A_dual y = h, each refined once, from one LU.
+
+    A = I - gamma K W and A_dual = I - gamma K^T W = W^{-1} A^T W, so the
+    dual system is A^T (W y) = W h: a transposed solve with the same factors,
+    refined in W y.  ``f`` and ``h`` hold one right-hand side per column; a
+    caller that needs no dual solve passes h with no columns.
+    """
+    a = np.eye(len(w)) - g * kmat * w[None, :]
+    lu = scipy.linalg.lu_factor(a)
+    x = scipy.linalg.lu_solve(lu, f)
+    x += scipy.linalg.lu_solve(lu, f - a @ x)
+    wh = w[:, None] * h
+    wy = scipy.linalg.lu_solve(lu, wh, trans=1)
+    wy += scipy.linalg.lu_solve(lu, wh - a.T @ wy, trans=1)
+    return x, wy / w[:, None]
+
+
 def resolvent_boundary_trace(s: float, params: ModelParams, n: int) -> float:
-    """-R(s,s) - R(-s,-s), the s-derivative of the log-determinant.
+    """-R(s,s) - R(-s,-s) = -2 R(s,s), the s-derivative of the log-determinant.
 
     The resolvent R = gamma K (I - gamma K)^{-1} is extended off-grid by the
     Nystrom formula R(u, v) = gamma K(u, v) + gamma sum_i w_i K(u, x_i) R(x_i, v),
-    the node values obtained from one dense solve per boundary point.
+    the node values R(x_i, s) from one refined solve (``_resolvent_solves``).
+    K is centrosymmetric, so R(-s, -s) = R(s, s): one end serves both.
     """
     g = params.gamma
     _check_args(s, g, n)
     if g == 0.0:
         return 0.0
-    [(_, _, w, k)] = _nystrom((s,), params.rho, n, (s, -s))
-    a = np.eye(n) - g * (k[:n, :n] * w[None, :])
-    r_nodes = np.linalg.solve(a, g * k[:n, n:])                       # R(x_i, ±s)
-    r_ends = [g * k[n + i, n + i] + g * (k[n + i, :n] * w) @ r_nodes[:, i] for i in range(2)]
-    return float(-sum(r_ends))
+    [(_, _, w, k)] = _nystrom((s,), params.rho, n, (s,))
+    col = g * k[:n, n:]                                   # gamma K(x_i, s)
+    r_nodes, _ = _resolvent_solves(k[:n, :n], w, g, col, col[:, :0])
+    return float(-2.0 * (g * k[n, n] + g * (k[n, :n] * w) @ r_nodes[:, 0]))
 
 
 def moments_operator(s: float, rho: float, n: int) -> tuple[np.ndarray, np.ndarray]:

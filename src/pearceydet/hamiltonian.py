@@ -18,11 +18,12 @@ the anchor.  Two anchor constructions are therefore provided:
 * ``resolvent_anchor_state`` - the same solution family evaluated through its
   defining Fredholm data: the q-vector is the normalized endpoint value of
   (I - gamma K)^{-1} applied to the first matrix column, the p-vector is the
-  dual endpoint value, and (p0, q0) follow from the first integral plus the
-  Hamiltonian's identity with d/ds of the log-determinant.  This anchor
-  survives the full backward sweep and is the default for trajectories; it
-  magnifies rounding in the kernel, so at large theta3(s0) its state carries
-  about 5 digits (see ``resolvent_anchor_state``).
+  dual endpoint value on the kernel's column factors (Q'' - rho Q, -Q', Q),
+  and (p0, q0) follow from the first integral plus the Hamiltonian's
+  identity with d/ds of the log-determinant.  This anchor survives the full
+  backward sweep and starts every ``asymptotic_trajectory``; it magnifies
+  rounding in the kernel, so at large theta3(s0) its swept state carries
+  about 3 digits (see ``resolvent_anchor_state``).
 
 Two exact first integrals,
 
@@ -55,7 +56,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 from scipy.integrate import DOP853, simpson, solve_ivp
 
 from .errors import ConvergenceError, DomainError
@@ -261,47 +261,18 @@ def project_invariants(state: HamState, params: ModelParams) -> HamState:
     return st
 
 
-def _dual_weight_vector(mats: np.ndarray, gamma: float, det_ref: complex) -> np.ndarray:
-    """gamma/(2 pi i) PsiTilde^{-T} (0,1,1)^T via explicit cofactors.
+def _dual_weights(y: np.ndarray, rho: float, gamma: float) -> np.ndarray:
+    """gamma/(2 pi) (Q'' - rho Q, -Q', Q) at y, one row per point.
 
-    The needed cofactors always pair the slowly-varying first matrix column
-    with one of the exponentially large columns, so this form avoids the
-    catastrophic large-times-large cancellations a generic 3x3 solve hits for
-    |x| near the interval ends.  det(PsiTilde) is z-independent (the ODE has
-    no second-derivative term), so the well-conditioned z = 0 value is used.
+    These are the kernel's column factors g(y), and (0 1 1) PsiTilde(y)^{-1}
+    = i g(y) (the identity behind ``kernel.kernel_rh``), so this is the dual
+    weight gamma/(2 pi i) PsiTilde(y)^{-T} (0, 1, 1)^T without inverting a
+    3x3 matrix whose columns grow exponentially.
     """
-    m = mats
-    cof = np.empty_like(m)
-    for j in range(3):
-        cols = [b for b in range(3) if b != j]
-        for i in range(3):
-            rows = [a for a in range(3) if a != i]
-            minor = (m[:, rows[0], cols[0]] * m[:, rows[1], cols[1]]
-                     - m[:, rows[0], cols[1]] * m[:, rows[1], cols[0]])
-            cof[:, i, j] = (-1) ** (i + j) * minor
-    return gamma / (2j * math.pi) * (cof[:, :, 1] + cof[:, :, 2]) / det_ref
+    from .kernel import _q_bundle
 
-
-def _resolvent_solves(kmat: np.ndarray, w: np.ndarray, g: float,
-                      f: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solutions of A x = f and A_dual y = h, each refined once, from one LU.
-
-    A = I - gamma K W and A_dual = I - gamma K^T W = W^{-1} A^T W, so the
-    dual system is A^T (W y) = W h: a transposed solve with the same factors.
-    """
-    n = len(w)
-    a = np.eye(n) - g * kmat * w[None, :]
-    a_dual = np.eye(n) - g * (kmat * w[:, None]).T
-    lu = scipy.linalg.lu_factor(a)
-
-    def solve_dual(b: np.ndarray) -> np.ndarray:
-        return scipy.linalg.lu_solve(lu, w[:, None] * b, trans=1) / w[:, None]
-
-    x = scipy.linalg.lu_solve(lu, f)
-    x += scipy.linalg.lu_solve(lu, f - a @ x)
-    y = solve_dual(h)
-    y += solve_dual(h - a_dual @ y)
-    return x, y
+    q0, q1, q2 = _q_bundle(y, rho)
+    return gamma / (2.0 * math.pi) * np.stack([q2 - rho * q0, -q1, q0], axis=1)
 
 
 def resolvent_anchor_state(s0: float, params: ModelParams) -> HamState:
@@ -313,18 +284,20 @@ def resolvent_anchor_state(s0: float, params: ModelParams) -> HamState:
     right-hand side is the independently computed resolvent boundary trace.
     The family's realness structure (p0, q0 real; oscillators purely
     imaginary) and both exact first integrals are enforced on the result.
-    The forward and dual resolvent systems share one LU factorisation of
-    I - gamma K W (``_resolvent_solves``).
+    The forward right-hand sides are 2 pi (P, P', P''), the dual ones
+    ``_dual_weights``; both systems share one LU factorisation of
+    I - gamma K W (``fredholm._resolvent_solves``).
 
     The extraction amplifies last-bit changes of K about 1e10-fold: with
     theta3(s0; rho) between 13 and 16 the state of a sweep to s = 0.5 carries
-    about 5 significant digits (rounding the P and Q bundles differently
-    moved it by up to 3.4e-5 relative), about 10 below theta3 ~ 11.  Anchors
-    with theta3 beyond ~18 (e.g. s0 = 10 at rho = 1) sit near the
+    about 3 significant digits, about 10 below theta3 ~ 11 (dual weights 3e-11
+    apart moved the anchor by 8e-10 of a block's largest component, but re_q0
+    at s = 0.5 by up to 1.3e-3 of its largest value at theta3 = 15.66).
+    Anchors with theta3 beyond ~18 (e.g. s0 = 10 at rho = 1) sit near the
     sweep-to-0.5 cliff -- prefer s0 around 8 for long sweeps at large rho.
     """
-    from .fredholm import _nystrom, resolvent_boundary_trace
-    from .kernel import _p_bundle, tilde_psi_matrices
+    from . import fredholm
+    from .kernel import _p_bundle
 
     if not _S_ANCHOR_MIN <= s0 <= _S_ANCHOR_MAX:
         raise DomainError(f"anchor must lie in [{_S_ANCHOR_MIN}, {_S_ANCHOR_MAX}]")
@@ -335,15 +308,11 @@ def resolvent_anchor_state(s0: float, params: ModelParams) -> HamState:
         return asymptotic_state(s0, params)
 
     n = _ANCHOR_N
-    [(_, x, w, k)] = _nystrom((s0,), rho, n, (s0,))        # K over (x, s0)
-    kmat = k[:n, :n]
+    [(_, x, w, k)] = fredholm._nystrom((s0,), rho, n, (s0,))   # K over (x, s0)
     pts = np.append(x, s0)
     f_all = 2.0 * math.pi * _p_bundle(pts, rho).T          # rows: (P0, P0', P0'') * 2pi
-    mats = tilde_psi_matrices(pts, rho)
-    det_ref = np.linalg.det(tilde_psi_matrices(np.array([0.0]), rho))[0]
-    h_all = _dual_weight_vector(mats, g, det_ref)
-
-    f_nodes, h_nodes = _resolvent_solves(kmat, w, g, f_all[:n], h_all[:n])
+    h_all = _dual_weights(pts, rho, g)
+    f_nodes, h_nodes = fredholm._resolvent_solves(k[:n, :n], w, g, f_all[:n], h_all[:n])
     f_end = f_all[n] + g * (k[n, :n] * w) @ f_nodes
     h_end = h_all[n] + g * (k[:n, n] * w) @ h_nodes
 
@@ -365,7 +334,7 @@ def resolvent_anchor_state(s0: float, params: ModelParams) -> HamState:
     else:
         q3 = q3 - resid / p3
 
-    h_val = 0.5 * resolvent_boundary_trace(s0, params, n)
+    h_val = 0.5 * fredholm.resolvent_boundary_trace(s0, params, n)
     bracket = p1 * q1 - p2 * q2 + p3 * q3
     rest = p1 * q2 + p2 * q3 + s0 * p3 * q1 + bracket * bracket / (2.0 * s0)
     coeffs = np.array([[_SQRT2 * p2 * q1, _SQRT2 * p3 * q2],
@@ -547,22 +516,9 @@ def integrate(s_from: float, s_to: float, init: HamState,
 
 
 def asymptotic_trajectory(params: ModelParams, s_from: float = 10.0, s_to: float = 0.5,
-                          tol: float = 1e-10, *, ic_mode: str = "resolvent") -> Trajectory:
-    """Backward trajectory of the special solution family.
-
-    ``ic_mode='resolvent'`` (default) anchors at the quadrature-precision
-    Fredholm extraction; ``'asymptotic'`` uses the printed leading-order data
-    (valid only for short sweeps, see module notes).
-    """
-    if ic_mode == "resolvent":
-        ic = resolvent_anchor_state(s_from, params)
-    elif ic_mode == "asymptotic":
-        ic = asymptotic_state(s_from, params)
-        if params.gamma > 0.0:
-            ic = project_invariants(ic, params)
-    else:
-        raise DomainError(f"unknown ic_mode {ic_mode!r}")
-    return integrate(s_from, s_to, ic, tol)
+                          tol: float = 1e-10) -> Trajectory:
+    """Backward trajectory of the special solution family from ``resolvent_anchor_state``."""
+    return integrate(s_from, s_to, resolvent_anchor_state(s_from, params), tol)
 
 
 # -- exact composed derivatives of p0, q0 ------------------------------------

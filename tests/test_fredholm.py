@@ -308,6 +308,20 @@ class TestResolventTrace:
     def test_gamma_zero(self):
         assert fr.resolvent_boundary_trace(3.0, ModelParams(0.0, 0.0), 64) == 0.0
 
+    @pytest.mark.parametrize("n", [64, 127, 256])
+    def test_matches_two_ended_form(self, n):
+        # reference: R(x_i, +-s) from one dense solve, then -R(s,s) - R(-s,-s)
+        for s in (1.0, 3.0, 6.0, 10.0, 12.0):
+            for rho in (-2.0, 0.0, 1.7):
+                [(_, _, w, k)] = fr._nystrom((s,), rho, n, (s, -s))
+                for g in (0.3, 0.9, 0.99):
+                    a = np.eye(n) - g * (k[:n, :n] * w[None, :])
+                    r_nodes = np.linalg.solve(a, g * k[:n, n:])
+                    ref = -sum(g * k[n + i, n + i] + g * (k[n + i, :n] * w) @ r_nodes[:, i]
+                               for i in range(2))
+                    got = fr.resolvent_boundary_trace(s, ModelParams(g, rho), n)
+                    assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
     def test_matches_h_asymptotics_at_10(self):
         from pearceydet.asymptotics import h_large_s
         p = ModelParams(0.5, 0.0)
@@ -405,7 +419,7 @@ class TestAssemblies:
         assert shapes == [(8, 16), (16, 32), (32, 64)]
         shapes.clear()
         fr.resolvent_boundary_trace(5.0, ModelParams(0.5, 0.0), 64)
-        assert shapes == [(66, 66)]
+        assert shapes == [(65, 65)]
 
     def test_moments_one_operator_per_s(self, monkeypatch, capsys):
         # the trace and MGF routes read one half block per s, at the default order

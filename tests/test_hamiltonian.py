@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from pearceydet import fredholm as fr
 from pearceydet import hamiltonian as ham
 from pearceydet.errors import ConvergenceError, DomainError
 from pearceydet.fredholm import logdet_converged, resolvent_boundary_trace
 from pearceydet.params import ModelParams
+from pearceydet.pearcey import tilde_psi_matrices
 
 SQRT2 = math.sqrt(2.0)
 
@@ -157,7 +159,41 @@ class TestAsymptoticState:
             ham.asymptotic_state(2.0, ModelParams(0.5, 0.0))
 
 
+def _dual_weight_vector(mats, gamma, det_ref):
+    """gamma/(2 pi i) PsiTilde^{-T} (0,1,1)^T via explicit cofactors.
+
+    The needed cofactors always pair the slowly-varying first matrix column
+    with one of the exponentially large columns, so this form avoids the
+    catastrophic large-times-large cancellations a generic 3x3 solve hits for
+    |x| near the interval ends.  det(PsiTilde) is z-independent (the ODE has
+    no second-derivative term), so the well-conditioned z = 0 value is used.
+    """
+    m = mats
+    cof = np.empty_like(m)
+    for j in range(3):
+        cols = [b for b in range(3) if b != j]
+        for i in range(3):
+            rows = [a for a in range(3) if a != i]
+            minor = (m[:, rows[0], cols[0]] * m[:, rows[1], cols[1]]
+                     - m[:, rows[0], cols[1]] * m[:, rows[1], cols[0]])
+            cof[:, i, j] = (-1) ** (i + j) * minor
+    return gamma / (2j * math.pi) * (cof[:, :, 1] + cof[:, :, 2]) / det_ref
+
+
 class TestResolventAnchor:
+    @pytest.mark.parametrize("rho", [-2.0, 0.0, 1.0, 2.0])
+    def test_dual_weights_match_tilde_psi_cofactors(self, rho):
+        # (0 1 1) PsiTilde(y)^{-1} = i g(y) at the anchor's nodes and its end
+        det_ref = np.linalg.det(tilde_psi_matrices(np.zeros(1), rho))[0]
+        for s0 in (4.0, 6.0, 8.0, 10.0, 12.0):
+            pts = np.append(s0 * fr.gauss_legendre(ham._ANCHOR_N).nodes, s0)
+            mats = tilde_psi_matrices(pts, rho)
+            for gamma in (0.1, 0.5, 0.95):
+                ref = _dual_weight_vector(mats, gamma, det_ref)
+                got = ham._dual_weights(pts, rho, gamma)
+                assert (np.abs(got - ref).max(axis=0)
+                        <= 1e-10 * np.abs(ref).max(axis=0)).all()
+
     def test_consistent_with_asymptotics_and_decaying(self):
         # closed-form boundary data approaches the extracted truth like s^{-2/3}
         p = ModelParams(0.5, 0.0)
@@ -191,7 +227,7 @@ class TestResolventAnchor:
 
         p = ModelParams(gamma, rho)
         got = ham.resolvent_anchor_state(s0, p).to_array()
-        monkeypatch.setattr(ham, "_resolvent_solves", separate)
+        monkeypatch.setattr(fr, "_resolvent_solves", separate)
         ref = ham.resolvent_anchor_state(s0, p).to_array()
         # p and q blocks differ in scale by up to e^{theta3}: each against its own
         for block in ([0, 4], [1, 2, 3], [5, 6, 7]):
@@ -233,8 +269,8 @@ class TestTrajectory:
     def test_asymptotic_ic_short_sweep(self):
         # leading-order data supports only short backward sweeps
         p = ModelParams(0.5, 0.0)
-        traj = ham.asymptotic_trajectory(p, 10.0, 8.0, tol=1e-10,
-                                         ic_mode="asymptotic")
+        ic = ham.project_invariants(ham.asymptotic_state(10.0, p), p)
+        traj = ham.integrate(10.0, 8.0, ic, 1e-10)
         assert traj.constraint_drift().max() < 1e-10  # projected exactly
 
     @pytest.mark.parametrize("rho", [-2.0, 0.0, 1.7])
@@ -269,8 +305,8 @@ class TestTrajectory:
         # ...and a full sweep from leading-order data diverges detectably
         p = ModelParams(0.5, 0.0)
         with pytest.raises(ConvergenceError):
-            ham.asymptotic_trajectory(p, 10.0, 0.5, tol=1e-10,
-                                      ic_mode="asymptotic")
+            ham.integrate(10.0, 0.5, ham.project_invariants(ham.asymptotic_state(10.0, p), p),
+                          1e-10)
 
 
 _SWEEP_OPTIONS = dict(rtol=1e-10, atol=1e-15, max_step=0.05, dense_output=True)

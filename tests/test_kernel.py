@@ -72,7 +72,7 @@ class TestIntegralForm:
                 kn.kernel_integral(x, y, rho)
 
     def test_tail_doubling_is_bounded(self):
-        # from z_max = 0.5 three doublings reach only z = 4, short of the tail
+        # from z_max = 0.5 two doublings reach only z = 2, short of the tail
         with pytest.raises(ConvergenceError):
             kn.kernel_integral(0.0, 0.0, 0.0, z_max=0.5)
 
