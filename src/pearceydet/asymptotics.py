@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RealnessError
-from .params import ModelParams, beta_of_gamma  # noqa: F401  (beta_of_gamma re-exported here)
-from .specfun import EULER_GAMMA, arg_gamma, barnes_ln_g
+from .params import ModelParams
+from .specfun import EULER_GAMMA, barnes_ln_g, ln_gamma
 
 _LOG_9_2 = math.log(4.5)
 _IM_TOL = 1e-12
@@ -62,7 +62,7 @@ def vartheta(s: float, params: ModelParams) -> float:
     beta = params.beta
     val = (-3.0 * math.sqrt(3.0) / 8.0 * s ** (4.0 / 3.0)
            + math.sqrt(3.0) * params.rho / 4.0 * s ** (2.0 / 3.0)
-           + arg_gamma(1.0 - beta)
+           + ln_gamma(1.0 - beta).imag
            - (beta * 1j) * (4.0 / 3.0 * math.log(s) + _LOG_9_2))
     return _coerce_real(val, "vartheta")
 

@@ -124,13 +124,6 @@ class _BetaFactors:
         return cls(beta, jumps, _sector_products(jumps), lg)
 
 
-def jump_matrix(ray: int, beta: complex) -> np.ndarray:
-    """The constant jump on ray 1..6."""
-    if ray not in range(1, 7):
-        raise DomainError(f"ray must be 1..6, got {ray}")
-    return _jumps(beta)[ray - 1]
-
-
 def _base_matrix(z: complex | np.ndarray, arg_z: float | np.ndarray,
                  beta: complex | _BetaFactors) -> np.ndarray:
     """The explicit solution of the model problem in the sector between rays 1 and 2.
@@ -167,11 +160,6 @@ def _base_matrix(z: complex | np.ndarray, arg_z: float | np.ndarray,
     c1 = np.array([[cmath.exp(-1.5 * beta * math.pi * 1j), 0.0],
                    [0.0, cmath.exp(0.5 * beta * math.pi * 1j)]], dtype=complex)
     return c1 @ m
-
-
-def _sector_factor(sector: int, beta: complex) -> np.ndarray:
-    """The jump product carrying the base formula into ``sector`` (see _sector_products)."""
-    return _sector_products(_jumps(beta))[sector - 1]
 
 
 def phi_chf(pt: SectorPoint, beta: complex) -> np.ndarray:

@@ -1,19 +1,16 @@
 """Nystrom discretization of det(I - gamma K) on (-s, s) and derived statistics.
 
-Every Nystrom matrix comes from one builder, ``_nystrom``, over the cached
-Gauss-Legendre rule of order n scaled to (-s, s).  It takes the s values to
-build at one order, makes one P and one Q bundle call over all their nodes
-plus one more each for any extra points (the end s, or an anchor s0), and
-yields the operators one at a time, each from one assembly call.  Without
-extra points an operator is the half block K[n//2:, :], the rows of the
-nonnegative nodes, which is all the determinants and the trace moments read
-(parity fold below): (n - n//2) x n entries instead of n x n, each the bits
-the full square would hold.  With extra points it is the full square over
-the nodes and the extra points, for the resolvent solves.  The fixed-order
-routines pass one s, the lockstep doubling every pending s.  One K at fixed
-(s, rho, n) serves every gamma.  The determinant uses the symmetrized
-weighting D^{1/2} K D^{1/2} (equal to the plain weighting in determinant but
-better conditioned) and order doubling for convergence control.
+The determinants and traces read their Nystrom matrices from one builder,
+``_nystrom``, over the cached Gauss-Legendre rule of order n scaled to
+(-s, s).  It takes the s values to build at one order, makes one P and one Q
+bundle call over all their nodes, and yields the operators one at a time,
+each the half block K[n//2:, :] of the rows of the nonnegative nodes from one
+assembly call (parity fold below): (n - n//2) x n entries instead of n x n,
+each the bits the full square would hold.  The fixed-order routines pass one
+s, the lockstep doubling every pending s.  One K at fixed (s, rho, n) serves
+every gamma.  The determinant uses the symmetrized weighting D^{1/2} K D^{1/2}
+(equal to the plain weighting in determinant but better conditioned) and
+order doubling for convergence control.
 
 Lockstep doubling.  ``_logdet_converged_many`` converges a whole grid of
 (s, gamma) points at once: every point still pending doubles its order
@@ -37,12 +34,17 @@ blocks of every gamma of one operator go through one stacked factorisation
 own, which a full factorization cannot see (two negative factors multiply to
 a positive one).
 
-Every resolvent solve goes through ``_resolvent_solves``: one LU of
-I - gamma K W, a forward and a dual solve, each refined once, over the square
-of ``_nystrom`` with one extra point: the end s of ``resolvent_boundary_trace``
-(one column, as R(-s, -s) = R(s, s)) or the anchor s0 in ``hamiltonian``.  The
-right-hand sides have parity, so the solves could split into the same two
-half-size blocks; they do not yet.
+The resolvent solves run on ``_end_square``, the full square over the nodes
+and the end point s, whose bundles come from one P and one Q call over the
+nodes and one each for s, so its block over the nodes holds the bits of the
+full Nystrom square, whose rows the half blocks are.  ``_end_solves`` solves on the nodes through ``_resolvent_solves``
+(one LU of I - gamma K W, a forward and a dual solve, each refined once) and
+extends both solutions to s by the Nystrom formula.  The boundary trace
+solves for the one column gamma K(x_i, s), as R(-s, -s) = R(s, s), and the
+anchor of ``hamiltonian`` (``resolvent_end_values``) for the kernel's row
+and column factors, read from the bundles the square was assembled from.
+The right-hand sides have parity, so the solves could split into the same
+two half-size blocks; they do not yet.
 
 ``gamma`` is accepted slightly outside [0, 1]: the moment-generating-function
 route differentiates F(s; 1 - e^{-2 pi nu}, rho) at nu = 0 and the CLT check
@@ -181,36 +183,38 @@ def _positive(logdets: np.ndarray) -> np.ndarray:
     return logdets
 
 
-def _nystrom(ss, rho: float, n: int, extra=()):
-    """Yield (s, x, w, K) per s of ``ss``: the order-n rule on (-s, s) and its operator K.
+def _nystrom(ss, rho: float, n: int):
+    """Yield (s, x, w, K) per s of ``ss``: the order-n rule on (-s, s) and its half block K.
 
-    Without ``extra`` K is the half block K[n//2:, :], the rows of the
-    nonnegative nodes against all n columns: centrosymmetry gives the other
-    rows bitwise (module notes), and every entry is the bits the full square
-    would hold.  With ``extra`` K is the full square over x then the extra
-    points, for the resolvent solves (one point: s, or the anchor's s0); its
-    K[:n, :n] is the same bits whatever ``extra`` holds, and the other rows
-    and columns hold its values at the extra points.  One P and one Q bundle
-    call cover the nodes of every s, and one more each the extra points.
-    Each K is assembled only when it is yielded: a consumer that drops it
-    before the next keeps one operator alive at a time.
+    K is K[n//2:, :], the rows of the nonnegative nodes against all n
+    columns: centrosymmetry gives the other rows bitwise (module notes), and
+    every entry is the bits the full square would hold.  One P and one Q
+    bundle call cover the nodes of every s.  Each K is assembled only when it
+    is yielded: a consumer that drops it before the next keeps one operator
+    alive at a time.
     """
     rule = gauss_legendre(n)
     x = np.multiply.outer(ss, rule.nodes)                 # a row of nodes per s
     p = kernel._p_bundle(x.ravel(), rho).reshape(3, *x.shape)
     q = kernel._q_bundle(x.ravel(), rho).reshape(3, *x.shape)
-    extra = np.asarray(extra, dtype=float)
-    if extra.size:
-        p_extra, q_extra = kernel._p_bundle(extra, rho), kernel._q_bundle(extra, rho)
-    first = 0 if extra.size else n // 2                   # the first row assembled
+    h = n // 2                                            # the first row assembled
     for j, s in enumerate(ss):
-        pts, pj, qj = x[j], p[:, j], q[:, j]
-        if extra.size:
-            pts = np.concatenate([pts, extra])
-            pj = np.concatenate([pj, p_extra], axis=1)
-            qj = np.concatenate([qj, q_extra], axis=1)
-        k = _kernel_matrix_from_session(rho, pts[first:], pts, p=pj[:, first:], q=qj)
+        k = _kernel_matrix_from_session(rho, x[j, h:], x[j], p=p[:, j, h:], q=q[:, j])
         yield s, x[j], s * rule.weights, k
+
+
+def _end_square(s: float, rho: float, n: int):
+    """(w, K, p, q): the order-n weights on (-s, s) and the square K over (x, s).
+
+    K[:n, :n] is the Nystrom matrix over the nodes x, K[n, :n] holds K(s, x_j)
+    and K[:n, n] holds K(x_i, s).  p and q are the P and Q bundles at (x, s)
+    that K was assembled from: one call each over the nodes, one each for s.
+    """
+    rule = gauss_legendre(n)
+    pts = np.append(s * rule.nodes, s)
+    p = np.concatenate([kernel._p_bundle(pts[:n], rho), kernel._p_bundle(pts[n:], rho)], axis=1)
+    q = np.concatenate([kernel._q_bundle(pts[:n], rho), kernel._q_bundle(pts[n:], rho)], axis=1)
+    return s * rule.weights, _kernel_matrix_from_session(rho, pts, pts, p=p, q=q), p, q
 
 
 def _symmetrized(w: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -300,22 +304,53 @@ def _resolvent_solves(kmat: np.ndarray, w: np.ndarray, g: float,
     return x, wy / w[:, None]
 
 
+def _end_solves(k: np.ndarray, w: np.ndarray, g: float,
+                f: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward and dual resolvent solutions at the end point s of an ``_end_square`` K.
+
+    ``f`` and ``h`` hold right-hand sides at (x, s), one per column; they are
+    solved on the nodes by ``_resolvent_solves`` and extended to s by the
+    Nystrom formula, u(s) = f(s) + gamma sum_i K(s, x_i) w_i u(x_i) and, for
+    the dual system on K^T, v(s) = h(s) + gamma sum_i K(x_i, s) w_i v(x_i).
+    """
+    n = len(w)
+    u, v = _resolvent_solves(k[:n, :n], w, g, f[:n], h[:n])
+    return f[n] + g * (k[n, :n] * w) @ u, h[n] + g * (k[:n, n] * w) @ v
+
+
 def resolvent_boundary_trace(s: float, params: ModelParams, n: int) -> float:
     """-R(s,s) - R(-s,-s) = -2 R(s,s), the s-derivative of the log-determinant.
 
-    The resolvent R = gamma K (I - gamma K)^{-1} is extended off-grid by the
-    Nystrom formula R(u, v) = gamma K(u, v) + gamma sum_i w_i K(u, x_i) R(x_i, v),
-    the node values R(x_i, s) from one refined solve (``_resolvent_solves``).
-    K is centrosymmetric, so R(-s, -s) = R(s, s): one end serves both.
+    The resolvent R = gamma K (I - gamma K)^{-1} at (s, s) is the end value of
+    the forward solution on the column gamma K(., s) (``_end_solves``).  K is
+    centrosymmetric, so R(-s, -s) = R(s, s): one end serves both.
     """
     g = params.gamma
     _check_args(s, g, n)
     if g == 0.0:
         return 0.0
-    [(_, _, w, k)] = _nystrom((s,), params.rho, n, (s,))
-    col = g * k[:n, n:]                                   # gamma K(x_i, s)
-    r_nodes, _ = _resolvent_solves(k[:n, :n], w, g, col, col[:, :0])
-    return float(-2.0 * (g * k[n, n] + g * (k[n, :n] * w) @ r_nodes[:, 0]))
+    w, k, _, _ = _end_square(s, params.rho, n)
+    col = g * k[:, n:]                                    # gamma K(., s)
+    r_end, _ = _end_solves(k, w, g, col, col[:, :0])
+    return float(-2.0 * r_end[0])
+
+
+def resolvent_end_values(s: float, params: ModelParams, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The resolvent anchor's end values at s: the forward and the dual solution.
+
+    The forward system I - gamma K W is solved on f = 2 pi (P, P', P''), the
+    kernel's row factors, and the dual one on gamma/(2 pi) (Q'' - rho Q, -Q', Q),
+    its column factors, both read from the bundles ``_end_square`` assembled
+    K from.  Since (0 1 1) PsiTilde(y)^{-1} = i g(y) (``kernel.kernel_rh``),
+    the dual side is gamma/(2 pi i) PsiTilde(y)^{-T} (0, 1, 1)^T without a 3x3
+    inverse.  Each value has three components, one per factor.
+    """
+    g, rho = params.gamma, params.rho
+    _check_args(s, g, n)
+    w, k, p, q = _end_square(s, rho, n)
+    f = 2.0 * math.pi * p.T
+    h = g / (2.0 * math.pi) * np.stack([q[2] - rho * q[0], -q[1], q[0]], axis=1)
+    return _end_solves(k, w, g, f, h)
 
 
 def moments_operator(s: float, rho: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -368,8 +403,7 @@ def moments_mgf(w: np.ndarray, k: np.ndarray) -> tuple[float, float]:
     G''(0)/(4 pi^2) for G(nu) = F(gamma(nu)).  The operator serves all four
     evaluations, factored in one stack.  The variance carries about 9
     significant digits: its second difference at h = 5e-4 divides the
-    rounding of F by h^2 = 2.5e-7.  Reordering the same LU moved it by up to
-    1.7e-9 relative where ``moments_trace``'s variance moved by 9e-16.
+    rounding of F by h^2 = 2.5e-7.
     """
     gammas = [-math.expm1(-2.0 * math.pi * nu) for h in _MGF_STEPS for nu in (h, -h)]
     g = _positive(_parity_logdets(_symmetrized(w, k), gammas)).tolist()

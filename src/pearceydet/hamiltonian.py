@@ -246,47 +246,34 @@ def project_invariants(state: HamState, params: ModelParams) -> HamState:
     The shifts are within the O(s^{-2/3}) accuracy of the boundary data; once
     on the invariant manifold, the flow keeps the state there exactly.
     """
-    rho = params.rho
-    new_q0 = state.q0 - _SQRT2 * state.first_integral(rho)
-    st = replace(state, q0=new_q0)
-    resid = st.constraint_sum()
+    return _zero_sum(replace(state, q0=state.q0 - _SQRT2 * state.first_integral(params.rho)))
+
+
+def _zero_sum(state: HamState) -> HamState:
+    """Shift q2 (if |p2| >= |p3|) or else q3 so that sum_k p_k q_k = 0."""
+    resid = state.constraint_sum()
     if abs(resid) == 0.0:
-        return st
-    if abs(st.p2) >= abs(st.p3):
-        if st.p2 == 0:
+        return state
+    if abs(state.p2) >= abs(state.p3):
+        if state.p2 == 0:
             raise DomainError("cannot project constraint: p2 = p3 = 0 with nonzero sum")
-        st = replace(st, q2=st.q2 - resid / st.p2)
-    else:
-        st = replace(st, q3=st.q3 - resid / st.p3)
-    return st
-
-
-def _dual_weights(y: np.ndarray, rho: float, gamma: float) -> np.ndarray:
-    """gamma/(2 pi) (Q'' - rho Q, -Q', Q) at y, one row per point.
-
-    These are the kernel's column factors g(y), and (0 1 1) PsiTilde(y)^{-1}
-    = i g(y) (the identity behind ``kernel.kernel_rh``), so this is the dual
-    weight gamma/(2 pi i) PsiTilde(y)^{-T} (0, 1, 1)^T without inverting a
-    3x3 matrix whose columns grow exponentially.
-    """
-    from .kernel import _q_bundle
-
-    q0, q1, q2 = _q_bundle(y, rho)
-    return gamma / (2.0 * math.pi) * np.stack([q2 - rho * q0, -q1, q0], axis=1)
+        return replace(state, q2=state.q2 - resid / state.p2)
+    return replace(state, q3=state.q3 - resid / state.p3)
 
 
 def resolvent_anchor_state(s0: float, params: ModelParams) -> HamState:
     """Quadrature-precision anchor from the Fredholm side (see module notes).
 
-    The six oscillator components come from the endpoint values of the
-    resolvent-transformed matrix columns; (p0, q0) then follow from the first
-    integral together with the Hamiltonian identity H = (1/2) dF/ds, whose
-    right-hand side is the independently computed resolvent boundary trace.
-    The family's realness structure (p0, q0 real; oscillators purely
-    imaginary) and both exact first integrals are enforced on the result.
-    The forward right-hand sides are 2 pi (P, P', P''), the dual ones
-    ``_dual_weights``; both systems share one LU factorisation of
-    I - gamma K W (``fredholm._resolvent_solves``).
+    The six oscillator components are the end values at s0 of the resolvent
+    solutions on the kernel's row and column factors
+    (``fredholm.resolvent_end_values``: one square over the nodes and s0, one
+    LU of I - gamma K W for both systems), normalised by the frame and c0 of
+    the family; q2 or q3 is then shifted so that sum_k p_k q_k = 0.  (p0, q0)
+    follow from the first integral together with the Hamiltonian identity
+    H = (1/2) dF/ds, whose right-hand side is the independently computed
+    resolvent boundary trace.  The family's realness structure (p0, q0 real;
+    oscillators purely imaginary) and both exact first integrals are enforced
+    on the result.
 
     The extraction amplifies last-bit changes of K about 1e10-fold: with
     theta3(s0; rho) between 13 and 16 the state of a sweep to s = 0.5 carries
@@ -297,7 +284,6 @@ def resolvent_anchor_state(s0: float, params: ModelParams) -> HamState:
     sweep-to-0.5 cliff -- prefer s0 around 8 for long sweeps at large rho.
     """
     from . import fredholm
-    from .kernel import _p_bundle
 
     if not _S_ANCHOR_MIN <= s0 <= _S_ANCHOR_MAX:
         raise DomainError(f"anchor must lie in [{_S_ANCHOR_MIN}, {_S_ANCHOR_MAX}]")
@@ -307,15 +293,7 @@ def resolvent_anchor_state(s0: float, params: ModelParams) -> HamState:
     if g == 0.0:
         return asymptotic_state(s0, params)
 
-    n = _ANCHOR_N
-    [(_, x, w, k)] = fredholm._nystrom((s0,), rho, n, (s0,))   # K over (x, s0)
-    pts = np.append(x, s0)
-    f_all = 2.0 * math.pi * _p_bundle(pts, rho).T          # rows: (P0, P0', P0'') * 2pi
-    h_all = _dual_weights(pts, rho, g)
-    f_nodes, h_nodes = fredholm._resolvent_solves(k[:n, :n], w, g, f_all[:n], h_all[:n])
-    f_end = f_all[n] + g * (k[n, :n] * w) @ f_nodes
-    h_end = h_all[n] + g * (k[:n, n] * w) @ h_nodes
-
+    f_end, h_end = fredholm.resolvent_end_values(s0, params, _ANCHOR_N)
     kappa3 = rho ** 3 / 54.0 - rho / 6.0
     c0 = 1j * math.sqrt(2.0 * math.pi / 3.0) * math.exp(rho * rho / 6.0)
     frame = np.eye(3, dtype=complex)
@@ -324,25 +302,16 @@ def resolvent_anchor_state(s0: float, params: ModelParams) -> HamState:
     frame_inv[2, 0] = -frame[2, 0]
     qv = (frame_inv @ f_end) / c0
     pv = -c0 * (frame.T @ h_end)
-    q1, q2, q3 = (1j * v.imag for v in qv)
-    p1, p2, p3 = (1j * v.imag for v in pv)
+    st = _zero_sum(HamState(s0, 0.0, *(1j * pv.imag), 0.0, *(1j * qv.imag)))
 
-    # enforce sum0 exactly within the oscillator block before the p0/q0 solve
-    resid = p1 * q1 + p2 * q2 + p3 * q3
-    if abs(p2) >= abs(p3):
-        q2 = q2 - resid / p2
-    else:
-        q3 = q3 - resid / p3
-
-    h_val = 0.5 * fredholm.resolvent_boundary_trace(s0, params, n)
-    bracket = p1 * q1 - p2 * q2 + p3 * q3
-    rest = p1 * q2 + p2 * q3 + s0 * p3 * q1 + bracket * bracket / (2.0 * s0)
-    coeffs = np.array([[_SQRT2 * p2 * q1, _SQRT2 * p3 * q2],
+    # H with p0 = q0 = 0 is the part of H that does not depend on them
+    h_val = 0.5 * fredholm.resolvent_boundary_trace(s0, params, _ANCHOR_N)
+    coeffs = np.array([[_SQRT2 * st.p2 * st.q1, _SQRT2 * st.p3 * st.q2],
                        [1.0, 1.0]], dtype=complex)
-    rhs = np.array([h_val - rest, rho / _SQRT2 - _SQRT2 * p3 * q1], dtype=complex)
+    rhs = np.array([h_val - hamiltonian_value(st), rho / _SQRT2 - _SQRT2 * st.p3 * st.q1],
+                   dtype=complex)
     p0, q0 = np.linalg.solve(coeffs, rhs)
-    state = HamState(s0, p0.real, p1, p2, p3, q0.real, q1, q2, q3)
-    return project_invariants(state, params)
+    return project_invariants(replace(st, p0=p0.real, q0=q0.real), params)
 
 
 class _StepRecord(NamedTuple):

@@ -25,13 +25,13 @@ Q equation).  Two independent oracles are provided:
   the conjugate table (t and z are real on P's ray), and V(z + y) and
   V(z - y) with shifts y and -y on V's table.  On a 25 x 25 grid over
   [-12, 12] it agrees with the rational form to 2.8e-13 max|K| at rho = -2
-  (1.8e-13 with one bundle per point), 1e-14 at rho = 0.
+  and 1e-14 at rho = 0.
 * ``kernel_rh`` - the 3x3 matrix representation through tilde_psi.
 
 Every dense K is assembled by ``_kernel_matrix_from_session``, which computes
 the P bundle at the rows and the Q bundle at the columns once per call unless
-the caller passes them in (``fredholm._nystrom`` does, with one bundle call
-for the nodes of all its operators); nothing is cached between calls.  The
+the caller passes them in (``fredholm`` does, with one bundle call for the
+nodes of all its operators); nothing is cached between calls.  The
 rows need not be the columns: the Nystrom operators of the determinants and
 traces keep only the rows of the nonnegative nodes, the tail of the columns,
 and the band branch then takes the Q bundle at the rows as the tail of the

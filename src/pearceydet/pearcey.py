@@ -26,7 +26,7 @@ per shift and contracts them all against one pair of tables
 shifts stack on a leading axis of the matmul, so each is summed with the same
 array shapes whatever else is in the batch.  ``kernel_integral`` takes its
 four ray sums this way; ``_ray_bundle`` is the same contraction with no
-shift and rounds exactly as before.
+shift.
 
 Contour conventions (these were cross-validated against the 3x3 matrix
 representation of the kernel, which is orientation-unambiguous):
@@ -77,9 +77,6 @@ class PearceyValues:
     v0: complex
     v1: complex
     v2: complex
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.v0, self.v1, self.v2])
 
 
 @dataclass(frozen=True)

@@ -78,16 +78,6 @@ def ln_gamma(z: complex) -> complex:
     return _HALF_LOG_2PI + (zm + 0.5) * cmath.log(t) - t + cmath.log(acc)
 
 
-def gamma(z: complex) -> complex:
-    """Gamma(z) via exp(ln_gamma)."""
-    return cmath.exp(ln_gamma(z))
-
-
-def arg_gamma(z: complex) -> float:
-    """Argument of Gamma(z) on the principal branch (Im of ln_gamma)."""
-    return ln_gamma(z).imag
-
-
 # Bernoulli numbers B_2 .. B_14 for the digamma asymptotic series.
 _BERNOULLI = (
     1.0 / 6.0,

@@ -75,9 +75,12 @@ class TestJumps:
     @pytest.mark.parametrize("beta", (0.03j, 0.2j, 0.4j))
     def test_one_base_matrix_per_ray_point(self, beta, monkeypatch):
         # reference: each side from its own base-matrix evaluation
+        jumps = chf._jumps(beta)
+        sectors = chf._sector_products(jumps)
+
         def side(ray, r, sector, arg):
             z = r * cmath.exp(1j * chf.SECTOR_ANGLES[ray - 1])
-            return chf._base_matrix(z, arg, beta) @ chf._sector_factor(sector, beta)
+            return chf._base_matrix(z, arg, beta) @ sectors[sector - 1]
 
         expected = {}
         for ray in range(1, 7):
@@ -86,7 +89,7 @@ class TestJumps:
                 ccw = side(ray, r, ray, phi)
                 cw = side(ray, r, ray - 1 if ray > 1 else 6, phi if ray > 1 else 2 * math.pi)
                 plus, minus = (ccw, cw) if chf._RAY_OUTWARD[ray - 1] else (cw, ccw)
-                expected[ray, r] = float(np.abs(plus - minus @ chf.jump_matrix(ray, beta)).max())
+                expected[ray, r] = float(np.abs(plus - minus @ jumps[ray - 1]).max())
         calls = []
         real = chf._base_matrix
         monkeypatch.setattr(chf, "_base_matrix", lambda *a: calls.append(a) or real(*a))

@@ -5,6 +5,7 @@ import pytest
 
 from pearceydet import asymptotics as asym
 from pearceydet import fredholm as fr
+from pearceydet import hamiltonian as ham
 from pearceydet import kernel as kn
 from pearceydet import pearcey as pc
 from pearceydet.cli import main
@@ -146,14 +147,13 @@ class TestParityFold:
     @pytest.mark.parametrize("s, rho, n", [(4.0, 0.0, 16), (8.0, 0.3, 256), (2.5, -1.7, 127),
                                            (12.0, 2.0, 64), (0.5, -2.0, 3)])
     def test_extra_points_leave_the_nystrom_block_bitwise(self, s, rho, n):
-        # the extra points get bundle calls of their own, so the anchor's (s,) and
-        # the boundary trace's (s, -s) change no bit of the Nystrom matrix
-        x, w, k = _full_square(s, rho, n)
-        for extra in ((s,), (s, -s)):
-            [(s_e, x_e, w_e, k_e)] = fr._nystrom((s,), rho, n, extra)
-            assert s_e == s and k_e.shape == (n + len(extra),) * 2
-            assert np.array_equal(x_e, x) and np.array_equal(w_e, w)
-            assert k_e[:n, :n].tobytes() == k.tobytes()
+        # the end point s gets bundle calls of its own, so the square over (x, s)
+        # of the resolvent solves changes no bit of the Nystrom matrix
+        _, w, k = _full_square(s, rho, n)
+        w_e, k_e, p_e, q_e = fr._end_square(s, rho, n)
+        assert k_e.shape == (n + 1, n + 1) and p_e.shape == q_e.shape == (3, n + 1)
+        assert np.array_equal(w_e, w)
+        assert k_e[:n, :n].tobytes() == k.tobytes()
 
     @pytest.mark.parametrize("n", _PARITY_ORDERS)
     @pytest.mark.parametrize("gamma", [0.7, -3.0])
@@ -310,10 +310,18 @@ class TestResolventTrace:
 
     @pytest.mark.parametrize("n", [64, 127, 256])
     def test_matches_two_ended_form(self, n):
-        # reference: R(x_i, +-s) from one dense solve, then -R(s,s) - R(-s,-s)
+        # reference: R(x_i, +-s) from one dense solve, then -R(s,s) - R(-s,-s);
+        # the square over (x, s, -s) takes its end points' bundles from their
+        # own call, as ``_end_square`` does for s
         for s in (1.0, 3.0, 6.0, 10.0, 12.0):
+            rule = fr.gauss_legendre(n)
+            w = s * rule.weights
+            x, ends = s * rule.nodes, np.array([s, -s])
             for rho in (-2.0, 0.0, 1.7):
-                [(_, _, w, k)] = fr._nystrom((s,), rho, n, (s, -s))
+                p, q = (np.concatenate([bundle(x, rho), bundle(ends, rho)], axis=1)
+                        for bundle in (kn._p_bundle, kn._q_bundle))
+                pts = np.append(x, ends)
+                k = kn._kernel_matrix_from_session(rho, pts, pts, p=p, q=q)
                 for g in (0.3, 0.9, 0.99):
                     a = np.eye(n) - g * (k[:n, :n] * w[None, :])
                     r_nodes = np.linalg.solve(a, g * k[:n, n:])
@@ -420,6 +428,20 @@ class TestAssemblies:
         shapes.clear()
         fr.resolvent_boundary_trace(5.0, ModelParams(0.5, 0.0), 64)
         assert shapes == [(65, 65)]
+
+    def test_anchor_bundles_once_per_square(self, monkeypatch):
+        # the anchor's right-hand sides are read from its square's bundles: each
+        # of its two squares costs one P and one Q call over the nodes, one for s
+        shapes = _assembled_shapes(monkeypatch)
+        sizes = {"p": [], "q": []}
+        for name in sizes:
+            real = getattr(kn, f"_{name}_bundle")
+            monkeypatch.setattr(kn, f"_{name}_bundle",
+                                lambda y, rho, real=real, seen=sizes[name]:
+                                seen.append(np.size(y)) or real(y, rho))
+        ham.resolvent_anchor_state(8.0, ModelParams(0.5, 0.3))
+        assert sizes == {"p": [256, 1, 256, 1], "q": [256, 1, 256, 1]}
+        assert shapes == [(257, 257)] * 2
 
     def test_moments_one_operator_per_s(self, monkeypatch, capsys):
         # the trace and MGF routes read one half block per s, at the default order

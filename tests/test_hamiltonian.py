@@ -182,15 +182,21 @@ def _dual_weight_vector(mats, gamma, det_ref):
 
 class TestResolventAnchor:
     @pytest.mark.parametrize("rho", [-2.0, 0.0, 1.0, 2.0])
-    def test_dual_weights_match_tilde_psi_cofactors(self, rho):
-        # (0 1 1) PsiTilde(y)^{-1} = i g(y) at the anchor's nodes and its end
+    def test_dual_weights_match_tilde_psi_cofactors(self, rho, monkeypatch):
+        # (0 1 1) PsiTilde(y)^{-1} = i g(y) at the anchor's nodes and its end:
+        # the dual right-hand side the anchor's end-point solve receives
+        dual = []
+        real = fr._end_solves
+        monkeypatch.setattr(fr, "_end_solves", lambda k, w, g, f, h: dual.append(h)
+                            or real(k, w, g, f, h))
         det_ref = np.linalg.det(tilde_psi_matrices(np.zeros(1), rho))[0]
         for s0 in (4.0, 6.0, 8.0, 10.0, 12.0):
             pts = np.append(s0 * fr.gauss_legendre(ham._ANCHOR_N).nodes, s0)
             mats = tilde_psi_matrices(pts, rho)
             for gamma in (0.1, 0.5, 0.95):
                 ref = _dual_weight_vector(mats, gamma, det_ref)
-                got = ham._dual_weights(pts, rho, gamma)
+                fr.resolvent_end_values(s0, ModelParams(gamma, rho), ham._ANCHOR_N)
+                got = dual.pop()
                 assert (np.abs(got - ref).max(axis=0)
                         <= 1e-10 * np.abs(ref).max(axis=0)).all()
 

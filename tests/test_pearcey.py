@@ -126,7 +126,7 @@ class TestTildePsi:
         z, rho = 1.0, 0.0
         m = pc.tilde_psi(z, rho).m
         p = pc.pearcey_p(z, rho)
-        expected = 2 * math.pi * p.as_array()
+        expected = 2 * math.pi * np.array([p.v0, p.v1, p.v2])
         assert np.abs(m[:, 0] - expected).max() < 1e-9
 
     def test_det_nonzero_at_origin(self):
