@@ -25,10 +25,12 @@ from .kernel import (
 )
 from .fredholm import (
     DetResult,
+    Moments,
     QuadratureRule,
     fredholm_logdet,
     gauss_legendre,
     logdet_converged,
+    moments,
     moments_mgf,
     moments_operator,
     moments_trace,

@@ -20,7 +20,7 @@ from .chf import chf_origin_expansion, verification_report
 from .fredholm import (
     _logdet_converged_many,
     fredholm_logdet,
-    moments_mgf,
+    moments,
     moments_operator,
     moments_trace,
     resolvent_boundary_trace,
@@ -204,10 +204,9 @@ def criterion_8_integral_representation() -> CriterionResult:
 
 def criterion_9_counting_statistics() -> CriterionResult:
     t0 = time.time()
-    op = moments_operator(3.0, 0.0, 128)
-    mt = moments_trace(*op)
-    mm = moments_mgf(*op)
-    agree = abs(mt[0] - mm[0]) <= 1e-5 and abs(mt[1] - mm[1]) <= 1e-5
+    res = moments(3.0, 0.0)
+    route_diff = max(abs(m - t) / t for t, m in zip(res.trace, res.mgf))
+    agree = route_diff <= 1e-11
     var10 = moments_trace(*moments_operator(10.0, 0.0, 512))[1]
     var_gap = var10 - asym.counting_stats(10.0, 0.0).sigma2
     var_ok = abs(var_gap - 0.312200) <= 0.02
@@ -222,9 +221,11 @@ def criterion_9_counting_statistics() -> CriterionResult:
     clt_ok = d10 < d4 and d10 < 0.2
     ok = agree and var_ok and mean_monotone and clt_ok
     return _result("9 counting statistics", ok,
-                   f"trace/mgf agree={agree}, Var-sigma2 {var_gap:.5f} ok={var_ok}, "
+                   f"trace/mgf rel diff {route_diff:.1e} at order {res.order} (tol 1e-11) "
+                   f"ok={agree}, Var-sigma2 {var_gap:.5f} ok={var_ok}, "
                    f"|EN-mu| monotone={mean_monotone}, CLT {d10:.3f}<{d4:.3f} "
-                   f"and <0.2 ok={clt_ok}", t0)
+                   f"and <0.2 ok={clt_ok}", t0,
+                   extras={"order": res.order, "route_diff": route_diff, "agree": agree})
 
 
 def criterion_10_gamma1_regime() -> CriterionResult:

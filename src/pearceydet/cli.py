@@ -24,8 +24,8 @@ from .params import ModelParams
 from . import asymptotics as asym
 from . import chf as chf_mod
 from . import hamiltonian as ham
-from .fredholm import (_check_args, _logdet_converged_many, fredholm_logdet,
-                       logdet_converged, moments_mgf, moments_operator, moments_trace)
+from .fredholm import (_N_START, _check_args, _logdet_converged_many, fredholm_logdet,
+                       logdet_converged, moments, moments_mgf, moments_trace)
 from .kernel import kernel_integral, kernel_point, kernel_rh
 
 
@@ -171,32 +171,30 @@ def _cmd_hamiltonian(args) -> None:
 
 
 def _cmd_moments(args) -> None:
-    n = 256 if args.quad_order is None else args.quad_order
+    n = args.quad_order
     grid = _s_grid(args)
     # every s of the grid is checked before any quadrature: the kernel range
     # here, then s >= 1 and a finite s and rho in counting_stats
     for s in grid:
-        _check_args(s, 1.0, n)
+        _check_args(s, 1.0, _N_START if n is None else n)
     stats = [asym.counting_stats(s, args.rho) for s in grid]
 
     def one(s, st):
-        # one operator per s: both routes read the same discretisation
-        op = moments_operator(s, args.rho, n)
-        mean_t, var_t = moments_trace(*op)
-        mean_m, var_m = moments_mgf(*op)
-        # Var N(s) > 0 always; a too-coarse order can drive either route negative.
-        # A positive value is not thereby converged: no order check is made here
+        # the routes are passed by this module's names, which the benchmark's tracer wraps
+        res = moments(s, args.rho, n, trace=moments_trace, mgf=moments_mgf)
+        (mean_t, var_t), (mean_m, var_m) = res.trace, res.mgf
+        # Var N(s) > 0 always; a fixed --quad-order too coarse can drive either route negative
         if not all(v > 0.0 for v in (mean_t, var_t, mean_m, var_m)):
-            raise ConvergenceError(f"non-positive moment at s = {s}, quad order {n}: "
+            raise ConvergenceError(f"non-positive moment at s = {s}, quad order {res.order}: "
                                    f"mean {mean_t:.6g}/{mean_m:.6g}, "
                                    f"variance {var_t:.6g}/{var_m:.6g} (trace/mgf)")
-        return {"s": float(s), "mean_trace": mean_t, "var_trace": var_t,
-                "mean_mgf": mean_m, "var_mgf": var_m,
+        return {"s": float(s), "order": res.order,
+                "mean_trace": mean_t, "var_trace": var_t, "err_trace": res.err_trace,
+                "mean_mgf": mean_m, "var_mgf": var_m, "err_mgf": res.err_mgf,
                 "mu": st.mu, "sigma2": st.sigma2,
                 "var_minus_sigma2": var_t - st.sigma2}
 
-    _emit(args, [one(s, st) for s, st in zip(grid, stats)],
-          {"quad_order": n, "var_const": asym.VAR_CONSTANT})
+    _emit(args, [one(s, st) for s, st in zip(grid, stats)], {"var_const": asym.VAR_CONSTANT})
 
 
 def _cmd_clt(args) -> None:

@@ -25,31 +25,40 @@ The determinant is folded by parity.  P is even and Q odd, so K(-x, -y) =
 K(x, y); the rule is a bitwise mirror image, so the symmetrized matrix A is
 exactly centrosymmetric, and I - gamma A maps even and odd vectors to
 themselves.  The rows of the nonnegative nodes therefore determine A, and
-only they are assembled.  ``_parity_logdets`` factors two half-size blocks
-built from them, the even part U + M and the odd part U - M over the
-nonnegative nodes, instead of one n x n matrix: about a quarter of the LU
-work.  ``moments_trace`` folds its two traces over the same rows.  Both
-blocks of every gamma of one operator go through one stacked factorisation
-(``_logdet_lu``), and each block must have a positive determinant on its
-own, which a full factorization cannot see (two negative factors multiply to
-a positive one).
+only they are assembled.  ``_parity_blocks`` builds two half-size blocks
+from them, the even part U + M and the odd part U - M over the nonnegative
+nodes, and ``_parity_logdets`` factors those instead of one n x n matrix:
+about a quarter of the LU work.  ``moments_trace`` folds its two traces over
+the same rows.  Both blocks of every gamma of one operator go through one
+stacked factorisation (``_logdet_lu``), and each block must have a positive
+determinant on its own, which a full factorization cannot see (two negative
+factors multiply to a positive one).
+
+Moments.  ``moments`` doubles the order from 16 until the trace moments
+settle, and reads the same operators for the MGF route, which takes G(nu) =
+F(s; 1 - e^{-2 pi nu}, rho) on a circle of complex gamma through the same
+parity blocks and differentiates it by a discrete Fourier transform of the
+samples (``_contour_coefficients``).  The two routes share the operator but
+not the formula, and each reports its own doubling difference.
 
 The resolvent solves run on ``_end_square``, the full square over the nodes
 and the end point s, whose bundles come from one P and one Q call over the
 nodes and one each for s, so its block over the nodes holds the bits of the
-full Nystrom square, whose rows the half blocks are.  ``_end_solves`` solves on the nodes through ``_resolvent_solves``
-(one LU of I - gamma K W, a forward and a dual solve, each refined once) and
-extends both solutions to s by the Nystrom formula.  The boundary trace
-solves for the one column gamma K(x_i, s), as R(-s, -s) = R(s, s), and the
-anchor of ``hamiltonian`` (``resolvent_end_values``) for the kernel's row
-and column factors, read from the bundles the square was assembled from.
-The right-hand sides have parity, so the solves could split into the same
-two half-size blocks; they do not yet.
+full Nystrom square, whose rows the half blocks are.  ``_end_solves`` solves
+on the nodes through ``_resolvent_solves`` (one LU of I - gamma K W, a
+forward and a dual solve, each refined once) and extends both solutions to
+s by the Nystrom formula.  The boundary trace solves for the one column
+gamma K(x_i, s), as R(-s, -s) = R(s, s), and the anchor of ``hamiltonian``
+(``resolvent_end_values``) for the kernel's row and column factors, read
+from the bundles the square was assembled from.  The right-hand sides have
+parity, so the solves could split into the same two half-size blocks; they
+do not yet.
 
-``gamma`` is accepted slightly outside [0, 1]: the moment-generating-function
-route differentiates F(s; 1 - e^{-2 pi nu}, rho) at nu = 0 and the CLT check
-evaluates it at nu < 0, both of which need gamma < 0 (where det(I - gamma K) =
-det(I + |gamma| K) > 1 is perfectly well conditioned).
+``gamma`` is accepted slightly outside [0, 1]: the CLT check evaluates
+F(s; 1 - e^{-2 pi nu}, rho) at nu < 0, which needs gamma < 0 (where
+det(I - gamma K) = det(I + |gamma| K) > 1 is perfectly well conditioned).
+The MGF route's complex gammas, |gamma| < 0.37, go to the parity blocks
+directly.
 """
 from __future__ import annotations
 
@@ -70,7 +79,11 @@ _S_MAX = 12.0
 _N_MAX = 2048
 _N_START = 16                   # first order of the doubling
 _GAMMA_MIN = -16.0
-_MGF_STEPS = (1e-3, 5e-4)       # nu steps of the Richardson pair
+_MOMENTS_RTOL = 1e-9            # relative change of the trace moments that accepts an order
+_MOMENTS_ROUNDING = 1e-11       # floor of a moment's error, times 1 + E N (``moments``)
+_CONTOUR_RADIUS = 0.05          # |nu| of the MGF route's Cauchy integral
+_CONTOUR_POINTS = 16            # samples on that circle, 9 evaluated and 7 conjugated
+_C0_TOL = 1e-12                 # |c_0| allowed, times 1 + max |G| on the circle
 
 
 @dataclass(frozen=True)
@@ -150,30 +163,45 @@ def _logdet_lu(m: np.ndarray) -> np.ndarray:
     return np.where(sign > 0, logabs, np.nan)
 
 
-def _parity_logdets(a: np.ndarray, gammas) -> np.ndarray:
-    """ln det(I - g A) at each g of ``gammas`` for a centrosymmetric A: even part plus odd part.
+def _parity_blocks(a: np.ndarray) -> np.ndarray:
+    """The (2, h, h) stack of the even part U + M and the odd part U - M of a centrosymmetric A.
 
     ``a`` is the half block A[n//2:, :] of the rows of the nonnegative nodes,
     which determines A.  U holds its columns of the nonnegative nodes and M
-    the mirrored columns; the even part acts as U + M and the odd part
-    as U - M.  An odd order's centre node x = 0 is its own mirror image: in
-    the even basis (e_0, e_j + e_-j) its column is A(x_i, 0), not the
-    2 A(x_i, 0) of U + M, so that column is halved.  The odd block's first
-    column is then exactly 0 and contributes a factor 1.  Both blocks of every
-    gamma are factored in one (G, 2, h, h) stack; a gamma with a block of
-    non-positive determinant gives NaN (``_logdet_lu``).
+    the mirrored columns; I - g A acts on even vectors as I - g (U + M) and
+    on odd ones as I - g (U - M), so det(I - g A) is the product of the two
+    blocks' determinants at every g, real or complex.  An odd order's centre
+    node x = 0 is its own mirror image: in the even basis (e_0, e_j + e_-j)
+    its column is A(x_i, 0), not the 2 A(x_i, 0) of U + M, so that column is
+    halved.  The odd block's first column is then exactly 0 and contributes
+    a factor 1.
     """
     n = a.shape[1]
-    h = n // 2
-    u = a[:, h:]
+    u = a[:, n // 2:]
     m = a[:, (n - 1) // 2::-1]
     blocks = np.stack([u + m, u - m])
     if n % 2:
         blocks[0, :, 0] *= 0.5
+    return blocks
+
+
+def _shifted(gammas: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The (G, 2, h, h) stack I - g B over every g of ``gammas`` and both parity blocks."""
     # -g * B with 1 added on the diagonal: bitwise I - g B
-    stack = np.multiply.outer(-np.asarray(gammas, dtype=float), blocks)
-    diag = np.arange(n - h)
+    stack = np.multiply.outer(-gammas, blocks)
+    diag = np.arange(blocks.shape[-1])
     stack[..., diag, diag] += 1.0
+    return stack
+
+
+def _parity_logdets(a: np.ndarray, gammas) -> np.ndarray:
+    """ln det(I - g A) at each g of ``gammas`` for a centrosymmetric A: even part plus odd part.
+
+    ``a`` is the half block of ``_parity_blocks``.  Both blocks of every gamma
+    are factored in one (G, 2, h, h) stack; a gamma with a block of
+    non-positive determinant gives NaN (``_logdet_lu``).
+    """
+    stack = _shifted(np.asarray(gammas, dtype=float), _parity_blocks(a))
     return _logdet_lu(stack).sum(axis=1)
 
 
@@ -356,8 +384,9 @@ def resolvent_end_values(s: float, params: ModelParams, n: int) -> tuple[np.ndar
 def moments_operator(s: float, rho: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(w, K): the order-n weights on (-s, s) and the half block both moment routes read.
 
-    One operator serves ``moments_trace`` and ``moments_mgf`` at its (s, rho, n):
-    K is the half block K[n//2:, :] that ``_nystrom`` yields (module notes).
+    One operator serves ``moments_trace`` and ``moments_mgf`` at its (s, rho, n),
+    one per order of the doubling in ``moments``: K is the half block
+    K[n//2:, :] that ``_nystrom`` yields (module notes).
     """
     _check_rho(rho)
     _check_args(s, 1.0, n)
@@ -394,28 +423,106 @@ def moments_trace(w: np.ndarray, k: np.ndarray) -> tuple[float, float]:
     return mean, var
 
 
+def _contour_coefficients(w: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """(c_0, c_1, c_2), c_j = a_j r^j, of G(nu) = F(s; 1 - e^{-2 pi nu}, rho) = sum a_j nu^j.
+
+    G is analytic for |nu| < 1/2 (det(I - gamma K) vanishes only at gamma =
+    1/lambda >= 1, which 1 - e^{-2 pi nu} reaches at Im nu = 1/2 or beyond),
+    and the trapezoidal rule on |nu| = r = 0.05 gives its Taylor coefficients
+    as the discrete Fourier transform of 16 samples, aliased by
+    a_{j+16} r^{j+16}: about 0.1^16 of c_j.  K is real, so G(conj nu) =
+    conj G(nu): the upper half of the circle, nu = r down to -r, is
+    evaluated and the lower half conjugated.  Each sample is the sum of the
+    two parity blocks' ln det at complex gamma, from one stacked complex
+    ``slogdet``.  A block's phase comes out on the principal branch; it is
+    unwrapped along the arc from nu = r, where gamma is real in (0, 1) and
+    the phase 0, and must come back to 0 at nu = -r.  G(0) = 0, so c_0 = 0
+    up to rounding (about 1e-15 over s in [1, 12] and rho in [-4, 4]); a
+    wrong branch, or a zero of the determinant inside or near the circle (a
+    too-coarse operator), moves it and raises ``ConvergenceError``.  See
+    Bornemann, Found. Comput. Math. 11 (2011), on the radius and the
+    rounding of Cauchy-integral derivatives.
+    """
+    m = _CONTOUR_POINTS
+    nu = _CONTOUR_RADIUS * np.exp(2j * math.pi / m * np.arange(m // 2 + 1))
+    stack = _shifted(-np.expm1(-2.0 * math.pi * nu), _parity_blocks(_symmetrized(w, k)))
+    sign, logabs = np.linalg.slogdet(stack)
+    g = (logabs + 1j * np.unwrap(np.angle(sign), axis=0)).sum(axis=1)
+    g = np.concatenate([g, g[-2:0:-1].conj()])
+    c = np.exp(-2j * math.pi / m * np.outer(np.arange(3), np.arange(m))) @ g / m
+    if not abs(c[0]) <= _C0_TOL * (1.0 + np.abs(g).max()):
+        raise ConvergenceError(f"contour mean c0 = {c[0]:.3g} of ln det over |nu| = "
+                               f"{_CONTOUR_RADIUS} is not at rounding (order {len(w)})")
+    return c
+
+
 def moments_mgf(w: np.ndarray, k: np.ndarray) -> tuple[float, float]:
-    """Moments from nu-differentiation of F(s; 1 - e^{-2 pi nu}, rho) at nu = 0.
+    """Moments from nu-derivatives of G(nu) = F(s; 1 - e^{-2 pi nu}, rho) at nu = 0.
 
     ``w`` and ``k`` are the operator of ``moments_operator``, the one
-    ``moments_trace`` reads.  Central second-order differences at the two
-    step sizes with one Richardson sweep; mean = -G'(0)/(2 pi), variance =
-    G''(0)/(4 pi^2) for G(nu) = F(gamma(nu)).  The operator serves all four
-    evaluations, factored in one stack.  The variance carries about 9
-    significant digits: its second difference at h = 5e-4 divides the
-    rounding of F by h^2 = 2.5e-7.
+    ``moments_trace`` reads.  G'(0) = a_1 and G''(0) = 2 a_2 come from the
+    Cauchy integral on |nu| = 0.05 (``_contour_coefficients``), so mean =
+    -a_1 / (2 pi) and variance = 2 a_2 / (4 pi^2).  At one operator both
+    agree with the trace route to about 1e-14 relative, and to 3e-12 where
+    the variance is small (1.6e-3 at s = 1, rho = 4).
     """
-    gammas = [-math.expm1(-2.0 * math.pi * nu) for h in _MGF_STEPS for nu in (h, -h)]
-    g = _positive(_parity_logdets(_symmetrized(w, k), gammas)).tolist()
-    d1 = []
-    d2 = []
-    for j, h in enumerate(_MGF_STEPS):
-        gp, gm = g[2 * j], g[2 * j + 1]
-        d1.append((gp - gm) / (2.0 * h))
-        d2.append((gp + gm) / (h * h))
-    ratio = (_MGF_STEPS[0] / _MGF_STEPS[1]) ** 2
-    d1_r = (ratio * d1[1] - d1[0]) / (ratio - 1.0)
-    d2_r = (ratio * d2[1] - d2[0]) / (ratio - 1.0)
-    mean = -d1_r / (2.0 * math.pi)
-    var = d2_r / (4.0 * math.pi ** 2)
-    return mean, var
+    c = _contour_coefficients(w, k)
+    a1 = float(c[1].real) / _CONTOUR_RADIUS
+    a2 = float(c[2].real) / _CONTOUR_RADIUS ** 2
+    return -a1 / (2.0 * math.pi), 2.0 * a2 / (4.0 * math.pi ** 2)
+
+
+@dataclass(frozen=True)
+class Moments:
+    """E N(s) and Var N(s) by both routes at one Nystrom order, with each route's error."""
+
+    order: int
+    trace: tuple[float, float]          # (mean, variance) from the trace formulas
+    mgf: tuple[float, float]            # (mean, variance) from the contour
+    err_trace: float                    # both errors are NaN at a fixed order
+    err_mgf: float
+
+
+def _moments_err(at_n: tuple[float, float], at_half: tuple[float, float]) -> float:
+    return max(abs(at_n[0] - at_half[0]), abs(at_n[1] - at_half[1]),
+               _MOMENTS_ROUNDING * (1.0 + abs(at_n[0])))
+
+
+def moments(s: float, rho: float, n: int | None = None, *,
+            trace=moments_trace, mgf=moments_mgf) -> Moments:
+    """Counting-statistics moments at the first order where the trace route has converged.
+
+    The order doubles from 16 until both trace moments change by at most
+    1e-9 relative between n/2 and n.  Both routes are then evaluated on the
+    order-n operator, and the MGF route also on the order-n/2 one, so each
+    route checks its own order.  A route's error is the larger of its
+    doubling difference, over the mean and the variance, and a rounding
+    floor of 1e-11 (1 + E N).  The raw difference alone understates it: the
+    kernel entries carry up to ~1e-11 relative rounding at the edges (V's
+    cancellation at negative rho, P's at |x| = 12), both routes sum them,
+    and each moment scales like E N (the variance is E N - tr((WK)^2)).  So
+    a finer order moves a value by that rounding, while two orders past
+    convergence can agree to 1e-15.  On s in {1, 2, 4, 8, 12} x rho in
+    {-4, -1, 0, 1, 4}, the raw difference was below the change to n = 384
+    at 19 of the 25 points; that change was at most 8.8e-12 (s = 12,
+    rho = 4) and at most 0.29 of the floored error.
+
+    A given ``n`` evaluates both routes at that order alone, with NaN errors.
+    ``trace`` and ``mgf`` are the two routes, each called on an operator.
+    """
+    if n is not None:
+        op = moments_operator(s, rho, n)
+        return Moments(n, trace(*op), mgf(*op), math.nan, math.nan)
+    prev = None
+    n = _N_START
+    while n <= _N_MAX:
+        op = moments_operator(s, rho, n)
+        t = trace(*op)
+        if prev is not None and all(abs(a - b) <= _MOMENTS_RTOL * abs(a)
+                                    for a, b in zip(t, prev[1])):
+            m = mgf(*op)
+            return Moments(n, t, m, _moments_err(t, prev[1]), _moments_err(m, mgf(*prev[0])))
+        prev = op, t
+        n *= 2
+    raise ConvergenceError(f"trace moments did not converge to {_MOMENTS_RTOL} relative "
+                           f"by n = {_N_MAX} at s = {s}, rho = {rho}")

@@ -111,22 +111,35 @@ class TestMoments:
         assert out == ""
         assert json.loads(err)["error"] == "DomainError"
 
-    @pytest.mark.parametrize("flags, quad", [([], 256), (["--quad-order", "127"], 127)])
+    @pytest.mark.parametrize("flags, quad", [([], None), (["--quad-order", "127"], 127)])
     def test_mgf_order_written(self, flags, quad, capsys):
-        # one order serves both routes: no separate mgf_order line
+        # every row carries the order both routes read; a '# quad_order:' line
+        # only restates a given --quad-order, whose rows have no error estimate
         code, out, _ = run_cli(["moments", "--s", "4"] + flags, capsys)
         assert code == 0
-        assert f"# quad_order: {quad}" in out.splitlines()
-        assert not any(line.startswith("# mgf_order") for line in out.splitlines())
+        lines = out.splitlines()
+        row = dict(zip(lines[-2].split(","), lines[-1].split(",")))
+        assert not any(line.startswith("# mgf_order") for line in lines)
+        quad_lines = [line for line in lines if line.startswith("# quad_order")]
+        if quad is None:
+            assert quad_lines == []
+            assert row["order"] == "32"         # the doubling from 16 stops here at s = 4
+            for route in ("trace", "mgf"):
+                assert 0.0 < float(row[f"err_{route}"]) <= 1e-9 * float(row[f"mean_{route}"])
+        else:
+            assert quad_lines == [f"# quad_order: {quad}"]
+            assert row["order"] == str(quad)
+            assert row["err_trace"] == row["err_mgf"] == "nan"
 
     def test_mgf_values_kept(self, capsys):
-        # the MGF route keeps its n = 256 order, now shared with the trace route
+        # the contour MGF route agrees with the trace route on the same row
         code, out, _ = run_cli(["moments", "--s", "8.3", "--rho", "0.4"], capsys)
         assert code == 0
         header, row = out.splitlines()[-2:]
         values = dict(zip(header.split(","), map(float, row.split(","))))
         assert values["mean_mgf"] == pytest.approx(6.4915209712176445, rel=1e-12)
-        assert values["var_mgf"] == pytest.approx(0.59338748715643208, rel=1e-12)
+        for col in ("mean", "var"):
+            assert values[f"{col}_mgf"] == pytest.approx(values[f"{col}_trace"], rel=1e-11, abs=0)
 
     @pytest.mark.parametrize("s, n", [("12", "12"), ("4", "2")])
     def test_non_positive_variance_exit_1(self, s, n, capsys):

@@ -193,6 +193,47 @@ class TestParityFold:
         assert math.isnan(f[0]) and f[1] == fr._parity_logdets(a, [0.1])[0]
 
 
+def _parity_logdets_reference(a, gammas):
+    """``_parity_logdets`` written out in one body, the bitwise reference for its helpers."""
+    n = a.shape[1]
+    h = n // 2
+    u = a[:, h:]
+    m = a[:, (n - 1) // 2::-1]
+    blocks = np.stack([u + m, u - m])
+    if n % 2:
+        blocks[0, :, 0] *= 0.5
+    stack = np.multiply.outer(-np.asarray(gammas, dtype=float), blocks)
+    diag = np.arange(n - h)
+    stack[..., diag, diag] += 1.0
+    sign, logabs = np.linalg.slogdet(stack)
+    return np.where(sign > 0, logabs, np.nan).sum(axis=1)
+
+
+class TestParityBlocks:
+    @pytest.mark.parametrize("n", _PARITY_ORDERS)
+    @pytest.mark.parametrize("s, rho", [(2.5, 0.6), (9.0, -1.3)])
+    def test_logdets_bitwise_the_one_body_form(self, n, s, rho):
+        [(_, _, w, k)] = fr._nystrom((s,), rho, n)
+        a = fr._symmetrized(w, k)
+        gammas = [0.95, 0.5, -3.0, 1.0]         # 0.95 at (9, -1.3, 2) is a NaN
+        got = fr._parity_logdets(a, gammas)
+        assert got.tobytes() == _parity_logdets_reference(a, gammas).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 16, 127])
+    @pytest.mark.parametrize("gamma", [0.3 + 0.2j, -0.1 - 0.25j, 0.05j])
+    def test_complex_gamma_matches_full_slogdet(self, n, gamma):
+        # the contour's gammas: the two blocks' determinants multiply to the full one
+        [(_, x, w, k)] = fr._nystrom((2.5,), 0.6, n)
+        blocks = fr._parity_blocks(fr._symmetrized(w, k))
+        h = n - n // 2
+        assert blocks.shape == (2, h, h)
+        sign, full = np.linalg.slogdet(np.eye(n) - gamma * _symmetrized_square(
+            w, kn.kernel_matrix(x, 0.6)))
+        signs, parts = np.linalg.slogdet(np.eye(h) - gamma * blocks)
+        assert abs(parts.sum() - full) <= 1e-13 * max(1.0, abs(full))
+        assert abs(signs.prod() - sign) <= 1e-13
+
+
 def _one_point(s, gamma, rho, tol):
     return fr.logdet_converged(s, ModelParams(max(gamma, 0.0), rho), tol, gamma=gamma)
 
@@ -389,6 +430,63 @@ class TestMoments:
         assert mean == full_mean        # the diagonal mirrored out, summed in its order
         assert var == pytest.approx(full_var, rel=1e-13)
 
+    @pytest.mark.parametrize("rho", [-4.0, 0.0, 4.0])
+    @pytest.mark.parametrize("s", [1.0, 4.0, 8.0, 12.0])
+    def test_contour_matches_trace_route(self, s, rho):
+        # worst measured 2.6e-12, at s = 1, rho = 4, where the variance is 1.6e-3
+        res = fr.moments(s, rho)
+        assert res.mgf == pytest.approx(res.trace, rel=1e-11, abs=0)
+        c = fr._contour_coefficients(*fr.moments_operator(s, rho, res.order))
+        assert abs(c[0]) <= 1e-14              # G(0) = 0: the circle's mean at rounding
+
+    @pytest.mark.parametrize("s, rho", [(s, rho) for s in (1.0, 2.0, 4.0, 8.0, 12.0)
+                                        for rho in (-4.0, -1.0, 0.0, 1.0, 4.0)])
+    def test_errors_bound_the_change_to_384(self, s, rho):
+        # each route's reported error covers its value at n = 384, which carries
+        # up to ~1e-11 of rounding of its own
+        res = fr.moments(s, rho)
+        op = fr.moments_operator(s, rho, 384)
+        for got, err, fine in ((res.trace, res.err_trace, fr.moments_trace(*op)),
+                               (res.mgf, res.err_mgf, fr.moments_mgf(*op))):
+            assert max(abs(got[0] - fine[0]), abs(got[1] - fine[1])) <= err
+            assert err <= 1e-9 * (1.0 + got[0])
+
+    def test_order_is_the_first_converged_doubling(self):
+        # at s = 12, rho = -4 the variance still moves by 8.6e-6 from 32 to 64
+        res = fr.moments(12.0, -4.0)
+        assert res.order == 128
+        at = {n: fr.moments_trace(*fr.moments_operator(12.0, -4.0, n)) for n in (32, 64, 128)}
+        assert abs(at[64][1] - at[32][1]) > 1e-9 * at[64][1]
+        assert res.trace == at[128]
+        assert res.err_trace >= max(abs(a - b) for a, b in zip(at[128], at[64]))
+
+    def test_fixed_order_has_no_error(self):
+        res = fr.moments(4.0, 0.0, 127)
+        op = fr.moments_operator(4.0, 0.0, 127)
+        assert res.order == 127
+        assert res.trace == fr.moments_trace(*op) and res.mgf == fr.moments_mgf(*op)
+        assert math.isnan(res.err_trace) and math.isnan(res.err_mgf)
+
+    def test_no_convergence_by_the_last_order(self, monkeypatch):
+        monkeypatch.setattr(fr, "_N_MAX", 64)
+        with pytest.raises(ConvergenceError, match="n = 64"):
+            fr.moments(12.0, -4.0)
+
+    def test_slipped_phase_unwrap_raises(self, monkeypatch):
+        # a 2 pi slip along the arc leaves the phase off at nu = -r, and so c0
+        real = np.unwrap
+
+        def slipped(phase, axis):
+            out = real(phase, axis=axis)
+            out[3:] += 2.0 * math.pi
+            return out
+
+        op = fr.moments_operator(4.0, 0.0, 32)
+        fr.moments_mgf(*op)
+        monkeypatch.setattr(np, "unwrap", slipped)
+        with pytest.raises(ConvergenceError, match="c0"):
+            fr.moments_mgf(*op)
+
     def test_small_interval_limit(self):
         # E N(s) -> 2 s K(0,0;rho) as s -> 0+
         s, rho = 0.05, 0.0
@@ -443,12 +541,13 @@ class TestAssemblies:
         assert sizes == {"p": [256, 1, 256, 1], "q": [256, 1, 256, 1]}
         assert shapes == [(257, 257)] * 2
 
-    def test_moments_one_operator_per_s(self, monkeypatch, capsys):
-        # the trace and MGF routes read one half block per s, at the default order
+    def test_moments_one_operator_per_order(self, monkeypatch, capsys):
+        # one half block per s and order of the doubling (s = 4 stops at 32, 8 and
+        # 12 at 64): the MGF route at n and n/2 reads the trace route's operators
         shapes = _assembled_shapes(monkeypatch)
         assert main(["moments", "--rho", "0", "--s-min", "4", "--s-max", "12",
                      "--s-steps", "3"]) == 0
-        assert shapes == [(128, 256)] * 3
+        assert shapes == [(8, 16), (16, 32)] + [(8, 16), (16, 32), (32, 64)] * 2
 
     def test_v_bundle_once_per_node(self, monkeypatch):
         # on mirror-image nodes [x, -x] holds each node twice; V runs once per node
