@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RealnessError
+from .fredholm import logdet_converged
 from .params import ModelParams
 from .specfun import EULER_GAMMA, barnes_ln_g, ln_gamma
 
@@ -217,14 +218,12 @@ def clt_distance(s: float, rho: float, t_grid: np.ndarray) -> float:
     """
     if s < 4:
         raise DomainError(f"clt_distance validated for s >= 4, got {s}")
-    from .fredholm import _logdet_converged_many
-
     stats = counting_stats(s, rho)
     sigma = math.sqrt(stats.sigma2)
     ts = [t for t in np.asarray(t_grid, float) if t != 0.0]
     nus = [-t / (2.0 * math.pi * sigma) for t in ts]
     gammas = [-math.expm1(-2.0 * math.pi * nu) for nu in nus]
-    dets = _logdet_converged_many([(s, g) for g in gammas], rho, 1e-8)
+    dets = logdet_converged([(s, g) for g in gammas], rho, 1e-8)
     dists = [abs(math.exp(res.f - t * stats.mu / sigma) - math.exp(t * t / 2.0))
              for t, res in zip(ts, dets)]
     # np.max keeps a NaN distance, which the builtin max would drop

@@ -24,8 +24,8 @@ from .params import ModelParams
 from . import asymptotics as asym
 from . import chf as chf_mod
 from . import hamiltonian as ham
-from .fredholm import (_N_START, _check_args, _logdet_converged_many, fredholm_logdet,
-                       logdet_converged, moments, moments_mgf, moments_trace)
+from .fredholm import (_N_START, _check_args, fredholm_logdet, logdet_converged, moments,
+                       moments_mgf, moments_trace)
 from .kernel import kernel_integral, kernel_point, kernel_rh
 
 
@@ -84,7 +84,7 @@ def _s_grid(args) -> np.ndarray:
 
 
 def _cmd_kernel(args) -> None:
-    # the one command without ModelParams, which rejects a non-finite rho elsewhere
+    # the kernel functions take any rho and range: non-finite ones are rejected here
     lo = args.s_min if args.s_min is not None else -3.0
     hi = args.s_max if args.s_max is not None else 3.0
     for name, value in (("rho", args.rho), ("s_min", lo), ("s_max", hi)):
@@ -122,16 +122,15 @@ def _default_tol(gamma: float) -> float:
 
 
 def _cmd_det(args) -> None:
-    gamma = args.gamma
     if args.nu is not None:
-        gamma = -math.expm1(-2.0 * math.pi * args.nu)
-    params = ModelParams(max(gamma, 0.0), args.rho)
+        # the gamma used replaces the --gamma default in the metadata too
+        args.gamma = -math.expm1(-2.0 * math.pi * args.nu)
     if args.quad_order is not None:
-        res = fredholm_logdet(args.s, params, args.quad_order, gamma=gamma)
+        res = fredholm_logdet(args.s, args.gamma, args.rho, args.quad_order)
     else:
-        tol = _default_tol(gamma) if args.tol is None else args.tol
-        res = logdet_converged(args.s, params, tol, gamma=gamma)
-    rows = [{"s": args.s, "gamma": gamma, "rho": args.rho, "f": res.f}]
+        tol = _default_tol(args.gamma) if args.tol is None else args.tol
+        [res] = logdet_converged([(args.s, args.gamma)], args.rho, tol)
+    rows = [{"s": args.s, "gamma": args.gamma, "rho": args.rho, "f": res.f}]
     _emit(args, rows, {"order": res.order, "err_est": res.err_est})
 
 
@@ -142,7 +141,7 @@ def _cmd_scan(args) -> None:
     constant = asym.gap_constant(params) if params.gamma < 1.0 else None
 
     grid = _s_grid(args)
-    dets = _logdet_converged_many([(s, params.gamma) for s in grid], params.rho, tol)
+    dets = logdet_converged([(s, params.gamma) for s in grid], params.rho, tol)
 
     def one(s, f_num):
         row = {"s": float(s), "f_num": f_num}
@@ -174,9 +173,9 @@ def _cmd_moments(args) -> None:
     n = args.quad_order
     grid = _s_grid(args)
     # every s of the grid is checked before any quadrature: the kernel range
-    # here, then s >= 1 and a finite s and rho in counting_stats
+    # and a finite rho here, then s >= 1 in counting_stats
     for s in grid:
-        _check_args(s, 1.0, _N_START if n is None else n)
+        _check_args(s, 1.0, args.rho, _N_START if n is None else n)
     stats = [asym.counting_stats(s, args.rho) for s in grid]
 
     def one(s, st):

@@ -1,64 +1,21 @@
 """Nystrom discretization of det(I - gamma K) on (-s, s) and derived statistics.
 
-The determinants and traces read their Nystrom matrices from one builder,
-``_nystrom``, over the cached Gauss-Legendre rule of order n scaled to
-(-s, s).  It takes the s values to build at one order, makes one P and one Q
-bundle call over all their nodes, and yields the operators one at a time,
-each the half block K[n//2:, :] of the rows of the nonnegative nodes from one
-assembly call (parity fold below): (n - n//2) x n entries instead of n x n,
-each the bits the full square would hold.  The fixed-order routines pass one
-s, the lockstep doubling every pending s.  One K at fixed (s, rho, n) serves
-every gamma.  The determinant uses the symmetrized weighting D^{1/2} K D^{1/2}
-(equal to the plain weighting in determinant but better conditioned) and
-order doubling for convergence control.
+A map of the module; each function's docstring holds its contract.
 
-Lockstep doubling.  ``_logdet_converged_many`` converges a whole grid of
-(s, gamma) points at once: every point still pending doubles its order
-together with the others.  At each order ``_nystrom`` covers the nodes of
-every pending s with one P and one Q bundle call; each K it yields serves
-all of that s's pending gammas and is dropped before the next s is built, so
-only one operator is alive at a time.  A point leaves the grid once two
-successive orders agree, so each point follows the doubling it would follow
-on its own.
-
-The determinant is folded by parity.  P is even and Q odd, so K(-x, -y) =
-K(x, y); the rule is a bitwise mirror image, so the symmetrized matrix A is
-exactly centrosymmetric, and I - gamma A maps even and odd vectors to
-themselves.  The rows of the nonnegative nodes therefore determine A, and
-only they are assembled.  ``_parity_blocks`` builds two half-size blocks
-from them, the even part U + M and the odd part U - M over the nonnegative
-nodes, and ``_parity_logdets`` factors those instead of one n x n matrix:
-about a quarter of the LU work.  ``moments_trace`` folds its two traces over
-the same rows.  Both blocks of every gamma of one operator go through one
-stacked factorisation (``_logdet_lu``), and each block must have a positive
-determinant on its own, which a full factorization cannot see (two negative
-factors multiply to a positive one).
-
-Moments.  ``moments`` doubles the order from 16 until the trace moments
-settle, and reads the same operators for the MGF route, which takes G(nu) =
-F(s; 1 - e^{-2 pi nu}, rho) on a circle of complex gamma through the same
-parity blocks and differentiates it by a discrete Fourier transform of the
-samples (``_contour_coefficients``).  The two routes share the operator but
-not the formula, and each reports its own doubling difference.
-
-The resolvent solves run on ``_end_square``, the full square over the nodes
-and the end point s, whose bundles come from one P and one Q call over the
-nodes and one each for s, so its block over the nodes holds the bits of the
-full Nystrom square, whose rows the half blocks are.  ``_end_solves`` solves
-on the nodes through ``_resolvent_solves`` (one LU of I - gamma K W, a
-forward and a dual solve, each refined once) and extends both solutions to
-s by the Nystrom formula.  The boundary trace solves for the one column
-gamma K(x_i, s), as R(-s, -s) = R(s, s), and the anchor of ``hamiltonian``
-(``resolvent_end_values``) for the kernel's row and column factors, read
-from the bundles the square was assembled from.  The right-hand sides have
-parity, so the solves could split into the same two half-size blocks; they
-do not yet.
-
-``gamma`` is accepted slightly outside [0, 1]: the CLT check evaluates
-F(s; 1 - e^{-2 pi nu}, rho) at nu < 0, which needs gamma < 0 (where
-det(I - gamma K) = det(I + |gamma| K) > 1 is perfectly well conditioned).
-The MGF route's complex gammas, |gamma| < 0.37, go to the parity blocks
-directly.
+* Entries: ``fredholm_logdet`` at a fixed order, ``logdet_converged`` for a
+  grid of (s, gamma) points doubled in lockstep, ``resolvent_boundary_trace``
+  and ``resolvent_end_values`` for the resolvent at s, and ``moments`` with
+  its two routes ``moments_trace`` and ``moments_mgf``.
+* Operators: ``_nystrom`` builds every determinant and trace operator, the
+  half block of the rows of the nonnegative nodes; ``_end_square`` builds
+  the full square over the nodes and s that the resolvent solves read.
+* Parity: ``_parity_blocks`` is the one fold of a half block into its even
+  and odd half-size blocks, which the determinants, the contour and the
+  trace of (WK)^2 read.
+* Inputs: ``_check_args`` checks s, gamma, rho and the order before any
+  quadrature.  gamma may lie in (-16, 1]: the CLT evaluates F(s; 1 -
+  e^{-2 pi nu}, rho) at nu < 0, where det(I - gamma K) = det(I + |gamma| K)
+  is well conditioned.
 """
 from __future__ import annotations
 
@@ -90,7 +47,6 @@ _C0_TOL = 1e-12                 # |c_0| allowed, times 1 + max |G| on the circle
 class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
 
 
 @dataclass(frozen=True)
@@ -136,19 +92,17 @@ def gauss_legendre(n: int) -> QuadratureRule:
     x = np.concatenate([-x[:n // 2], x[::-1]])
     w = np.concatenate([w[:n // 2], w[::-1]])
     x.flags.writeable = w.flags.writeable = False
-    return QuadratureRule(x, w, n)
+    return QuadratureRule(x, w)
 
 
-def _check_rho(rho: float) -> None:
-    if not math.isfinite(rho):
-        raise DomainError(f"rho must be finite, got {rho}")
-
-
-def _check_args(s: float, gamma: float, n: int) -> None:
+def _check_args(s: float, gamma: float, rho: float, n: int) -> None:
+    """Raise ``DomainError`` unless (s, gamma, rho, n) is a point the Nystrom layer serves."""
     if not 0 < s <= _S_MAX:
         raise DomainError(f"s = {s} outside the kernel evaluation range (0, {_S_MAX}]")
     if not _GAMMA_MIN < gamma <= 1.0:
         raise DomainError(f"gamma = {gamma} outside ({_GAMMA_MIN}, 1]")
+    if not math.isfinite(rho):
+        raise DomainError(f"rho must be finite, got {rho}")
     if not 1 <= n <= _N_MAX:
         raise DomainError(f"quadrature order {n} outside [1, {_N_MAX}]")
 
@@ -157,7 +111,9 @@ def _logdet_lu(m: np.ndarray) -> np.ndarray:
     """ln det of every matrix of a stack (..., h, h), NaN where one is not positive.
 
     A non-positive determinant has no real logarithm; the caller decides
-    whether that raises ``SignError`` or marks a coarse order to retry.
+    whether that raises ``SignError`` or marks a coarse order to retry.  Each
+    parity block is checked on its own, which a full factorization cannot do:
+    two negative blocks multiply to a positive determinant.
     """
     sign, logabs = np.linalg.slogdet(m)
     return np.where(sign > 0, logabs, np.nan)
@@ -170,11 +126,11 @@ def _parity_blocks(a: np.ndarray) -> np.ndarray:
     which determines A.  U holds its columns of the nonnegative nodes and M
     the mirrored columns; I - g A acts on even vectors as I - g (U + M) and
     on odd ones as I - g (U - M), so det(I - g A) is the product of the two
-    blocks' determinants at every g, real or complex.  An odd order's centre
-    node x = 0 is its own mirror image: in the even basis (e_0, e_j + e_-j)
-    its column is A(x_i, 0), not the 2 A(x_i, 0) of U + M, so that column is
-    halved.  The odd block's first column is then exactly 0 and contributes
-    a factor 1.
+    blocks' determinants at every g, real or complex, and tr(A^2) the sum of
+    their tr(B^2).  An odd order's centre node x = 0 is its own mirror image:
+    in the even basis (e_0, e_j + e_-j) its column is A(x_i, 0), not the
+    2 A(x_i, 0) of U + M, so that column is halved.  The odd block's first
+    column is then exactly 0 and contributes a factor 1.
     """
     n = a.shape[1]
     u = a[:, n // 2:]
@@ -198,8 +154,9 @@ def _parity_logdets(a: np.ndarray, gammas) -> np.ndarray:
     """ln det(I - g A) at each g of ``gammas`` for a centrosymmetric A: even part plus odd part.
 
     ``a`` is the half block of ``_parity_blocks``.  Both blocks of every gamma
-    are factored in one (G, 2, h, h) stack; a gamma with a block of
-    non-positive determinant gives NaN (``_logdet_lu``).
+    are factored in one (G, 2, h, h) stack, about a quarter of the LU work of
+    one n x n matrix; a gamma with a block of non-positive determinant gives
+    NaN (``_logdet_lu``).
     """
     stack = _shifted(np.asarray(gammas, dtype=float), _parity_blocks(a))
     return _logdet_lu(stack).sum(axis=1)
@@ -215,8 +172,9 @@ def _nystrom(ss, rho: float, n: int):
     """Yield (s, x, w, K) per s of ``ss``: the order-n rule on (-s, s) and its half block K.
 
     K is K[n//2:, :], the rows of the nonnegative nodes against all n
-    columns: centrosymmetry gives the other rows bitwise (module notes), and
-    every entry is the bits the full square would hold.  One P and one Q
+    columns: P is even and Q odd, so K(-x, -y) = K(x, y), which on the
+    mirror-image rule gives the other rows bitwise, and every entry is the
+    bits the full square would hold.  One P and one Q
     bundle call cover the nodes of every s.  Each K is assembled only when it
     is yielded: a consumer that drops it before the next keeps one operator
     alive at a time.
@@ -236,7 +194,8 @@ def _end_square(s: float, rho: float, n: int):
 
     K[:n, :n] is the Nystrom matrix over the nodes x, K[n, :n] holds K(s, x_j)
     and K[:n, n] holds K(x_i, s).  p and q are the P and Q bundles at (x, s)
-    that K was assembled from: one call each over the nodes, one each for s.
+    that K was assembled from: one call each over the nodes, one each for s,
+    so K[:n, :n] holds the bits of the full Nystrom square.
     """
     rule = gauss_legendre(n)
     pts = np.append(s * rule.nodes, s)
@@ -246,36 +205,36 @@ def _end_square(s: float, rho: float, n: int):
 
 
 def _symmetrized(w: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """D^{1/2} K D^{1/2} on the rows K holds, the last len(k) of the rule."""
+    """D^{1/2} K D^{1/2} on the rows K holds, the last len(k) of the rule.
+
+    It is similar to WK, so it has the same determinants and traces, and it
+    is better conditioned.
+    """
     sqrt_w = np.sqrt(w)
     return sqrt_w[len(w) - len(k):, None] * k * sqrt_w[None, :]
 
 
-def fredholm_logdet(s: float, params: ModelParams, n: int, *,
-                    gamma: float | None = None) -> DetResult:
-    """F(s; gamma, rho) = ln det(I - gamma K) at fixed Nystrom order n."""
-    g = params.gamma if gamma is None else gamma
-    _check_args(s, g, n)
-    if g == 0.0:
+def fredholm_logdet(s: float, gamma: float, rho: float, n: int) -> DetResult:
+    """F(s; gamma, rho) = ln det(I - gamma K) at fixed Nystrom order n, with a NaN error."""
+    _check_args(s, gamma, rho, n)
+    if gamma == 0.0:
         return DetResult(0.0, n, 0.0)
-    [(_, _, w, k)] = _nystrom((s,), params.rho, n)
-    f = _positive(_parity_logdets(_symmetrized(w, k), [g]))[0]
+    [(_, _, w, k)] = _nystrom((s,), rho, n)
+    f = _positive(_parity_logdets(_symmetrized(w, k), [gamma]))[0]
     return DetResult(float(f), n, math.nan)
 
 
-def logdet_converged(s: float, params: ModelParams, tol: float = 1e-10, *,
-                     gamma: float | None = None) -> DetResult:
-    """Double n from 16 until |F_{2n} - F_n| < tol; error estimate is that difference."""
-    g = params.gamma if gamma is None else gamma
-    return _logdet_converged_many([(s, g)], params.rho, tol)[0]
+def logdet_converged(points, rho: float, tol: float) -> list[DetResult]:
+    """F at every (s, gamma) of ``points``, the order doubled from 16 until |F_{2n} - F_n| < tol.
 
-
-def _logdet_converged_many(points, rho: float, tol: float) -> list[DetResult]:
-    """``logdet_converged`` at every (s, gamma) of a grid, doubling in lockstep.
-
-    At each order ``_nystrom`` builds one K per pending s from one P and one
-    Q bundle call over all their nodes; each K serves all of its pending
-    gammas in one stacked factorisation (module notes).  The
+    Each point's error estimate is that last difference; a gamma = 0 point is
+    exactly 0 at any s.  tol, rho and every point (its s only where gamma !=
+    0) are checked once, before any quadrature.  The points still pending double their order
+    in lockstep: at each order ``_nystrom`` builds one K per pending s from
+    one P and one Q bundle call over all their nodes, and each K serves all
+    of its pending gammas in one stacked factorisation and is dropped before
+    the next s is built.  A point leaves once two successive orders agree, so
+    it follows the doubling it would follow on its own.  The
     ``ConvergenceError`` names the first point in grid order that is still
     pending at n = 2048.
     """
@@ -283,6 +242,9 @@ def _logdet_converged_many(points, rho: float, tol: float) -> list[DetResult]:
         raise DomainError(f"tol = {tol} is not at or above the achievable 1e-12 floor")
     points = [(float(s), float(g)) for s, g in points]
     done = [DetResult(0.0, _N_START, 0.0) if g == 0.0 else None for _, g in points]
+    for (s, g), res in zip(points, done):
+        # a gamma = 0 point builds nothing and is 0 at any s: its s is not checked
+        _check_args(_S_MAX if res else s, g, rho, _N_START)
     prev: list[float | None] = [None] * len(done)
     n = _N_START
     while True:
@@ -295,7 +257,6 @@ def _logdet_converged_many(points, rho: float, tol: float) -> list[DetResult]:
                                    f"at s = {s}, gamma = {g}")
         by_s: dict[float, list[int]] = {}
         for i in todo:
-            _check_args(*points[i], n)
             by_s.setdefault(points[i][0], []).append(i)
         for s, _, w, k in _nystrom(list(by_s), rho, n):
             idx = by_s[s]
@@ -354,7 +315,7 @@ def resolvent_boundary_trace(s: float, params: ModelParams, n: int) -> float:
     centrosymmetric, so R(-s, -s) = R(s, s): one end serves both.
     """
     g = params.gamma
-    _check_args(s, g, n)
+    _check_args(s, g, params.rho, n)
     if g == 0.0:
         return 0.0
     w, k, _, _ = _end_square(s, params.rho, n)
@@ -374,7 +335,7 @@ def resolvent_end_values(s: float, params: ModelParams, n: int) -> tuple[np.ndar
     inverse.  Each value has three components, one per factor.
     """
     g, rho = params.gamma, params.rho
-    _check_args(s, g, n)
+    _check_args(s, g, rho, n)
     w, k, p, q = _end_square(s, rho, n)
     f = 2.0 * math.pi * p.T
     h = g / (2.0 * math.pi) * np.stack([q[2] - rho * q[0], -q[1], q[0]], axis=1)
@@ -386,10 +347,9 @@ def moments_operator(s: float, rho: float, n: int) -> tuple[np.ndarray, np.ndarr
 
     One operator serves ``moments_trace`` and ``moments_mgf`` at its (s, rho, n),
     one per order of the doubling in ``moments``: K is the half block
-    K[n//2:, :] that ``_nystrom`` yields (module notes).
+    K[n//2:, :] that ``_nystrom`` yields.
     """
-    _check_rho(rho)
-    _check_args(s, 1.0, n)
+    _check_args(s, 1.0, rho, n)
     [(_, _, w, k)] = _nystrom((s,), rho, n)
     return w, k
 
@@ -398,28 +358,17 @@ def moments_trace(w: np.ndarray, k: np.ndarray) -> tuple[float, float]:
     """(E N(s), Var N(s)) from the determinantal trace formulas tr(WK), tr(WK)^2.
 
     ``w`` and ``k`` are the operator of ``moments_operator``, which the MGF
-    route reads too.  B = WK is centrosymmetric, so its diagonal and the
-    diagonal of B^2 are mirror images, and both traces come from the rows of
-    the nonnegative nodes, the half block H = B[n//2:, :].  tr(B) sums the
-    diagonal mirrored out to all n nodes, in the order (and to the bits) of
-    the full square's trace.  tr(B^2) folds: each row's (B^2)_ii counts twice
-    but the centre row of an odd order, its own mirror image, counts once.
-    Row i of H meets column i of B, whose entries at the negative nodes are
-    read from H mirrored: B(x_j, x_i) = B(-x_j, -x_i).
+    route reads too.  WK is centrosymmetric, so its diagonal is a mirror
+    image: tr(WK) sums the diagonal of the half block mirrored out to all n
+    nodes, in the order (and to the bits) of the full square's trace.
+    tr((WK)^2) is the sum of tr(B^2) = sum(B o B^T) over the two parity blocks
+    B of the symmetrized operator (``_parity_blocks``), which is similar to WK.
     """
-    n = len(w)
-    h = n // 2
-    wk = w[h:, None] * k                    # H: the rows of the nonnegative nodes
-    u = wk[:, h:]
-    # column i at the negative nodes, x_j = -x_l with l from the last node down:
-    # B(x_j, x_i) = B(x_l, -x_i), the mirrored columns of H's rows reversed
-    lower = wk[::-1][:h, (n - 1) // 2::-1]
-    col_dot_row = (u * u.T).sum(axis=1) + (wk[:, :h] * lower.T).sum(axis=1)
-    times = np.full(n - h, 2.0)
-    times[:n % 2] = 1.0                     # the centre of an odd order is counted once
-    diag = np.diagonal(u)
+    h = len(w) // 2
+    diag = w[h:] * np.diagonal(k[:, h:])            # (WK)_ii at the nonnegative nodes
     mean = float(np.concatenate([diag[::-1][:h], diag]).sum())
-    var = mean - float(times @ col_dot_row)   # tr((WK)^2)
+    blocks = _parity_blocks(_symmetrized(w, k))
+    var = mean - float((blocks * blocks.transpose(0, 2, 1)).sum())
     return mean, var
 
 

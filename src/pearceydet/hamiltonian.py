@@ -6,12 +6,11 @@ complete initial condition.
 
 Backward perturbation growth is severe, far beyond the
 exp((theta3(s0) - theta3(s))/2) of the exponentially small q-components
-(about 2.7e3 from s0 = 10 down to s = 0.5).  Rounding noise of relative size
-2.2e-16 in the kernel moves the anchor state by at most 5e-14, but the swept
-state by 3.8e-6 from s0 = 10 (a growth of about 1e8), 3e-10 from s0 = 8 and
-1.3e-12 from s0 = 6.  So the O(s0^{-2/3}) leading-order boundary data alone
-drives the trajectory onto a movable pole around theta3-distance ~ 10 below
-the anchor.  Two anchor constructions are therefore provided:
+(about 2.7e3 from s0 = 10 down to s = 0.5): about 1e8 over that sweep
+(``resolvent_anchor_state`` gives the numbers).  So the O(s0^{-2/3})
+leading-order boundary data alone drives the trajectory onto a movable pole
+around theta3-distance ~ 10 below the anchor.  Two anchor constructions are
+therefore provided:
 
 * ``asymptotic_state`` - the printed leading-order closed forms (used to
   verify the asymptotics themselves and for short-range integration);
@@ -21,9 +20,8 @@ the anchor.  Two anchor constructions are therefore provided:
   dual endpoint value on the kernel's column factors (Q'' - rho Q, -Q', Q),
   and (p0, q0) follow from the first integral plus the Hamiltonian's
   identity with d/ds of the log-determinant.  This anchor survives the full
-  backward sweep and starts every ``asymptotic_trajectory``; it magnifies
-  rounding in the kernel, so at large theta3(s0) its swept state carries
-  about 3 digits (see ``resolvent_anchor_state``).
+  backward sweep and starts every ``asymptotic_trajectory``; its docstring
+  states how many digits the swept state keeps.
 
 Two exact first integrals,
 
@@ -58,6 +56,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import DOP853, simpson, solve_ivp
 
+from . import fredholm
 from .errors import ConvergenceError, DomainError
 from .params import ModelParams
 
@@ -275,16 +274,18 @@ def resolvent_anchor_state(s0: float, params: ModelParams) -> HamState:
     oscillators purely imaginary) and both exact first integrals are enforced
     on the result.
 
-    The extraction amplifies last-bit changes of K about 1e10-fold: with
-    theta3(s0; rho) between 13 and 16 the state of a sweep to s = 0.5 carries
-    about 3 significant digits, about 10 below theta3 ~ 11 (dual weights 3e-11
-    apart moved the anchor by 8e-10 of a block's largest component, but re_q0
-    at s = 0.5 by up to 1.3e-3 of its largest value at theta3 = 15.66).
-    Anchors with theta3 beyond ~18 (e.g. s0 = 10 at rho = 1) sit near the
-    sweep-to-0.5 cliff -- prefer s0 around 8 for long sweeps at large rho.
+    Accuracy.  Rounding noise of relative size 2.2e-16 in the kernel moves
+    the anchor state by at most 5e-14, but the state swept back to s = 0.5 by
+    3.8e-6 from s0 = 10 (a growth of about 1e8), 3e-10 from s0 = 8 and
+    1.3e-12 from s0 = 6: last-bit changes of K are amplified about 1e10-fold.
+    So a sweep to s = 0.5 keeps about 3 significant digits when theta3(s0;
+    rho) lies between 13 and 16, and about 10 when theta3(s0; rho) is about 11
+    or less.  Dual weights 3e-11 apart moved the anchor by 8e-10 of a block's
+    largest component, but re_q0 at s = 0.5 by up to 1.3e-3 of its largest
+    value at theta3 = 15.66.  Anchors with theta3 beyond ~18 (e.g. s0 = 10
+    at rho = 1) sit near the sweep-to-0.5 cliff -- prefer s0 around 8 for long
+    sweeps at large rho.
     """
-    from . import fredholm
-
     if not _S_ANCHOR_MIN <= s0 <= _S_ANCHOR_MAX:
         raise DomainError(f"anchor must lie in [{_S_ANCHOR_MIN}, {_S_ANCHOR_MAX}]")
     g, rho = params.gamma, params.rho
@@ -637,13 +638,11 @@ def integral_representation_check(s_lo: float, s_hi: float, params: ModelParams,
     if params.gamma == 0.0:
         return {"discrepancy": 0.0, "delta_f": 0.0, "integral": 0.0}
     traj = asymptotic_trajectory(params, s_from=max(s_anchor, s_hi), s_to=s_lo)
-    from .fredholm import _logdet_converged_many
-
     grid = np.linspace(s_lo, s_hi, 801)
     h_vals = traj.h_at(grid).real
     integral = 2.0 * float(simpson(h_vals, x=grid))
-    f_hi, f_lo = _logdet_converged_many([(s_hi, params.gamma), (s_lo, params.gamma)],
-                                        params.rho, _CHECK_DET_TOL)
+    f_hi, f_lo = fredholm.logdet_converged([(s_hi, params.gamma), (s_lo, params.gamma)],
+                                           params.rho, _CHECK_DET_TOL)
     delta_f = f_hi.f - f_lo.f
     return {"discrepancy": abs(delta_f - integral), "delta_f": delta_f,
             "integral": integral}

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -53,6 +54,46 @@ class TestDet:
         code, out, err = run_cli(["det", "--s", "50", "--gamma", "0.5"], capsys)
         assert code == 1
         assert json.loads(err)["error"] == "DomainError"
+
+    def test_gamma_outside_the_determinant_range_exit_1(self, capsys):
+        code, out, err = run_cli(["det", "--s", "2", "--gamma", "1.5"], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
+        assert "(-16.0, 1]" in json.loads(err)["message"]
+
+
+def _det_row(out):
+    header, row = [ln for ln in out.splitlines() if not ln.startswith("#")]
+    return {key: float(value) for key, value in zip(header.split(","), row.split(","))}
+
+
+class TestDetNu:
+    def test_converged_row_matches_the_grid_entry(self, capsys):
+        code, out, _ = run_cli(["det", "--s", "4", "--nu", "-0.05"], capsys)
+        assert code == 0
+        gamma = -math.expm1(0.1 * math.pi)
+        [res] = fr.logdet_converged([(4.0, gamma)], 0.0, 1e-9)
+        assert _det_row(out) == {"s": 4.0, "gamma": gamma, "rho": 0.0, "f": res.f}
+
+    def test_fixed_order_row_matches_fredholm_logdet(self, capsys):
+        code, out, _ = run_cli(["det", "--s", "4", "--nu", "0.05", "--quad-order", "64"], capsys)
+        assert code == 0
+        gamma = -math.expm1(-0.1 * math.pi)
+        res = fr.fredholm_logdet(4.0, gamma, 0.0, 64)
+        assert _det_row(out) == {"s": 4.0, "gamma": gamma, "rho": 0.0, "f": res.f}
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_metadata_gamma_is_the_row_gamma(self, fmt, capsys):
+        # the --gamma default, 0.5, was written above a row computed at gamma = -0.3691
+        code, out, _ = run_cli(["det", "--s", "4", "--nu", "-0.05", "--format", fmt], capsys)
+        assert code == 0
+        if fmt == "json":
+            payload = json.loads(out)
+            assert payload["config"]["gamma"] == payload["results"][0]["gamma"]
+        else:
+            lines = [ln for ln in out.splitlines() if ln.startswith("# gamma:")]
+            assert [float(ln.split(": ", 1)[1]) for ln in lines] == [_det_row(out)["gamma"]]
 
 
 class TestScan:
@@ -293,6 +334,7 @@ class TestUsage:
         assert json.loads(err)["error"] == "DomainError"
 
     @pytest.mark.parametrize("argv", [
+        ["det", "--s", "4", "--gamma", "0", "--rho", "nan"],
         ["clt", "--s", "inf"],
         ["clt", "--s", "4", "--rho", "nan"],
         ["moments", "--s", "4", "--rho", "nan"],

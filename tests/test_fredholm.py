@@ -67,49 +67,45 @@ class TestGaussLegendre:
 class TestLogdet:
     def test_gamma_zero_is_exact_zero(self):
         for s in (0.5, 3.0):
-            assert fr.fredholm_logdet(s, ModelParams(0.0, 1.0), 32).f == 0.0
+            assert fr.fredholm_logdet(s, 0.0, 1.0, 32).f == 0.0
 
     def test_order_stability(self):
-        p = ModelParams(0.5, 0.0)
-        f32 = fr.fredholm_logdet(0.5, p, 32).f
-        f64 = fr.fredholm_logdet(0.5, p, 64).f
+        f32 = fr.fredholm_logdet(0.5, 0.5, 0.0, 32).f
+        f64 = fr.fredholm_logdet(0.5, 0.5, 0.0, 64).f
         assert abs(f32 - f64) < 1e-10
 
     def test_monotone_in_s(self):
-        p = ModelParams(0.5, 0.0)
-        f2 = fr.fredholm_logdet(2.0, p, 128).f
-        f4 = fr.fredholm_logdet(4.0, p, 128).f
+        f2 = fr.fredholm_logdet(2.0, 0.5, 0.0, 128).f
+        f4 = fr.fredholm_logdet(4.0, 0.5, 0.0, 128).f
         assert f4 < f2 < 0.0
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            fr.fredholm_logdet(13.0, ModelParams(0.5, 0.0), 64)
+            fr.fredholm_logdet(13.0, 0.5, 0.0, 64)
         with pytest.raises(DomainError):
-            fr.fredholm_logdet(2.0, ModelParams(0.5, 0.0), 64, gamma=1.5)
+            fr.fredholm_logdet(2.0, 1.5, 0.0, 64)
 
 
 class TestLogdetConverged:
     def test_converges_by_256(self):
-        res = fr.logdet_converged(6.0, ModelParams(0.5, 0.0), 1e-10)
+        [res] = fr.logdet_converged([(6.0, 0.5)], 0.0, 1e-10)
         assert res.order <= 256
         assert res.err_est < 1e-10
 
     def test_gamma_zero_immediate(self):
-        res = fr.logdet_converged(2.0, ModelParams(0.0, 0.0), 1e-10)
+        [res] = fr.logdet_converged([(2.0, 0.0)], 0.0, 1e-10)
         assert res.f == 0.0
 
     def test_err_history_decreasing(self):
         # doubling history examined below the machine plateau (n >= 32 is
         # already converged to ~1e-14 for this kernel)
-        p = ModelParams(0.9, 1.0)
-        vals = [fr.fredholm_logdet(4.0, p, n).f for n in (4, 8, 16, 32)]
+        vals = [fr.fredholm_logdet(4.0, 0.9, 1.0, n).f for n in (4, 8, 16, 32)]
         errs = [abs(b - a) for a, b in zip(vals, vals[1:])]
         assert errs[2] < errs[1] < errs[0]
 
     def test_spectral_rate(self):
         # err drops by >= 10x per doubling while above the roundoff floor
-        p = ModelParams(0.7, 0.0)
-        vals = [fr.fredholm_logdet(5.0, p, n).f for n in (8, 16, 32)]
+        vals = [fr.fredholm_logdet(5.0, 0.7, 0.0, n).f for n in (8, 16, 32)]
         e1, e2 = abs(vals[1] - vals[0]), abs(vals[2] - vals[1])
         assert e2 <= 0.1 * e1 or e2 < 1e-13
 
@@ -187,7 +183,7 @@ class TestParityFold:
         with pytest.raises(SignError):
             fr._positive(fr._parity_logdets(a, [0.95]))
         with pytest.raises(SignError):
-            fr.fredholm_logdet(9.0, ModelParams(0.95, -1.3), 2)
+            fr.fredholm_logdet(9.0, 0.95, -1.3, 2)
         # in a stack only that gamma is marked, and the others keep their value
         f = fr._parity_logdets(a, [0.95, 0.1])
         assert math.isnan(f[0]) and f[1] == fr._parity_logdets(a, [0.1])[0]
@@ -235,7 +231,7 @@ class TestParityBlocks:
 
 
 def _one_point(s, gamma, rho, tol):
-    return fr.logdet_converged(s, ModelParams(max(gamma, 0.0), rho), tol, gamma=gamma)
+    return fr.logdet_converged([(s, gamma)], rho, tol)[0]
 
 
 class TestLogdetGrid:
@@ -243,7 +239,7 @@ class TestLogdetGrid:
                                             (0.9, 2.0), (-3.0, 0.7)])
     def test_matches_one_point_calls(self, gamma, rho):
         ss = np.linspace(1.0, 12.0, 7)
-        grid = fr._logdet_converged_many([(s, gamma) for s in ss], rho, 1e-9)
+        grid = fr.logdet_converged([(s, gamma) for s in ss], rho, 1e-9)
         for s, res in zip(ss, grid):
             one = _one_point(s, gamma, rho, 1e-9)
             assert res.order == one.order
@@ -252,7 +248,7 @@ class TestLogdetGrid:
 
     def test_several_gammas_per_s(self):
         points = [(s, g) for s in (3.0, 8.0) for g in (0.3, -1.0, 0.97)] + [(3.0, 0.5)]
-        grid = fr._logdet_converged_many(points, 0.4, 1e-10)
+        grid = fr.logdet_converged(points, 0.4, 1e-10)
         for (s, g), res in zip(points, grid):
             one = _one_point(s, g, 0.4, 1e-10)
             assert res.order == one.order
@@ -261,9 +257,9 @@ class TestLogdetGrid:
     def test_coarse_sign_error_recovers_alone(self):
         # at n = 16 a parity block of (s, gamma, rho) = (10, 0.95, -2) is negative
         with pytest.raises(SignError):
-            fr.fredholm_logdet(10.0, ModelParams(0.95, -2.0), 16)
+            fr.fredholm_logdet(10.0, 0.95, -2.0, 16)
         points = [(4.0, 0.95), (10.0, 0.95), (6.0, 0.95), (10.0, 0.5)]
-        grid = fr._logdet_converged_many(points, -2.0, 1e-9)
+        grid = fr.logdet_converged(points, -2.0, 1e-9)
         for (s, g), res in zip(points, grid):
             one = _one_point(s, g, -2.0, 1e-9)
             assert res.order == one.order
@@ -275,35 +271,53 @@ class TestLogdetGrid:
         monkeypatch.setattr(fr, "_N_MAX", 32)
         points = [(1.0, 0.5), (11.0, 0.99), (12.0, 0.99)]
         with pytest.raises(ConvergenceError, match=r"n = 32 at s = 11\.0, gamma = 0\.99"):
-            fr._logdet_converged_many(points, -1.0, 1e-12)
+            fr.logdet_converged(points, -1.0, 1e-12)
 
     def test_gamma_zero_points(self, monkeypatch):
         points = [(2.0, 0.0), (5.0, 0.7), (5.0, 0.0), (13.0, 0.0)]
-        grid = fr._logdet_converged_many(points, 0.0, 1e-10)
+        grid = fr.logdet_converged(points, 0.0, 1e-10)
         for i in (0, 2, 3):
             assert grid[i] == fr.DetResult(0.0, 16, 0.0)
         assert grid[1] == _one_point(5.0, 0.7, 0.0, 1e-10)
         # a grid of gamma = 0 alone computes nothing
         monkeypatch.setattr(kn, "_p_bundle", lambda *a: pytest.fail("bundle ran"))
-        assert fr._logdet_converged_many([(3.0, 0.0)], 1.0, 1e-10) == [fr.DetResult(0.0, 16, 0.0)]
+        assert fr.logdet_converged([(3.0, 0.0)], 1.0, 1e-10) == [fr.DetResult(0.0, 16, 0.0)]
 
     def test_domain_checked_before_quadrature(self, monkeypatch):
         monkeypatch.setattr(kn, "_p_bundle", lambda *a: pytest.fail("bundle ran"))
         for points in ([(2.0, 0.5), (13.0, 0.5)], [(2.0, 0.5), (3.0, 1.5)],
                        [(math.nan, 0.5)]):
             with pytest.raises(DomainError):
-                fr._logdet_converged_many(points, 0.0, 1e-10)
+                fr.logdet_converged(points, 0.0, 1e-10)
         with pytest.raises(DomainError):
-            fr._logdet_converged_many([(2.0, 0.5)], 0.0, 1e-13)
+            fr.logdet_converged([(2.0, 0.5)], 0.0, 1e-13)
 
     def test_nan_tol_rejected_before_quadrature(self, monkeypatch):
         # a NaN tolerance passed a `tol < 1e-12` guard and doubled to n = 2048
         monkeypatch.setattr(kn, "_p_bundle", lambda *a: pytest.fail("bundle ran"))
         for tol in (math.nan, -math.inf):
             with pytest.raises(DomainError):
-                fr._logdet_converged_many([(4.0, 0.5)], 0.0, tol)
+                fr.logdet_converged([(4.0, 0.5)], 0.0, tol)
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rho(self, rho, monkeypatch):
+        # a non-finite rho doubled to n = 2048 and raised ConvergenceError
+        monkeypatch.setattr(fr, "_nystrom", lambda *a: pytest.fail("quadrature ran"))
+        for points in ([(4.0, 0.5), (6.0, 0.9)], [(3.0, 0.0)]):
+            with pytest.raises(DomainError):
+                fr.logdet_converged(points, rho, 1e-9)
         with pytest.raises(DomainError):
-            fr.logdet_converged(4.0, ModelParams(0.5, 0.0), math.nan)
+            fr.fredholm_logdet(4.0, 0.5, rho, 64)
+
+    def test_each_point_checked_once(self, monkeypatch):
+        # (10, 0.95) is pending through n = 64; it is not checked again at each order
+        calls = []
+        real = fr._check_args
+        monkeypatch.setattr(fr, "_check_args", lambda *a: calls.append(a[:2]) or real(*a))
+        points = [(4.0, 0.95), (10.0, 0.95)]
+        grid = fr.logdet_converged(points, -2.0, 1e-9)
+        assert grid[1].order >= 64
+        assert calls == points
 
     def test_one_bundle_per_order_and_one_matrix_per_operator(self, monkeypatch):
         calls = {"p": [], "q": [], "k": []}
@@ -325,7 +339,7 @@ class TestLogdetGrid:
         monkeypatch.setattr(kn, "_q_bundle", q_bundle)
         monkeypatch.setattr(fr, "_kernel_matrix_from_session", matrix)
         points = [(s, g) for s in (1.0, 6.0, 11.0) for g in (0.2, 0.99)]
-        grid = fr._logdet_converged_many(points, 0.5, 1e-10)
+        grid = fr.logdet_converged(points, 0.5, 1e-10)
         # the orders each s was pending at: 16 up to its largest accepted order
         last = {}
         for (s, _), res in zip(points, grid):
@@ -341,10 +355,10 @@ class TestResolventTrace:
     def test_matches_finite_difference(self):
         h = 1e-3
         for s, g in ((3.0, 0.5), (2.0, 0.7)):
-            p = ModelParams(g, 0.0)
-            fd = (fr.fredholm_logdet(s + h, p, 128).f
-                  - fr.fredholm_logdet(s - h, p, 128).f) / (2 * h)
-            assert fr.resolvent_boundary_trace(s, p, 128) == pytest.approx(fd, abs=1e-6)
+            fd = (fr.fredholm_logdet(s + h, g, 0.0, 128).f
+                  - fr.fredholm_logdet(s - h, g, 0.0, 128).f) / (2 * h)
+            assert fr.resolvent_boundary_trace(s, ModelParams(g, 0.0), 128) == pytest.approx(
+                fd, abs=1e-6)
 
     def test_gamma_zero(self):
         assert fr.resolvent_boundary_trace(3.0, ModelParams(0.0, 0.0), 64) == 0.0
@@ -418,10 +432,10 @@ class TestMoments:
         product = float(np.trace(wk @ wk))
         assert mean - var == pytest.approx(product, rel=1e-13)
 
-    @pytest.mark.parametrize("n", [1, 3, 127, 385])
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 127, 385])
     @pytest.mark.parametrize("s, rho", [(5.0, 0.0), (2.0, -1.2), (10.0, 1.7)])
     def test_odd_orders_count_the_centre_row_once(self, n, s, rho):
-        # the fold over the half block against the trace formulas on the full square
+        # the parity blocks against the trace formulas on the full square
         mean, var = fr.moments_trace(*fr.moments_operator(s, rho, n))
         _, w, k = _full_square(s, rho, n)
         wk = w[:, None] * k

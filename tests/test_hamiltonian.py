@@ -509,8 +509,8 @@ class TestIntegralRepresentation:
     def test_matches_fredholm_difference(self):
         p = ModelParams(0.5, 0.0)
         out = ham.integral_representation_check(1.0, 3.0, p, s_anchor=8.0)
-        f3 = logdet_converged(3.0, p, 1e-9).f
-        f1 = logdet_converged(1.0, p, 1e-9).f
+        f3 = logdet_converged([(3.0, 0.5)], 0.0, 1e-9)[0].f
+        f1 = logdet_converged([(1.0, 0.5)], 0.0, 1e-9)[0].f
         assert out["delta_f"] == pytest.approx(f3 - f1, abs=1e-8)
 
 
