@@ -166,7 +166,8 @@ def _cmd_hamiltonian(args) -> None:
     rows = ham.trajectory_rows(traj, params)
     _emit(args, rows, {"anchor": s_hi, "samples": len(rows),
                        "max_constraint_drift": float(traj.constraint_drift().max()),
-                       "steps": traj.steps, "nfev": traj.nfev, "min_step": traj.min_step})
+                       "steps": traj.steps, "nfev": traj.nfev, "min_step": traj.min_step,
+                       "anchor_order": traj.anchor_order, "anchor_err": traj.anchor_err})
 
 
 def _cmd_moments(args) -> None:
@@ -276,10 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for name, fn, help_text, flags in _COMMANDS:
         sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
+        # det's --nu sets gamma, so the two exclude each other
+        group = sub.add_mutually_exclusive_group() if name == "det" else None
         for flag in flags:
             # det is the one grid-less command: its s has no default
-            sub.add_argument(f"--{flag}", required=(name, flag) == ("det", "s"),
-                             **_FLAGS[flag])
+            target = group if group is not None and flag in ("gamma", "nu") else sub
+            target.add_argument(f"--{flag}", required=(name, flag) == ("det", "s"),
+                                **_FLAGS[flag])
         sub.set_defaults(func=fn)
     return parser
 

@@ -3,12 +3,14 @@
 A map of the module; each function's docstring holds its contract.
 
 * Entries: ``fredholm_logdet`` at a fixed order, ``logdet_converged`` for a
-  grid of (s, gamma) points doubled in lockstep, ``resolvent_boundary_trace``
-  and ``resolvent_end_values`` for the resolvent at s, and ``moments`` with
-  its two routes ``moments_trace`` and ``moments_mgf``.
+  grid of (s, gamma) points doubled in lockstep, ``resolvent_end_values``
+  for the resolvent anchor's end values and the boundary trace at s from
+  one square and one LU, ``resolvent_boundary_trace`` for that trace alone,
+  and ``moments`` with its two routes ``moments_trace`` and ``moments_mgf``.
 * Operators: ``_nystrom`` builds every determinant and trace operator, the
   half block of the rows of the nonnegative nodes; ``_end_square`` builds
-  the full square over the nodes and s that the resolvent solves read.
+  the full square over the nodes and s that the resolvent solves read, one
+  per call of either resolvent entry.
 * Parity: ``_parity_blocks`` is the one fold of a half block into its even
   and odd half-size blocks, which the determinants, the contour and the
   trace of (WK)^2 read.
@@ -228,8 +230,8 @@ def logdet_converged(points, rho: float, tol: float) -> list[DetResult]:
     """F at every (s, gamma) of ``points``, the order doubled from 16 until |F_{2n} - F_n| < tol.
 
     Each point's error estimate is that last difference; a gamma = 0 point is
-    exactly 0 at any s.  tol, rho and every point (its s only where gamma !=
-    0) are checked once, before any quadrature.  The points still pending double their order
+    exactly 0 and builds nothing.  tol, rho and every point are checked once,
+    before any quadrature.  The points still pending double their order
     in lockstep: at each order ``_nystrom`` builds one K per pending s from
     one P and one Q bundle call over all their nodes, and each K serves all
     of its pending gammas in one stacked factorisation and is dropped before
@@ -242,9 +244,8 @@ def logdet_converged(points, rho: float, tol: float) -> list[DetResult]:
         raise DomainError(f"tol = {tol} is not at or above the achievable 1e-12 floor")
     points = [(float(s), float(g)) for s, g in points]
     done = [DetResult(0.0, _N_START, 0.0) if g == 0.0 else None for _, g in points]
-    for (s, g), res in zip(points, done):
-        # a gamma = 0 point builds nothing and is 0 at any s: its s is not checked
-        _check_args(_S_MAX if res else s, g, rho, _N_START)
+    for s, g in points:
+        _check_args(s, g, rho, _N_START)
     prev: list[float | None] = [None] * len(done)
     n = _N_START
     while True:
@@ -280,8 +281,7 @@ def _resolvent_solves(kmat: np.ndarray, w: np.ndarray, g: float,
 
     A = I - gamma K W and A_dual = I - gamma K^T W = W^{-1} A^T W, so the
     dual system is A^T (W y) = W h: a transposed solve with the same factors,
-    refined in W y.  ``f`` and ``h`` hold one right-hand side per column; a
-    caller that needs no dual solve passes h with no columns.
+    refined in W y.  ``f`` and ``h`` hold one right-hand side per column.
     """
     a = np.eye(len(w)) - g * kmat * w[None, :]
     lu = scipy.linalg.lu_factor(a)
@@ -310,36 +310,37 @@ def _end_solves(k: np.ndarray, w: np.ndarray, g: float,
 def resolvent_boundary_trace(s: float, params: ModelParams, n: int) -> float:
     """-R(s,s) - R(-s,-s) = -2 R(s,s), the s-derivative of the log-determinant.
 
-    The resolvent R = gamma K (I - gamma K)^{-1} at (s, s) is the end value of
-    the forward solution on the column gamma K(., s) (``_end_solves``).  K is
-    centrosymmetric, so R(-s, -s) = R(s, s): one end serves both.
+    The trace that ``resolvent_end_values`` solves for alongside the anchor's
+    end values, from the same square and LU.
     """
-    g = params.gamma
-    _check_args(s, g, params.rho, n)
-    if g == 0.0:
+    if params.gamma == 0.0:
+        _check_args(s, 0.0, params.rho, n)
         return 0.0
-    w, k, _, _ = _end_square(s, params.rho, n)
-    col = g * k[:, n:]                                    # gamma K(., s)
-    r_end, _ = _end_solves(k, w, g, col, col[:, :0])
-    return float(-2.0 * r_end[0])
+    return resolvent_end_values(s, params, n)[2]
 
 
-def resolvent_end_values(s: float, params: ModelParams, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The resolvent anchor's end values at s: the forward and the dual solution.
+def resolvent_end_values(s: float, params: ModelParams,
+                         n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """The resolvent anchor's end values at s: the forward and the dual solution, and the trace.
 
     The forward system I - gamma K W is solved on f = 2 pi (P, P', P''), the
     kernel's row factors, and the dual one on gamma/(2 pi) (Q'' - rho Q, -Q', Q),
     its column factors, both read from the bundles ``_end_square`` assembled
     K from.  Since (0 1 1) PsiTilde(y)^{-1} = i g(y) (``kernel.kernel_rh``),
     the dual side is gamma/(2 pi i) PsiTilde(y)^{-T} (0, 1, 1)^T without a 3x3
-    inverse.  Each value has three components, one per factor.
+    inverse.  Each value has three components, one per factor.  The column
+    gamma K(., s) rides along as a fourth forward right-hand side: the
+    resolvent R = gamma K (I - gamma K)^{-1} at (s, s) is its end value, and
+    since K is centrosymmetric, R(-s, -s) = R(s, s), so the boundary trace
+    -R(s, s) - R(-s, -s) is -2 R(s, s) from the one end.
     """
     g, rho = params.gamma, params.rho
     _check_args(s, g, rho, n)
     w, k, p, q = _end_square(s, rho, n)
-    f = 2.0 * math.pi * p.T
+    f = np.concatenate([2.0 * math.pi * p.T, g * k[:, n:]], axis=1)
     h = g / (2.0 * math.pi) * np.stack([q[2] - rho * q[0], -q[1], q[0]], axis=1)
-    return _end_solves(k, w, g, f, h)
+    f_end, h_end = _end_solves(k, w, g, f, h)
+    return f_end[:3], h_end, float(-2.0 * f_end[3])
 
 
 def moments_operator(s: float, rho: float, n: int) -> tuple[np.ndarray, np.ndarray]:

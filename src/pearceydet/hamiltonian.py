@@ -66,7 +66,9 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
 _S_ANCHOR_MIN = 4.0
 _S_ANCHOR_MAX = 12.0
-_ANCHOR_N = 256                 # Nystrom order of the resolvent anchor
+_ANCHOR_N_START = 32            # first Nystrom order of the anchor's doubling
+_ANCHOR_N_MAX = 512             # last one
+_ANCHOR_RTOL = 1e-9             # per-block change that accepts an order, at gamma <= 1/2
 _SAMPLES = 400                  # trajectory sample grid
 _MAX_STEP = 0.05                # DOP853 step cap
 _RTOL_MIN = 100 * np.finfo(float).eps   # DOP853 raises a smaller rtol to this
@@ -260,41 +262,25 @@ def _zero_sum(state: HamState) -> HamState:
     return replace(state, q3=state.q3 - resid / state.p3)
 
 
-def resolvent_anchor_state(s0: float, params: ModelParams) -> HamState:
-    """Quadrature-precision anchor from the Fredholm side (see module notes).
+@dataclass(frozen=True)
+class AnchorState(HamState):
+    """A ``resolvent_anchor_state``: the state, its Nystrom order and its error."""
 
-    The six oscillator components are the end values at s0 of the resolvent
-    solutions on the kernel's row and column factors
-    (``fredholm.resolvent_end_values``: one square over the nodes and s0, one
-    LU of I - gamma K W for both systems), normalised by the frame and c0 of
-    the family; q2 or q3 is then shifted so that sum_k p_k q_k = 0.  (p0, q0)
-    follow from the first integral together with the Hamiltonian identity
-    H = (1/2) dF/ds, whose right-hand side is the independently computed
-    resolvent boundary trace.  The family's realness structure (p0, q0 real;
-    oscillators purely imaginary) and both exact first integrals are enforced
-    on the result.
+    order: int | None             # None at gamma = 0, where the state is exact
+    err: float                    # error bound relative to each block's largest component
 
-    Accuracy.  Rounding noise of relative size 2.2e-16 in the kernel moves
-    the anchor state by at most 5e-14, but the state swept back to s = 0.5 by
-    3.8e-6 from s0 = 10 (a growth of about 1e8), 3e-10 from s0 = 8 and
-    1.3e-12 from s0 = 6: last-bit changes of K are amplified about 1e10-fold.
-    So a sweep to s = 0.5 keeps about 3 significant digits when theta3(s0;
-    rho) lies between 13 and 16, and about 10 when theta3(s0; rho) is about 11
-    or less.  Dual weights 3e-11 apart moved the anchor by 8e-10 of a block's
-    largest component, but re_q0 at s = 0.5 by up to 1.3e-3 of its largest
-    value at theta3 = 15.66.  Anchors with theta3 beyond ~18 (e.g. s0 = 10
-    at rho = 1) sit near the sweep-to-0.5 cliff -- prefer s0 around 8 for long
-    sweeps at large rho.
-    """
-    if not _S_ANCHOR_MIN <= s0 <= _S_ANCHOR_MAX:
-        raise DomainError(f"anchor must lie in [{_S_ANCHOR_MIN}, {_S_ANCHOR_MAX}]")
+
+def _block_change(a: HamState, b: HamState) -> float:
+    """max |a - b| over p0..p3 and over q0..q3, each relative to a's largest in its block."""
+    ya, yb = a.to_array(), b.to_array()
+    return max(float(np.abs(ya[blk] - yb[blk]).max() / np.abs(ya[blk]).max())
+               for blk in (slice(0, 4), slice(4, 8)))
+
+
+def _extract(s0: float, params: ModelParams, n: int) -> HamState:
+    """The anchor state from the order-n square over the nodes and s0 (``resolvent_anchor_state``)."""
     g, rho = params.gamma, params.rho
-    if g == 1.0:
-        raise DomainError("anchor extraction requires gamma < 1")
-    if g == 0.0:
-        return asymptotic_state(s0, params)
-
-    f_end, h_end = fredholm.resolvent_end_values(s0, params, _ANCHOR_N)
+    f_end, h_end, trace = fredholm.resolvent_end_values(s0, params, n)
     kappa3 = rho ** 3 / 54.0 - rho / 6.0
     c0 = 1j * math.sqrt(2.0 * math.pi / 3.0) * math.exp(rho * rho / 6.0)
     frame = np.eye(3, dtype=complex)
@@ -306,13 +292,79 @@ def resolvent_anchor_state(s0: float, params: ModelParams) -> HamState:
     st = _zero_sum(HamState(s0, 0.0, *(1j * pv.imag), 0.0, *(1j * qv.imag)))
 
     # H with p0 = q0 = 0 is the part of H that does not depend on them
-    h_val = 0.5 * fredholm.resolvent_boundary_trace(s0, params, _ANCHOR_N)
     coeffs = np.array([[_SQRT2 * st.p2 * st.q1, _SQRT2 * st.p3 * st.q2],
                        [1.0, 1.0]], dtype=complex)
-    rhs = np.array([h_val - hamiltonian_value(st), rho / _SQRT2 - _SQRT2 * st.p3 * st.q1],
+    rhs = np.array([0.5 * trace - hamiltonian_value(st), rho / _SQRT2 - _SQRT2 * st.p3 * st.q1],
                    dtype=complex)
     p0, q0 = np.linalg.solve(coeffs, rhs)
     return project_invariants(replace(st, p0=p0.real, q0=q0.real), params)
+
+
+def resolvent_anchor_state(s0: float, params: ModelParams) -> AnchorState:
+    """Quadrature-precision anchor from the Fredholm side (see module notes).
+
+    The six oscillator components are the end values at s0 of the resolvent
+    solutions on the kernel's row and column factors
+    (``fredholm.resolvent_end_values``: one square over the nodes and s0, one
+    LU of I - gamma K W for both systems), normalised by the frame and c0 of
+    the family; q2 or q3 is then shifted so that sum_k p_k q_k = 0.  (p0, q0)
+    follow from the first integral together with the Hamiltonian identity
+    H = (1/2) dF/ds, whose right-hand side is the resolvent boundary trace
+    -2 R(s0, s0), a fourth right-hand side of the same solve.  The family's
+    realness structure (p0, q0 real; oscillators purely imaginary) and both
+    exact first integrals are enforced on the result.
+
+    Order.  The order doubles from 32 until p0..p3 and q0..q3 each change by
+    at most a * 1e-9 of their block's largest component between n/2 and n; the
+    order-n state is returned, and ``ConvergenceError`` is raised past
+    n = 512.  Here a = max(1, (1/2)/(1 - gamma)) is the solve's amplification
+    bound 1/(1 - gamma) against its value at gamma = 1/2, so a is 1 for
+    gamma <= 1/2.  Gauss-Legendre Nystrom converges exponentially for this
+    analytic kernel (Bornemann, Math. Comp. 79, 2010), and n = 16 is off by
+    2e-8 or more at every s0 >= 6, so the doubling starts at 32.  ``err`` is
+    that tolerance, a * 1e-9, in the same per-block measure: it bounds the
+    last doubling difference by construction, and the rounding spread by
+    measurement.  Past the accepted order the states do not converge
+    further: they differ by rounding, at the level of P(s0)'s own end-point
+    error (up to 2.2e-11 relative at s0 = 12), raised by the solve and the
+    normalisation, and the doubling difference at the accepted order can
+    read below 1e-11 while the next order differs by far more.  Between any
+    two orders from the accepted one to 512, over s0 in {4, 6, 8, 10, 12}
+    and rho in {-4, -2, 0, 2, 4}, that spread reached 4.7e-10 at gamma =
+    0.3, 2e-9 at 0.9, 6.9e-9 at 0.95 (0.69 of a * 1e-9), 1.6e-9 at 0.99
+    and 6e-9 at 0.9999.  A fixed 1e-9 would let the rounding alone refuse
+    every order at gamma = 0.9999, rho = -4, s0 = 12.  gamma = 0 gives the
+    exact constant solution, with no order and ``err`` 0.
+
+    Accuracy.  At gamma = 0.5, rho = 0 and the accepted n = 64, rounding
+    noise of relative size 2.2e-16 in K moves the anchor by at most 1.6e-14
+    of a block's largest component, but the state swept back to s = 0.5 by
+    1.4e-6 from s0 = 10 (a growth of about 1e8), 7.7e-10 from s0 = 8 and
+    2e-12 from s0 = 6: last-bit changes of K are amplified up to about
+    1e10-fold.  So against its largest component a sweep to s = 0.5 keeps
+    about 6 digits when theta3(s0; rho) is about 16 and about 9 when it is
+    12 or less; a column small against that component keeps fewer.  Anchors
+    with theta3 beyond ~18 (e.g. s0 = 10 at rho = 1) sit near the
+    sweep-to-0.5 cliff -- prefer s0 around 8 for long sweeps at large rho.
+    """
+    if not _S_ANCHOR_MIN <= s0 <= _S_ANCHOR_MAX:
+        raise DomainError(f"anchor must lie in [{_S_ANCHOR_MIN}, {_S_ANCHOR_MAX}]")
+    if params.gamma == 1.0:
+        raise DomainError("anchor extraction requires gamma < 1")
+    if params.gamma == 0.0:
+        return AnchorState(**vars(asymptotic_state(s0, params)), order=None, err=0.0)
+    tol = _ANCHOR_RTOL * max(1.0, 0.5 / (1.0 - params.gamma))
+    prev = _extract(s0, params, _ANCHOR_N_START)
+    n = 2 * _ANCHOR_N_START
+    while n <= _ANCHOR_N_MAX:
+        st = _extract(s0, params, n)
+        if _block_change(st, prev) <= tol:
+            return AnchorState(**vars(st), order=n, err=tol)
+        prev = st
+        n *= 2
+    raise ConvergenceError(f"anchor state did not settle to {tol:.3g} relative by "
+                           f"n = {_ANCHOR_N_MAX} at s0 = {s0}, gamma = {params.gamma}, "
+                           f"rho = {params.rho}")
 
 
 class _StepRecord(NamedTuple):
@@ -414,6 +466,8 @@ class Trajectory:
     steps: int                    # accepted solver steps
     nfev: int                     # right-hand-side evaluations
     min_step: float               # smallest |step|, the last one included
+    anchor_order: int | None = None   # the anchor's Nystrom order (``AnchorState``)
+    anchor_err: float = math.nan      # ... and its error; NaN for a given initial state
 
     def constraint_drift(self) -> np.ndarray:
         return np.abs(HamState.from_array(self.s, self.states.T).constraint_sum())
@@ -487,8 +541,13 @@ def integrate(s_from: float, s_to: float, init: HamState,
 
 def asymptotic_trajectory(params: ModelParams, s_from: float = 10.0, s_to: float = 0.5,
                           tol: float = 1e-10) -> Trajectory:
-    """Backward trajectory of the special solution family from ``resolvent_anchor_state``."""
-    return integrate(s_from, s_to, resolvent_anchor_state(s_from, params), tol)
+    """Backward trajectory of the special solution family from ``resolvent_anchor_state``.
+
+    The trajectory records the anchor's order and error.
+    """
+    anchor = resolvent_anchor_state(s_from, params)
+    return replace(integrate(s_from, s_to, anchor, tol),
+                   anchor_order=anchor.order, anchor_err=anchor.err)
 
 
 # -- exact composed derivatives of p0, q0 ------------------------------------

@@ -262,6 +262,15 @@ class TestHamiltonian:
         rows = [ln for ln in out.splitlines() if not ln.startswith("#")]
         assert rows[0].startswith("s,re_p0,") and len(rows) == 1 + int(meta["samples"])
 
+    @pytest.mark.parametrize("gamma,order,err", [("0.5", "64", "1e-09"), ("0", "None", "0.0")])
+    def test_anchor_metadata(self, gamma, order, err, capsys):
+        # the anchor's Nystrom order and error; gamma = 0 is exact, with no order
+        code, out, _ = run_cli(["hamiltonian", "--gamma", gamma, "--s-max", "7",
+                                "--s-min", "6"], capsys)
+        assert code == 0
+        meta = dict(ln[2:].split(": ", 1) for ln in out.splitlines() if ": " in ln)
+        assert (meta["anchor_order"], meta["anchor_err"]) == (order, err)
+
     def test_zero_length_sweep_exit_1(self, capsys):
         # a constant dense output drops the imaginary parts: rows of zeros
         code, out, err = run_cli(["hamiltonian", "--s-max", "8", "--s-min", "8"], capsys)
@@ -302,6 +311,13 @@ class TestUsage:
             main(argv)
         assert exc.value.code == 2
 
+    def test_det_gamma_and_nu_together_exit_2(self, capsys):
+        # --nu sets gamma: the two flags exclude each other
+        with pytest.raises(SystemExit) as exc:
+            main(["det", "--s", "4", "--gamma", "0.9", "--nu", "0.05"])
+        assert exc.value.code == 2
+        assert "not allowed with argument --gamma" in capsys.readouterr().err
+
     def test_det_requires_s(self):
         with pytest.raises(SystemExit) as exc:
             main(["det", "--gamma", "0.5"])
@@ -321,6 +337,7 @@ class TestUsage:
     @pytest.mark.parametrize("argv", [
         ["det", "--s", "nan", "--quad-order", "8"],
         ["det", "--s", "nan"],
+        ["det", "--s", "nan", "--gamma", "0"],
         ["scan", "--s-min", "nan", "--s-max", "4", "--s-steps", "2"],
         ["moments", "--s", "nan"],
         ["kernel", "--s-min", "nan", "--s-steps", "2"],

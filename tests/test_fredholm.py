@@ -274,11 +274,15 @@ class TestLogdetGrid:
             fr.logdet_converged(points, -1.0, 1e-12)
 
     def test_gamma_zero_points(self, monkeypatch):
-        points = [(2.0, 0.0), (5.0, 0.7), (5.0, 0.0), (13.0, 0.0)]
+        points = [(2.0, 0.0), (5.0, 0.7), (5.0, 0.0)]
         grid = fr.logdet_converged(points, 0.0, 1e-10)
-        for i in (0, 2, 3):
+        for i in (0, 2):
             assert grid[i] == fr.DetResult(0.0, 16, 0.0)
         assert grid[1] == _one_point(5.0, 0.7, 0.0, 1e-10)
+        # its s is checked as any other point's
+        for s in (13.0, math.nan, 0.0):
+            with pytest.raises(DomainError):
+                fr.logdet_converged(points + [(s, 0.0)], 0.0, 1e-10)
         # a grid of gamma = 0 alone computes nothing
         monkeypatch.setattr(kn, "_p_bundle", lambda *a: pytest.fail("bundle ran"))
         assert fr.logdet_converged([(3.0, 0.0)], 1.0, 1e-10) == [fr.DetResult(0.0, 16, 0.0)]
@@ -384,6 +388,18 @@ class TestResolventTrace:
                                for i in range(2))
                     got = fr.resolvent_boundary_trace(s, ModelParams(g, rho), n)
                     assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", [32, 64, 127])
+    def test_anchor_solve_gives_the_same_trace(self, n):
+        # the trace as a fourth right-hand side of the anchor's end-point
+        # solve, against a solve on the column gamma K(., s) alone
+        for s in (4.0, 8.0, 12.0):
+            for g, rho in ((0.5, 0.0), (0.9, 2.0), (0.3, -2.0)):
+                _, _, got = fr.resolvent_end_values(s, ModelParams(g, rho), n)
+                w, k, _, _ = fr._end_square(s, rho, n)
+                col = g * k[:, n:]
+                r_end, _ = fr._end_solves(k, w, g, col, np.zeros((n + 1, 0)))
+                assert got == pytest.approx(-2.0 * r_end[0], rel=1e-13, abs=0)
 
     def test_matches_h_asymptotics_at_10(self):
         from pearceydet.asymptotics import h_large_s
@@ -542,8 +558,9 @@ class TestAssemblies:
         assert shapes == [(65, 65)]
 
     def test_anchor_bundles_once_per_square(self, monkeypatch):
-        # the anchor's right-hand sides are read from its square's bundles: each
-        # of its two squares costs one P and one Q call over the nodes, one for s
+        # the anchor's right-hand sides and H(s0) are read from one square per
+        # order of its doubling (32, then 64 where it stops): each costs one P
+        # and one Q call over the nodes, one for s
         shapes = _assembled_shapes(monkeypatch)
         sizes = {"p": [], "q": []}
         for name in sizes:
@@ -552,8 +569,8 @@ class TestAssemblies:
                                 lambda y, rho, real=real, seen=sizes[name]:
                                 seen.append(np.size(y)) or real(y, rho))
         ham.resolvent_anchor_state(8.0, ModelParams(0.5, 0.3))
-        assert sizes == {"p": [256, 1, 256, 1], "q": [256, 1, 256, 1]}
-        assert shapes == [(257, 257)] * 2
+        assert sizes == {"p": [32, 1, 64, 1], "q": [32, 1, 64, 1]}
+        assert shapes == [(33, 33), (65, 65)]
 
     def test_moments_one_operator_per_order(self, monkeypatch, capsys):
         # one half block per s and order of the doubling (s = 4 stops at 32, 8 and

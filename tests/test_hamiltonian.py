@@ -191,14 +191,45 @@ class TestResolventAnchor:
                             or real(k, w, g, f, h))
         det_ref = np.linalg.det(tilde_psi_matrices(np.zeros(1), rho))[0]
         for s0 in (4.0, 6.0, 8.0, 10.0, 12.0):
-            pts = np.append(s0 * fr.gauss_legendre(ham._ANCHOR_N).nodes, s0)
+            pts = np.append(s0 * fr.gauss_legendre(64).nodes, s0)
             mats = tilde_psi_matrices(pts, rho)
             for gamma in (0.1, 0.5, 0.95):
                 ref = _dual_weight_vector(mats, gamma, det_ref)
-                fr.resolvent_end_values(s0, ModelParams(gamma, rho), ham._ANCHOR_N)
+                fr.resolvent_end_values(s0, ModelParams(gamma, rho), 64)
                 got = dual.pop()
                 assert (np.abs(got - ref).max(axis=0)
                         <= 1e-10 * np.abs(ref).max(axis=0)).all()
+
+    @pytest.mark.parametrize("gamma,rho", [(0.5, 0.0), (0.9, 2.0), (0.5, -2.0),
+                                           (0.99, 0.0), (0.1, 4.0), (0.5, -4.0),
+                                           (0.95, 2.0), (0.999, 0.0), (0.9999, -4.0),
+                                           (0.9999, 4.0)])
+    def test_err_bounds_the_change_to_n_512(self, gamma, rho):
+        # the doubling stops at 64 or 128, and its err, 1e-9 scaled by the
+        # solve's amplification 1/(1 - gamma) against gamma = 1/2, bounds the
+        # distance to a fixed n = 512 extraction in the same per-block measure;
+        # near gamma = 1 a fixed 1e-9 refused every order at rho = -4, s0 = 12
+        p = ModelParams(gamma, rho)
+        for s0 in (4.0, 6.0, 8.0, 10.0, 12.0):
+            st = ham.resolvent_anchor_state(s0, p)
+            assert st.order in (64, 128)
+            assert st.err == 1e-9 * max(1.0, 0.5 / (1.0 - gamma))
+            assert ham._block_change(ham._extract(s0, p, 512), st) <= st.err
+
+    def test_doubling_that_cannot_settle_raises(self, monkeypatch):
+        orders = []
+        real = ham._extract
+        monkeypatch.setattr(ham, "_extract", lambda s0, p, n: orders.append(n) or real(s0, p, n))
+        monkeypatch.setattr(ham, "_block_change", lambda a, b: 1e-8)
+        with pytest.raises(ConvergenceError, match="n = 512"):
+            ham.resolvent_anchor_state(8.0, ModelParams(0.5, 0.3))
+        assert orders == [32, 64, 128, 256, 512]
+
+    def test_gamma_zero_has_no_order(self):
+        st = ham.resolvent_anchor_state(8.0, ModelParams(0.0, 0.3))
+        assert st.order is None and st.err == 0.0
+        assert st.to_array().tolist() == ham.asymptotic_state(8.0, ModelParams(0.0, 0.3)
+                                                             ).to_array().tolist()
 
     def test_consistent_with_asymptotics_and_decaying(self):
         # closed-form boundary data approaches the extracted truth like s^{-2/3}
@@ -253,6 +284,8 @@ class TestTrajectory:
     def test_backward_sweep_conserves(self):
         p = ModelParams(0.5, 0.0)
         traj = ham.asymptotic_trajectory(p, 10.0, 0.5, tol=1e-11)
+        anchor = ham.resolvent_anchor_state(10.0, p)
+        assert (traj.anchor_order, traj.anchor_err) == (anchor.order, anchor.err)
         assert traj.constraint_drift().max() < 1e-6
         assert np.abs(traj.h.imag).max() < 1e-6
         assert traj.s[0] == 10.0 and traj.s[-1] == 0.5

@@ -143,10 +143,11 @@ class TestSharedTables:
 
     @pytest.mark.parametrize("n", [1, 3, 9])
     def test_one_table_pair_per_ray_and_pass(self, n, monkeypatch):
+        # the tables of a pass's 50 (then 100) z-panels of 16 nodes each
         calls = []
-        real = kn._ray_tables
-        monkeypatch.setattr(kn, "_ray_tables",
-                            lambda rot, z, *a: calls.append((rot, len(z))) or real(rot, z, *a))
+        real = kn._z_tables
+        monkeypatch.setattr(kn, "_z_tables", lambda rot, mids, half:
+                            calls.append((rot, 16 * len(mids))) or real(rot, mids, half))
         grid = np.linspace(-3, 3, n)
         xs, ys = np.meshgrid(grid, grid[::-1] / 2, indexing="ij")
         kn.kernel_integral(xs, ys, 0.4)
@@ -155,6 +156,24 @@ class TestSharedTables:
         # at z_max = 5 points double once: one more pair for the pass, none per point
         kn.kernel_integral(xs, ys, 0.4, z_max=5.0)
         assert calls == [(rot, m) for m in (800, 1600) for rot in (1.0, pc.V_RAY)]
+
+    @pytest.mark.parametrize("z_max, panels", [(25.0, 50), (50.0, 100), (200.0, 400)])
+    def test_panel_factored_tables_match_direct_ones(self, z_max, panels, monkeypatch):
+        # e^{ia mids} e^{ia half xi} against e^{iaz} on the rounded nodes z: one
+        # extra rounding per entry, and the exponentials' own of about |a z| ulp
+        exps = []
+        real_exp = np.exp
+        monkeypatch.setattr(np, "exp", lambda a: exps.append(np.size(a)) or real_exp(a))
+        edges = np.linspace(0.0, z_max, panels + 1)
+        mids, half = (edges[:-1] + edges[1:]) / 2, (edges[1:] - edges[:-1]) / 2
+        got = kn._z_tables(pc.V_RAY, mids, half)
+        monkeypatch.setattr(np, "exp", real_exp)
+        widths = len(np.unique(half))
+        assert sum(exps) == 60 * (panels + 16 * widths)
+        zs = (mids[:, None] + half[:, None] * kn._GL_X[None, :]).ravel()
+        for a, b in zip(got, pc._ray_tables(pc.V_RAY, zs)):
+            assert a.shape == b.shape
+            assert (np.abs(a - b) <= 8e-16 * (1.0 + 4.8 * z_max) * np.abs(b)).all()
 
     def test_third_doubling_grid(self):
         # z = 200: the V table reaches e^-665 and the e^{ity} modulation at
