@@ -7,22 +7,7 @@ statistics, and the confluent hypergeometric parametrix.
 """
 
 from .params import ModelParams, beta_of_gamma
-from .pearcey import (
-    PearceyValues,
-    pearcey_p,
-    pearcey_pj,
-    pearcey_q,
-    pearcey_upper,
-    tilde_psi,
-)
-from .kernel import (
-    kernel_diagonal_band,
-    kernel_integral,
-    kernel_matrix,
-    kernel_point,
-    kernel_rational,
-    kernel_rh,
-)
+from .kernel import kernel_integral, kernel_point, kernel_rh
 from .fredholm import (
     DetResult,
     Moments,
@@ -48,7 +33,6 @@ from .hamiltonian import (
     integrate,
     project_invariants,
     resolvent_anchor_state,
-    system_rhs,
 )
 from .asymptotics import (
     CountingStats,
@@ -66,6 +50,6 @@ from .asymptotics import (
     theta3,
     vartheta,
 )
-from .chf import ChfExpansion, SectorPoint, chf_jump_residual, chf_origin_expansion, phi_chf
+from .chf import ChfExpansion, SectorPoint, chf_origin_expansion, phi_chf
 
 __version__ = "0.1.0"

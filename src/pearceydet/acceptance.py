@@ -25,7 +25,7 @@ from .fredholm import (
     moments_trace,
     resolvent_boundary_trace,
 )
-from .kernel import kernel_integral, kernel_rational, kernel_rh
+from .kernel import kernel_integral, kernel_point, kernel_rh
 from .pearcey import _p_bundle, _q_bundle
 from .specfun import EULER_GAMMA, barnes_ln_g, kummer_phi, kummer_psi_b1, ln_gamma
 
@@ -53,7 +53,7 @@ def criterion_1_kernel_triple_agreement() -> CriterionResult:
     worst = 0.0
     for rho in (-1.0, 0.0, 1.0):
         for x, y, ki in zip(xs, ys, kernel_integral(xs, ys, rho)):
-            kr = kernel_rational(float(x), float(y), rho)
+            kr = kernel_point(float(x), float(y), rho)
             kh = kernel_rh(float(x), float(y), rho)
             worst = max(worst, abs(kr - ki), abs(kr - kh), abs(ki - kh))
     return _result("1 kernel triple agreement", worst <= 1e-7,

@@ -46,7 +46,6 @@ class GapAsymptotics:
 class CountingStats:
     mu: float
     sigma2: float
-    var_const: float
 
 
 def theta3(s: float, rho: float) -> float:
@@ -180,7 +179,7 @@ VAR_CONSTANT = (1.0 + _LOG_9_2 + EULER_GAMMA) / math.pi ** 2
 
 
 def counting_stats(s: float, rho: float) -> CountingStats:
-    """mu(s), sigma(s)^2 and the additive variance constant."""
+    """mu(s) and sigma(s)^2; the additive variance constant is ``VAR_CONSTANT``."""
     if not (math.isfinite(s) and math.isfinite(rho)):
         raise DomainError(f"counting_stats needs finite s and rho, got s = {s}, rho = {rho}")
     if s < 1:
@@ -188,7 +187,7 @@ def counting_stats(s: float, rho: float) -> CountingStats:
     mu = (3.0 * math.sqrt(3.0) / (4.0 * math.pi) * s ** (4.0 / 3.0)
           - math.sqrt(3.0) * rho / (2.0 * math.pi) * s ** (2.0 / 3.0))
     sigma2 = 4.0 / (3.0 * math.pi ** 2) * math.log(s)
-    return CountingStats(mu, sigma2, VAR_CONSTANT)
+    return CountingStats(mu, sigma2)
 
 
 def mgf_prefactor(nu: float, s: float, rho: float) -> float:

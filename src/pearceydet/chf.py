@@ -173,9 +173,14 @@ def _jump_residuals(rays: np.ndarray, base: np.ndarray, base_cw: np.ndarray,
                     bf: _BetaFactors) -> np.ndarray:
     """max-norm of Phi_+ - Phi_- J at points on the given rays.
 
-    ``base`` is the base matrix at each point's own ray angle, ``base_cw``
-    the one of the clockwise sector: the same except on ray 1, whose
-    clockwise sector 6 continues the argument to 2 pi.
+    Phi_+ is the boundary value on the left of the ray's orientation.  Each
+    side evaluates the point through its own sector's formula: the base
+    matrix at that sector's continued argument times the sector's jump
+    product.  ``base`` is the base matrix at each point's own ray angle,
+    ``base_cw`` the one of the clockwise sector: the same except on ray 1,
+    whose clockwise sector 6 continues the argument to 2 pi.  So rays 2..6
+    are construction-exact, and ray 1, which closes the monodromy of the psi
+    log branches against the full jump cycle, is the substantive check.
     """
     k = np.asarray(rays) - 1
     ccw = base @ bf.sectors[k]
@@ -184,29 +189,6 @@ def _jump_residuals(rays: np.ndarray, base: np.ndarray, base_cw: np.ndarray,
     plus = np.where(outward, ccw, cw)
     minus = np.where(outward, cw, ccw)
     return np.abs(plus - minus @ bf.jumps[k]).max(axis=(-2, -1))
-
-
-def chf_jump_residual(ray: int, r: float, beta: complex) -> float:
-    """max-norm of Phi_+ - Phi_- J_ray on the given ray at radius r.
-
-    Phi_+ is the boundary value on the left of the ray's orientation.  Each
-    side evaluates the point on the ray through its own sector's formula: the
-    base matrix at that sector's continued argument times the sector's jump
-    product.  Only ray 1's clockwise sector (6) continues to 2 pi, so on rays
-    2..6 both sides share one base matrix and are construction-exact; ray 1
-    closes the monodromy of the psi log branches against the full jump cycle
-    and is the substantive check.
-    """
-    bf = _BetaFactors.of(_check_beta(beta))
-    if ray not in range(1, 7):
-        raise DomainError(f"ray must be 1..6, got {ray}")
-    if not 0.1 <= r <= 10.0:
-        raise DomainError(f"jump residual validated for 0.1 <= r <= 10, got {r}")
-    phi_ray = SECTOR_ANGLES[ray - 1]
-    z = r * cmath.exp(1j * phi_ray)
-    base = _base_matrix(z, phi_ray, bf)
-    cw = base if ray > 1 else _base_matrix(z, 2.0 * math.pi, bf)
-    return float(_jump_residuals(ray, base, cw, bf))
 
 
 @dataclass(frozen=True)

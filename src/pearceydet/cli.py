@@ -19,14 +19,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import ConvergenceError, DomainError, NumericsError
+from .errors import ConvergenceError, NumericsError
 from .params import ModelParams
 from . import asymptotics as asym
 from . import chf as chf_mod
 from . import hamiltonian as ham
 from .fredholm import (_N_START, _check_args, fredholm_logdet, logdet_converged, moments,
                        moments_mgf, moments_trace)
-from .kernel import kernel_integral, kernel_point, kernel_rh
+from .kernel import _check_domain, kernel_integral, kernel_point, kernel_rh
 
 
 _FLOAT_TYPES = {float, np.float64}
@@ -84,13 +84,12 @@ def _s_grid(args) -> np.ndarray:
 
 
 def _cmd_kernel(args) -> None:
-    # the kernel functions take any rho and range: non-finite ones are rejected here
     lo = args.s_min if args.s_min is not None else -3.0
     hi = args.s_max if args.s_max is not None else 3.0
-    for name, value in (("rho", args.rho), ("s_min", lo), ("s_max", hi)):
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
-    xs = np.linspace(lo, hi, 9 if args.s_steps is None else args.s_steps)
+    # a non-finite end gives NaN points, which the kernel entries reject: each
+    # checks its own domain, finite rho and |x|, |y| <= 12
+    with np.errstate(invalid="ignore"):
+        xs = np.linspace(lo, hi, 9 if args.s_steps is None else args.s_steps)
     oracle = args.oracle or "rational"
     kinds = ("rational", "integral", "rh") if oracle == "all" else (oracle,)
     xg, yg = (g.ravel() for g in np.meshgrid(xs, xs, indexing="ij"))
@@ -107,6 +106,8 @@ def _cmd_kernel(args) -> None:
             elif abs(x - y) > 1e-3:
                 row["k_rh"] = kernel_rh(x, y, args.rho)
             else:
+                # the matrix form is singular on the band, where its domain still holds
+                _check_domain("kernel_rh", x, y, args.rho)
                 row["k_rh"] = math.nan
         return row
 

@@ -326,8 +326,8 @@ def resolvent_end_values(s: float, params: ModelParams,
     The forward system I - gamma K W is solved on f = 2 pi (P, P', P''), the
     kernel's row factors, and the dual one on gamma/(2 pi) (Q'' - rho Q, -Q', Q),
     its column factors, both read from the bundles ``_end_square`` assembled
-    K from.  Since (0 1 1) PsiTilde(y)^{-1} = i g(y) (``kernel.kernel_rh``),
-    the dual side is gamma/(2 pi i) PsiTilde(y)^{-T} (0, 1, 1)^T without a 3x3
+    K from.  Since (0 1 1) tilde_psi(y)^{-1} = i g(y) (``kernel.kernel_rh``),
+    the dual side is gamma/(2 pi i) tilde_psi(y)^{-T} (0, 1, 1)^T without a 3x3
     inverse.  Each value has three components, one per factor.  The column
     gamma K(., s) rides along as a fourth forward right-hand side: the
     resolvent R = gamma K (I - gamma K)^{-1} at (s, s) is its end value, and

@@ -161,13 +161,6 @@ def _complex_states(y: np.ndarray) -> np.ndarray:
     return out
 
 
-def system_rhs(state: HamState) -> HamState:
-    """The eight right-hand sides as printed; rho does not appear in the flow itself."""
-    if np.any(state.s <= 0):
-        raise DomainError(f"system has a pole at s = 0; got s = {np.min(state.s)}")
-    return HamState.from_array(state.s, _rhs_array(state.s, state.to_array()))
-
-
 def hamiltonian_value(state: HamState) -> complex:
     """H(p, q; s); pole at s = 0."""
     if np.any(state.s <= 0):

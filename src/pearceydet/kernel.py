@@ -6,7 +6,8 @@ The production path is the rational form
 
 with a two-term Taylor branch inside the band |x - y| < 1e-3 built from the
 exact diagonal K(x,x) = x P Q + P'Q'' - P''Q' (the Q''' eliminated through the
-Q equation).  Two independent oracles are provided:
+Q equation); ``kernel_point`` is its one-point entry.  Two independent
+oracles are provided:
 
 * ``kernel_integral`` - the convergent split of the z-integral representation.
   The textbook display int_0^inf P(x+z) Q(y+z) dz does not converge with the
@@ -29,7 +30,7 @@ Q equation).  Two independent oracles are provided:
   distinct half-width (``_z_tables``).  On a 25 x 25 grid over
   [-12, 12] it agrees with the rational form to 2.8e-13 max|K| at rho = -2
   and 1e-14 at rho = 0.
-* ``kernel_rh`` - the 3x3 matrix representation through tilde_psi.
+* ``kernel_rh`` - the 3x3 matrix representation through ``tilde_psi_matrices``.
 
 Every dense K is assembled by ``_kernel_matrix_from_session``, which computes
 the P bundle at the rows and the Q bundle at the columns once per call unless
@@ -41,7 +42,8 @@ and the band branch then takes the Q bundle at the rows as the tail of the
 column bundle, so a square and a half block each cost one P and one Q
 bundle.  The P and Q bundles are real by construction, so only
 ``kernel_rh``, built from complex contour solutions, checks that its value
-is real.
+is real.  The point entries share one domain: finite rho and |x|, |y| <= 12,
+outside which they raise DomainError.
 """
 from __future__ import annotations
 
@@ -63,6 +65,13 @@ _INTEGRAL_DOUBLINGS = 2         # z_max doublings before the tail check gives up
 _REALNESS_TOL = 1e-9
 
 
+def _check_domain(who: str, x, y, rho: float) -> None:
+    """Every representation is validated for finite rho and |x|, |y| <= 12 (NaN fails)."""
+    if not (math.isfinite(rho) and np.all(np.abs(x) <= _XY_MAX)
+            and np.all(np.abs(y) <= _XY_MAX)):
+        raise DomainError(f"{who} validated for finite rho and |x|,|y| <= {_XY_MAX}")
+
+
 def _real_checked(values: np.ndarray, what: str) -> np.ndarray:
     values = np.asarray(values)
     scale = 1.0 + np.abs(values.real)
@@ -70,19 +79,6 @@ def _real_checked(values: np.ndarray, what: str) -> np.ndarray:
     if bad.size and bad.max() > _REALNESS_TOL:
         raise RealnessError(f"{what}: |Im| = {bad.max():.3e} exceeds {_REALNESS_TOL}")
     return np.ascontiguousarray(values.real)
-
-
-def _nat_band(x: float, y: float) -> bool:
-    return abs(x - y) < DIAG_BAND_HALF_WIDTH
-
-
-def kernel_rational(x: float, y: float, rho: float) -> float:
-    """Off-diagonal rational form; redirects to the band branch when |x-y| < 1e-3."""
-    if _nat_band(x, y):
-        raise DomainError(
-            f"|x - y| = {abs(x - y):.2e} is inside the diagonal band; "
-            "use kernel_diagonal_band")
-    return _kernel_matrix_from_session(rho, np.array([x]), np.array([y]))[0, 0]
 
 
 def _diag_and_slope(rho: float, x: np.ndarray, p=None, q=None):
@@ -101,17 +97,16 @@ def _diag_and_slope(rho: float, x: np.ndarray, p=None, q=None):
     return diag, -0.5 * d2
 
 
-def kernel_diagonal_band(x: float, y: float, rho: float) -> float:
-    """Two-term Taylor evaluation valid for |x - y| < 1e-3 (exact on the diagonal)."""
-    diag, slope = _diag_and_slope(rho, np.array([float(x)]))
-    return float(diag[0] + slope[0] * (y - x))
-
-
 def kernel_point(x: float, y: float, rho: float) -> float:
-    """Kernel value with automatic diagonal-band dispatch."""
-    if _nat_band(x, y):
-        return kernel_diagonal_band(x, y, rho)
-    return kernel_rational(x, y, rho)
+    """K(x, y) by the rational form, or by its Taylor branch when |x - y| < 1e-3.
+
+    Raises DomainError outside finite rho and |x|, |y| <= 12, as the oracles do.
+    """
+    _check_domain("kernel_point", x, y, rho)
+    if abs(x - y) < DIAG_BAND_HALF_WIDTH:
+        diag, slope = _diag_and_slope(rho, np.array([float(x)]))
+        return float(diag[0] + slope[0] * (y - x))
+    return _kernel_matrix_from_session(rho, np.array([x]), np.array([y]))[0, 0]
 
 
 def _kernel_matrix_from_session(rho: float, x: np.ndarray, y: np.ndarray, *,
@@ -157,12 +152,6 @@ def _kernel_matrix_from_session(rho: float, x: np.ndarray, y: np.ndarray, *,
     return k
 
 
-def kernel_matrix(x: np.ndarray, rho: float) -> np.ndarray:
-    """K(x_i, x_j) on a node array (the Nystrom building block)."""
-    x = np.asarray(x, dtype=float)
-    return _kernel_matrix_from_session(rho, x, x)
-
-
 def _z_tables(rot: complex, mids: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, ...]:
     """``pearcey._ray_tables(rot, z)`` on the panel grid z = mids_j + half_j xi_k, panel-factored.
 
@@ -196,9 +185,7 @@ def kernel_integral(x: float | np.ndarray, y: float | np.ndarray, rho: float, *,
     rule resolves e^{itu} only for |u| up to about 40).
     """
     xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    if not (math.isfinite(rho) and (np.abs(xb) <= _XY_MAX).all()
-            and (np.abs(yb) <= _XY_MAX).all()):
-        raise DomainError(f"kernel_integral validated for finite rho and |x|,|y| <= {_XY_MAX}")
+    _check_domain("kernel_integral", xb, yb, rho)
     xf, yf = xb.ravel(), yb.ravel()
     out = np.empty(xf.shape)
     todo = np.arange(xf.size)
@@ -234,8 +221,7 @@ def kernel_rh(x: float, y: float, rho: float) -> float:
     """Oracle: (1/(2 pi i (x-y))) (0 1 1) tilde_psi(y)^{-1} tilde_psi(x) (1 0 0)^T."""
     if x == y:
         raise DomainError("kernel_rh requires x != y")
-    if abs(x) > _XY_MAX or abs(y) > _XY_MAX:
-        raise DomainError(f"kernel_rh validated for |x|,|y| <= {_XY_MAX}")
+    _check_domain("kernel_rh", x, y, rho)
     mats = tilde_psi_matrices(np.array([x, y]), rho)
     ax, ay = mats[0], mats[1]
     if abs(np.linalg.det(ay)) < 1e-12:

@@ -39,7 +39,7 @@ representation of the kernel, which is orientation-unambiguous):
 * Q integrates over the four rays at angles pi/4, 3pi/4, 5pi/4, 7pi/4 with the
   first and third rays running from infinity to 0 and the other two outward.
   Equivalently Q(y) = V(y) - V(-y) where V is the upper-V contour below.
-* V (``pearcey_upper``) runs from e^{i pi/4} inf down to 0 and out to
+* V (``_upper_v_bundle``) runs from e^{i pi/4} inf down to 0 and out to
   e^{3 i pi/4} inf with the Q-type weight exp(+t^4/4 + rho t^2/2).  For real y
   the 3pi/4 ray is minus the conjugate of the pi/4 ray, so V is computed from
   the pi/4 ray alone and is real on the real axis.  It decays
@@ -65,18 +65,6 @@ PANEL_WIDTH = 0.2
 NODES_PER_PANEL = 12
 
 V_RAY = cmath.exp(1j * math.pi / 4)    # direction of the ray that carries V
-
-_P_ARG_MAX = 60.0
-_PJ_ARG_MAX = 40.0
-
-
-@dataclass(frozen=True)
-class PearceyValues:
-    """Value and first two derivatives at one point."""
-
-    v0: complex
-    v1: complex
-    v2: complex
 
 
 @dataclass(frozen=True)
@@ -238,32 +226,6 @@ def _q_bundle(y: np.ndarray, rho: float, kmax: int = 2, *,
     return v[:, :len(y)] - signs[:, None] * v[:, len(y):]
 
 
-def _check_arg(x: float, bound: float, name: str) -> None:
-    if abs(x) > bound:
-        raise DomainError(f"{name} argument {x} outside validated range |.| <= {bound}")
-
-
-def pearcey_p(x: float, rho: float) -> PearceyValues:
-    """P(x) = (1/2pi) int_R exp(-t^4/4 - rho t^2/2 + itx) dt with two derivatives."""
-    _check_arg(x, _P_ARG_MAX, "pearcey_p")
-    b = _p_bundle(np.array([float(x)]), rho)
-    return PearceyValues(*(b[k, 0] for k in range(3)))
-
-
-def pearcey_q(y: float, rho: float) -> PearceyValues:
-    """Q(y) over the four-ray contour with the figure's orientations."""
-    _check_arg(y, _P_ARG_MAX, "pearcey_q")
-    b = _q_bundle(np.array([float(y)]), rho)
-    return PearceyValues(*(b[k, 0] for k in range(3)))
-
-
-def pearcey_upper(y: float, rho: float) -> PearceyValues:
-    """The upper-V solution of the Q equation; real on R, decaying as y -> +inf."""
-    _check_arg(y, _P_ARG_MAX, "pearcey_upper")
-    b = _upper_v_bundle(np.array([float(y)]), rho)
-    return PearceyValues(*(b[k, 0] for k in range(3)))
-
-
 # Each contour Gamma_j as (sign, direction) legs along the axes: sign -1 means
 # the outward ray is traversed from infinity to 0.
 _GAMMA_LEGS = {
@@ -286,37 +248,16 @@ def _contour_sum(j: int, legs: dict) -> np.ndarray:
 
 def _pj_bundle(j: int, z: np.ndarray, rho: float, kmax: int = 2, *,
                rule: _RayRule | None = None) -> np.ndarray:
+    """(kmax+1, len(z)) derivatives of P_j(z) = int_{Gamma_j} exp(-t^4/4 - rho t^2/2 + itz) dt."""
     return _contour_sum(j, {rot: _ray_bundle(rot, z, rho, kmax, weight_sign=-1.0, rule=rule)
                             for _, rot in _GAMMA_LEGS[j]})
-
-
-def pearcey_pj(z: complex, rho: float, j: int) -> PearceyValues:
-    """Contour solution P_j(z) = int_{Gamma_j} exp(-t^4/4 - rho t^2/2 + itz) dt."""
-    if j not in _GAMMA_LEGS:
-        raise DomainError(f"contour index must be 0..5, got {j}")
-    _check_arg(abs(z), _PJ_ARG_MAX, "pearcey_pj")
-    b = _pj_bundle(j, np.array([complex(z)]), rho)
-    return PearceyValues(*(b[k, 0] for k in range(3)))
-
-
-@dataclass(frozen=True)
-class PsiTilde:
-    """3x3 matrix with columns (P_0, P_1, P_4) and rows (value, ', '')."""
-
-    m: np.ndarray
 
 
 _PSI_COLUMNS = (0, 1, 4)
 
 
-def tilde_psi(z: float, rho: float) -> PsiTilde:
-    """Entire 3x3 matrix solution used by the kernel's matrix representation."""
-    _check_arg(abs(z), _PJ_ARG_MAX, "tilde_psi")
-    return PsiTilde(tilde_psi_matrices(np.array([complex(z)]), rho)[0])
-
-
 def tilde_psi_matrices(z: np.ndarray, rho: float) -> np.ndarray:
-    """Vectorized tilde_psi: returns (len(z), 3, 3).
+    """(len(z), 3, 3) entire matrix solution: columns P_0, P_1, P_4, rows value, ', ''.
 
     The three contours share the positive real leg, so one ray sum per
     distinct direction (four) serves all three columns.

@@ -59,18 +59,22 @@ class TestPhiChf:
     def test_rejects_non_finite_beta(self, beta):
         # NaN passed both comparisons: every series point then ran to its term cap
         for call in (lambda: chf.verification_report(beta),
-                     lambda: chf.chf_jump_residual(1, 1.0, beta),
                      lambda: chf.chf_origin_expansion(beta)):
             with pytest.raises(DomainError):
                 call()
+
+
+def _residuals(rep: dict, ray: int) -> list:
+    """The report's jump residuals on one ray, in the order of _REPORT_RADII."""
+    return [rep["ray_residuals"][str(ray)][f"{r:g}"] for r in chf._REPORT_RADII]
 
 
 class TestJumps:
     @pytest.mark.parametrize("beta", BETAS)
     @pytest.mark.parametrize("ray", range(1, 7))
     def test_residuals(self, beta, ray):
-        worst = max(chf.chf_jump_residual(ray, r, beta) for r in (0.5, 1.0, 2.0, 5.0))
-        assert worst < 1e-9
+        assert chf._REPORT_RADII == (0.5, 1.0, 2.0, 5.0)
+        assert max(_residuals(chf.verification_report(beta), ray)) < 1e-9
 
     @pytest.mark.parametrize("beta", (0.03j, 0.2j, 0.4j))
     def test_one_base_matrix_per_ray_point(self, beta, monkeypatch):
@@ -93,18 +97,17 @@ class TestJumps:
         calls = []
         real = chf._base_matrix
         monkeypatch.setattr(chf, "_base_matrix", lambda *a: calls.append(a) or real(*a))
-        for (ray, r), want in expected.items():
-            calls.clear()
-            assert chf.chf_jump_residual(ray, r, beta) == want
-            assert len(calls) == (2 if ray == 1 else 1)
+        rep = chf.verification_report(beta)
+        # one call: the 24 ray points, ray 1's 4 again at 2 pi and the 2 origin samples
+        assert [np.shape(a[0]) for a in calls] == [(30,)]
+        for ray in range(1, 7):
+            for r, got in zip(chf._REPORT_RADII, _residuals(rep, ray)):
+                assert abs(got - expected[ray, r]) <= 1e-15
 
     def test_beta_zero_unipotent_rays(self):
+        rep = chf.verification_report(0.0)
         for ray in (2, 3, 5, 6):
-            assert chf.chf_jump_residual(ray, 1.0, 0.0) < 1e-12
-
-    def test_radius_domain(self):
-        with pytest.raises(DomainError):
-            chf.chf_jump_residual(1, 20.0, 0.11j)
+            assert max(_residuals(rep, ray)) < 1e-12
 
 
 class TestOriginExpansion:
@@ -217,11 +220,8 @@ class TestArraySeries:
 
     @pytest.mark.parametrize("beta", (0.03j, 0.2j, 0.4j))
     def test_report_against_scalar_path(self, beta):
+        # the jump residuals are checked in TestJumps; here the origin data
         rep = chf.verification_report(beta)
-        for ray in range(1, 7):
-            for r in chf._REPORT_RADII:
-                want = chf.chf_jump_residual(ray, r, beta)
-                assert abs(rep["ray_residuals"][str(ray)][f"{r:g}"] - want) <= 1e-15
         exp = chf.chf_origin_expansion(beta)
         assert rep["upsilon0"] == [[[v.real, v.imag] for v in row] for row in exp.upsilon0]
         assert rep["upsilon1_21"] == [exp.upsilon1_21.real, exp.upsilon1_21.imag]

@@ -239,6 +239,23 @@ class TestKernelGrid:
         assert out == ""
         assert json.loads(err)["error"] == "DomainError"
 
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--s-min", "-50", "--s-max", "50", "--s-steps", "3"],
+        ["kernel", "--s-min", "-50", "--s-max", "50", "--s-steps", "3", "--oracle", "integral"],
+        ["kernel", "--s-min", "-50", "--s-max", "50", "--s-steps", "3", "--oracle", "rh"],
+        ["kernel", "--s-min", "12.5", "--s-max", "12.5", "--s-steps", "1", "--oracle", "rh"],
+        ["kernel", "--rho=-inf", "--s-steps", "2", "--oracle", "rh"],
+        ["kernel", "--rho", "nan", "--s-steps", "1", "--oracle", "rh"],
+    ])
+    def test_outside_domain_exit_1(self, argv, capsys):
+        # every oracle has one domain, |x|, |y| <= 12 and a finite rho, also on
+        # the band, where rh writes NaN; the rational form printed
+        # K(0, -50) = -3.08e27 on the first grid
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
 
 class TestHamiltonian:
     @pytest.mark.parametrize("tol", ["0", "1e-15", "nan", "inf"])
@@ -342,6 +359,7 @@ class TestUsage:
         ["moments", "--s", "nan"],
         ["kernel", "--s-min", "nan", "--s-steps", "2"],
         ["kernel", "--s-max", "inf", "--s-steps", "2"],
+        ["kernel", "--s-min", "nan", "--s-steps", "2", "--oracle", "rh"],
     ])
     def test_non_finite_s_exit_1(self, argv, capsys):
         # NaN passed both s <= 0 and s > 12: NaN rows, or an error after doubling

@@ -10,7 +10,7 @@ from pearceydet import kernel as kn
 from pearceydet import pearcey as pc
 from pearceydet.cli import main
 from pearceydet.errors import ConvergenceError, DomainError, SignError
-from pearceydet.kernel import kernel_diagonal_band
+from pearceydet.kernel import kernel_point
 from pearceydet.params import ModelParams
 
 
@@ -116,7 +116,7 @@ _PARITY_ORDERS = [1, 2, 3, 16, 127, 256, 384]
 def _full_square(s, rho, n):
     """The order-n rule on (-s, s), its weights and the full square K over its nodes."""
     [(_, x, w, _)] = fr._nystrom((s,), rho, n)
-    return x, w, kn.kernel_matrix(x, rho)
+    return x, w, kn._kernel_matrix_from_session(rho, x, x)
 
 
 def _symmetrized_square(w, k):
@@ -138,7 +138,7 @@ class TestParityFold:
         # each entry of the half block is the full square's, to the bit
         [(_, x, _, k)] = fr._nystrom((1.0,), rho, n)
         assert k.shape == (n - n // 2, n)
-        assert k.tobytes() == kn.kernel_matrix(x, rho)[n // 2:].tobytes()
+        assert k.tobytes() == kn._kernel_matrix_from_session(rho, x, x)[n // 2:].tobytes()
 
     @pytest.mark.parametrize("s, rho, n", [(4.0, 0.0, 16), (8.0, 0.3, 256), (2.5, -1.7, 127),
                                            (12.0, 2.0, 64), (0.5, -2.0, 3)])
@@ -155,7 +155,7 @@ class TestParityFold:
     @pytest.mark.parametrize("gamma", [0.7, -3.0])
     def test_matches_full_slogdet(self, n, gamma):
         [(_, x, w, k)] = fr._nystrom((2.5,), 0.6, n)
-        a = _symmetrized_square(w, kn.kernel_matrix(x, 0.6))
+        a = _symmetrized_square(w, kn._kernel_matrix_from_session(0.6, x, x))
         sign, full = np.linalg.slogdet(np.eye(n) - gamma * a)
         assert sign == 1.0
         f = fr._parity_logdets(fr._symmetrized(w, k), [gamma])[0]
@@ -178,7 +178,7 @@ class TestParityFold:
         [(_, x, w, k)] = fr._nystrom((9.0,), -1.3, 2)
         a = fr._symmetrized(w, k)
         assert a.shape == (1, 2)        # one row: the half block
-        full = _symmetrized_square(w, kn.kernel_matrix(x, -1.3))
+        full = _symmetrized_square(w, kn._kernel_matrix_from_session(-1.3, x, x))
         assert np.linalg.det(np.eye(2) - 0.95 * full) > 0
         with pytest.raises(SignError):
             fr._positive(fr._parity_logdets(a, [0.95]))
@@ -224,7 +224,7 @@ class TestParityBlocks:
         h = n - n // 2
         assert blocks.shape == (2, h, h)
         sign, full = np.linalg.slogdet(np.eye(n) - gamma * _symmetrized_square(
-            w, kn.kernel_matrix(x, 0.6)))
+            w, kn._kernel_matrix_from_session(0.6, x, x)))
         signs, parts = np.linalg.slogdet(np.eye(h) - gamma * blocks)
         assert abs(parts.sum() - full) <= 1e-13 * max(1.0, abs(full))
         assert abs(signs.prod() - sign) <= 1e-13
@@ -414,7 +414,7 @@ class TestMoments:
         mean, _ = fr.moments_trace(*fr.moments_operator(s, rho, n))
         rule = fr.gauss_legendre(200)
         xs = s * rule.nodes
-        dens = np.array([kernel_diagonal_band(float(x), float(x), rho) for x in xs])
+        dens = np.array([kernel_point(float(x), float(x), rho) for x in xs])
         direct = float((s * rule.weights * dens).sum())
         assert mean == pytest.approx(direct, abs=1e-8)
 
@@ -521,7 +521,7 @@ class TestMoments:
         # E N(s) -> 2 s K(0,0;rho) as s -> 0+
         s, rho = 0.05, 0.0
         mean, _ = fr.moments_mgf(*fr.moments_operator(s, rho, 32))
-        assert mean == pytest.approx(2 * s * kernel_diagonal_band(0.0, 0.0, rho),
+        assert mean == pytest.approx(2 * s * kernel_point(0.0, 0.0, rho),
                                      abs=1e-4)
 
 

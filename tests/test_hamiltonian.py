@@ -51,9 +51,7 @@ class TestSystemStructure:
     def test_beta_zero_fixed_point(self):
         p = ModelParams(0.0, 1.0)
         st = ham.asymptotic_state(8.0, p)
-        rhs = ham.system_rhs(st)
-        assert all(abs(getattr(rhs, k)) == 0.0
-                   for k in ("p0", "p1", "p2", "p3", "q0", "q1", "q2", "q3"))
+        assert np.all(ham._rhs_array(st.s, st.to_array()) == 0.0)
         assert ham.hamiltonian_value(st) == 0.0
 
     def test_hamilton_consistency(self):
@@ -89,7 +87,7 @@ class TestSystemStructure:
 
     def test_pole_at_origin(self):
         with pytest.raises(DomainError):
-            ham.system_rhs(ham.HamState(0.0, 0, 0, 0, 0, 0, 0, 0, 0))
+            ham.hamiltonian_value(ham.HamState(0.0, 0, 0, 0, 0, 0, 0, 0, 0))
 
     def test_complex_rhs_is_the_real_flow(self):
         # on the family's states the complex flow is UNITS times the real one,
@@ -160,12 +158,12 @@ class TestAsymptoticState:
 
 
 def _dual_weight_vector(mats, gamma, det_ref):
-    """gamma/(2 pi i) PsiTilde^{-T} (0,1,1)^T via explicit cofactors.
+    """gamma/(2 pi i) tilde_psi^{-T} (0,1,1)^T via explicit cofactors.
 
     The needed cofactors always pair the slowly-varying first matrix column
     with one of the exponentially large columns, so this form avoids the
     catastrophic large-times-large cancellations a generic 3x3 solve hits for
-    |x| near the interval ends.  det(PsiTilde) is z-independent (the ODE has
+    |x| near the interval ends.  det(tilde_psi) is z-independent (the ODE has
     no second-derivative term), so the well-conditioned z = 0 value is used.
     """
     m = mats
@@ -183,7 +181,7 @@ def _dual_weight_vector(mats, gamma, det_ref):
 class TestResolventAnchor:
     @pytest.mark.parametrize("rho", [-2.0, 0.0, 1.0, 2.0])
     def test_dual_weights_match_tilde_psi_cofactors(self, rho, monkeypatch):
-        # (0 1 1) PsiTilde(y)^{-1} = i g(y) at the anchor's nodes and its end:
+        # (0 1 1) tilde_psi(y)^{-1} = i g(y) at the anchor's nodes and its end:
         # the dual right-hand side the anchor's end-point solve receives
         dual = []
         real = fr._end_solves

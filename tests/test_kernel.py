@@ -9,13 +9,13 @@ from pearceydet.errors import ConvergenceError, DomainError
 
 class TestRationalForm:
     def test_matches_integral(self):
-        assert kn.kernel_rational(1.0, -1.0, 0.0) == pytest.approx(
+        assert kn.kernel_point(1.0, -1.0, 0.0) == pytest.approx(
             kn.kernel_integral(1.0, -1.0, 0.0), abs=1e-8)
-        assert kn.kernel_rational(1.3, -0.4, 0.5) == pytest.approx(
+        assert kn.kernel_point(1.3, -0.4, 0.5) == pytest.approx(
             kn.kernel_integral(1.3, -0.4, 0.5), abs=1e-8)
 
     def test_matches_rh(self):
-        assert kn.kernel_rational(2.0, 0.5, 1.0) == pytest.approx(
+        assert kn.kernel_point(2.0, 0.5, 1.0) == pytest.approx(
             kn.kernel_rh(2.0, 0.5, 1.0), abs=1e-8)
 
     def test_numerator_vanishes_on_diagonal(self):
@@ -26,24 +26,30 @@ class TestRationalForm:
             num = p0 * q2 - p1 * q1 + p2 * q0
             assert abs(num[0]) < 1e-10
 
-    def test_band_redirect(self):
-        with pytest.raises(DomainError):
-            kn.kernel_rational(1.0, 1.0 + 1e-4, 0.0)
+    def test_domain(self):
+        # the range of the oracles: a NaN anywhere, |x| or |y| above 12, or a non-finite rho
+        for x, y, rho in ((-50.0, 0.0, 0.0), (0.0, 12.5, 0.0), (12.5, 12.5, 0.0),
+                          (np.nan, 0.0, 0.0), (0.0, np.nan, 0.0), (np.nan, np.nan, 0.0),
+                          (0.0, 1.0, np.nan), (1.0, 1.0, np.inf), (0.0, 1.0, -np.inf)):
+            with pytest.raises(DomainError):
+                kn.kernel_point(x, y, rho)
+        assert np.isfinite(kn.kernel_point(-12.0, 12.0, 0.0))
+        assert np.isfinite(kn.kernel_point(12.0, 12.0, 0.0))
 
 
 class TestDiagonalBand:
     def test_matches_integral_on_diagonal(self):
-        assert kn.kernel_diagonal_band(0.8, 0.8, 0.0) == pytest.approx(
+        assert kn.kernel_point(0.8, 0.8, 0.0) == pytest.approx(
             kn.kernel_integral(0.8, 0.8, 0.0), abs=1e-8)
-        assert kn.kernel_diagonal_band(0.0, 0.0, 0.0) == pytest.approx(
+        assert kn.kernel_point(0.0, 0.0, 0.0) == pytest.approx(
             kn.kernel_integral(0.0, 0.0, 0.0), abs=1e-8)
 
     def test_continuity_across_branch_switch(self):
         # second difference of the three-point stencil spanning the switch
         x = 1.0
-        k_outer = kn.kernel_rational(x, x + 2e-3, 0.0)
-        k_inner = kn.kernel_diagonal_band(x, x + 0.5e-3, 0.0)
-        k_diag = kn.kernel_diagonal_band(x, x, 0.0)
+        k_outer = kn.kernel_point(x, x + 2e-3, 0.0)
+        k_inner = kn.kernel_point(x, x + 0.5e-3, 0.0)
+        k_diag = kn.kernel_point(x, x, 0.0)
         # values at offsets 0, 0.5e-3, 2e-3: fit the chord and check deviation
         chord = k_diag + (k_outer - k_diag) * (0.5e-3 / 2e-3)
         assert abs(k_inner - chord) < 1e-6
@@ -213,6 +219,13 @@ class TestRhForm:
         with pytest.raises(DomainError):
             kn.kernel_rh(1.0, 1.0, 0.0)
 
+    def test_domain(self):
+        # the range of kernel_point and kernel_integral, NaN included
+        for x, y, rho in ((-50.0, 0.0, 0.0), (0.0, 12.5, 0.0), (np.nan, 0.0, 0.0),
+                          (np.nan, np.nan, 0.0), (0.0, 1.0, np.nan), (0.0, 1.0, np.inf)):
+            with pytest.raises(DomainError):
+                kn.kernel_rh(x, y, rho)
+
 
 class TestTripleAgreement:
     @pytest.mark.parametrize("rho", [-1.0, 0.0, 1.0])
@@ -223,17 +236,17 @@ class TestTripleAgreement:
         xs, ys = xs[off], ys[off]
         worst = 0.0
         for x, y, ki in zip(xs, ys, kn.kernel_integral(xs, ys, rho)):
-            kr = kn.kernel_rational(float(x), float(y), rho)
+            kr = kn.kernel_point(float(x), float(y), rho)
             kh = kn.kernel_rh(float(x), float(y), rho)
             worst = max(worst, abs(kr - ki), abs(kr - kh))
         assert worst < 1e-7
 
     def test_diagonal_limit_first_order(self):
         x, rho = 0.7, 0.0
-        k_diag = kn.kernel_diagonal_band(x, x, rho)
+        k_diag = kn.kernel_point(x, x, rho)
         errs = []
         for h in (1e-2, 1e-3):
-            errs.append(abs(kn.kernel_rational(x, x + h, rho) - k_diag))
+            errs.append(abs(kn.kernel_point(x, x + h, rho) - k_diag))
         # first-order convergence consistent with the Taylor remainder
         assert errs[1] < 0.2 * errs[0]
 
@@ -241,9 +254,9 @@ class TestTripleAgreement:
 class TestKernelMatrix:
     def test_band_entries_used(self):
         x = np.array([1.0, 1.0 + 5e-4, 2.0])
-        k = kn.kernel_matrix(x, 0.0)
+        k = kn._kernel_matrix_from_session(0.0, x, x)
         assert np.isfinite(k).all()
-        assert k[0, 1] == pytest.approx(kn.kernel_diagonal_band(1.0, 1.0 + 5e-4, 0.0),
+        assert k[0, 1] == pytest.approx(kn.kernel_point(1.0, 1.0 + 5e-4, 0.0),
                                         abs=1e-12)
 
 
@@ -272,7 +285,7 @@ class TestInPlaceAssembly:
         ref, in_band = out_of_place_assembly(rho, x, x)
         if (n, s) == (384, 1.0):
             assert in_band == 480   # off-diagonal band entries near the ends
-        assert kn.kernel_matrix(x, rho).tobytes() == ref.tobytes()
+        assert kn._kernel_matrix_from_session(rho, x, x).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("rho", [-2.0, 0.0, 1.7])
     def test_rectangular_bitwise(self, rho):
