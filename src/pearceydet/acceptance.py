@@ -332,12 +332,12 @@ ALL_CRITERIA: list[Callable[[], CriterionResult]] = [
 ]
 
 
-def run_all(verbose: bool = False) -> list[CriterionResult]:
+def run_all() -> list[CriterionResult]:
+    """Every criterion in order, each printed as it finishes."""
     results = []
     for fn in ALL_CRITERIA:
         res = fn()
         results.append(res)
-        if verbose:
-            status = "PASS" if res.ok else "FAIL"
-            print(f"[{status}] {res.name}: {res.detail} ({res.elapsed:.1f}s)")
+        status = "PASS" if res.ok else "FAIL"
+        print(f"[{status}] {res.name}: {res.detail} ({res.elapsed:.1f}s)")
     return results

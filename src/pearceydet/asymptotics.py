@@ -101,16 +101,18 @@ def f_large_gap(s: float, params: ModelParams,
     return GapAsymptotics(leading, subleading, log_term, constant)
 
 
-def f_gamma1(s: float, rho: float, c: float = 0.0) -> float:
-    """Undeformed (gamma = 1) expansion; c is the caller-supplied constant."""
+def f_gamma1(s: float, rho: float) -> float:
+    """Undeformed (gamma = 1) expansion, without the undetermined constant.
+
+    ``fit_gamma1_constant`` fits that constant; a caller that has one adds it.
+    """
     if s <= 0:
         raise DomainError(f"f_gamma1 requires s > 0, got {s}")
     return (-9.0 * s ** (8.0 / 3.0) / 2.0 ** (17.0 / 3.0)
             + rho * s * s / 4.0
             - rho * rho * s ** (4.0 / 3.0) / 2.0 ** (10.0 / 3.0)
             - (2.0 / 9.0) * math.log(s)
-            + rho ** 4 / 216.0
-            + c)
+            + rho ** 4 / 216.0)
 
 
 @dataclass(frozen=True)
@@ -212,8 +214,8 @@ def clt_distance(s: float, rho: float, t_grid: np.ndarray) -> float:
     The expectation is exp(F(s; gamma(nu), rho) - t mu / sigma) at
     nu = -t / (2 pi sigma), F converged to 1e-8 over the whole gamma grid at
     once (one Nystrom matrix and one stacked factorisation per order).  An s
-    below 4 and a non-finite s or rho raise DomainError before any quadrature
-    (``counting_stats``).
+    below 4, a non-finite s and a rho outside [-4, 4] raise DomainError
+    before any quadrature (``counting_stats``, ``logdet_converged``).
     """
     if s < 4:
         raise DomainError(f"clt_distance validated for s >= 4, got {s}")

@@ -114,10 +114,8 @@ class _BetaFactors:
     ln_gamma: tuple
 
     @classmethod
-    def of(cls, beta: "complex | _BetaFactors") -> "_BetaFactors":
-        """The factors of a checked beta; factors pass through unchanged."""
-        if isinstance(beta, cls):
-            return beta
+    def of(cls, beta: complex) -> "_BetaFactors":
+        """The factors of a checked beta."""
         jumps = _jumps(beta)
         lg = () if beta == 0 else tuple(ln_gamma(a) for a in
                                         (beta, 1.0 - beta, 1.0 + beta, -beta))
@@ -125,14 +123,13 @@ class _BetaFactors:
 
 
 def _base_matrix(z: complex | np.ndarray, arg_z: float | np.ndarray,
-                 beta: complex | _BetaFactors) -> np.ndarray:
+                 bf: _BetaFactors) -> np.ndarray:
     """The explicit solution of the model problem in the sector between rays 1 and 2.
 
     ``arg_z`` is the continued argument of z (counterclockwise from the base
     sector); it fixes the log branches of the psi functions.  z and arg_z
     are scalars or arrays of one shape; the result has shape z.shape + (2, 2).
     """
-    bf = _BetaFactors.of(beta)
     beta = bf.beta
     z = np.asarray(z, dtype=complex)
     e_half_minus = np.exp(-0.5j * z)

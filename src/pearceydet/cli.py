@@ -29,15 +29,6 @@ from .fredholm import (_N_START, _check_args, fredholm_logdet, logdet_converged,
 from .kernel import _check_domain, kernel_integral, kernel_point, kernel_rh
 
 
-_FLOAT_TYPES = {float, np.float64}
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
-
-
 def _emit(args, rows: list[dict], diagnostics: dict) -> None:
     config = {k: v for k, v in vars(args).items()
               if k not in ("func", "out") and v is not None}
@@ -56,14 +47,9 @@ def _emit(args, rows: list[dict], diagnostics: dict) -> None:
     if rows:
         cols = list(rows[0].keys())
         lines.append(",".join(cols))
-        # one format call per all-float row: the same text as _fmt, value by value
-        floats = ",".join(["%.17g"] * len(cols))
-        for row in rows:
-            vals = tuple(map(row.__getitem__, cols))
-            if set(map(type, vals)) <= _FLOAT_TYPES:
-                lines.append(floats % vals)
-            else:
-                lines.append(",".join(map(_fmt, vals)))
+        # one format per column, from the first row: a column keeps its type
+        fmt = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0].values())
+        lines.extend(fmt % tuple(map(row.__getitem__, cols)) for row in rows)
     _write(args.out, "\n".join(lines) + "\n")
 
 
@@ -87,7 +73,7 @@ def _cmd_kernel(args) -> None:
     lo = args.s_min if args.s_min is not None else -3.0
     hi = args.s_max if args.s_max is not None else 3.0
     # a non-finite end gives NaN points, which the kernel entries reject: each
-    # checks its own domain, finite rho and |x|, |y| <= 12
+    # checks its own domain, |rho| <= 4 and |x|, |y| <= 12
     with np.errstate(invalid="ignore"):
         xs = np.linspace(lo, hi, 9 if args.s_steps is None else args.s_steps)
     oracle = args.oracle or "rational"
@@ -175,7 +161,7 @@ def _cmd_moments(args) -> None:
     n = args.quad_order
     grid = _s_grid(args)
     # every s of the grid is checked before any quadrature: the kernel range
-    # and a finite rho here, then s >= 1 in counting_stats
+    # and |rho| <= 4 here, then s >= 1 in counting_stats
     for s in grid:
         _check_args(s, 1.0, args.rho, _N_START if n is None else n)
     stats = [asym.counting_stats(s, args.rho) for s in grid]
@@ -218,7 +204,7 @@ def _cmd_chf_verify(args) -> None:
 
 def _cmd_selftest(args) -> None:
     from .acceptance import run_all
-    results = run_all(verbose=True)
+    results = run_all()
     if not all(r.ok for r in results):
         raise NumericsError("acceptance criteria failed: "
                             + ", ".join(r.name for r in results if not r.ok))

@@ -15,9 +15,10 @@ A map of the module; each function's docstring holds its contract.
   and odd half-size blocks, which the determinants, the contour and the
   trace of (WK)^2 read.
 * Inputs: ``_check_args`` checks s, gamma, rho and the order before any
-  quadrature.  gamma may lie in (-16, 1]: the CLT evaluates F(s; 1 -
-  e^{-2 pi nu}, rho) at nu < 0, where det(I - gamma K) = det(I + |gamma| K)
-  is well conditioned.
+  quadrature, s and rho against the kernel's domain (|x| <= 12, |rho| <= 4).
+  gamma may lie in (-16, 1]: the CLT evaluates F(s; 1 - e^{-2 pi nu}, rho)
+  at nu < 0, where det(I - gamma K) = det(I + |gamma| K) is well
+  conditioned.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from .errors import ConvergenceError, DomainError, SignError
 from .kernel import _diag_and_slope, _kernel_matrix_from_session  # noqa: F401
 from .params import ModelParams
 
-_S_MAX = 12.0
+_S_MAX = kernel._XY_MAX          # the interval (-s, s) stays inside the kernel's domain
 _N_MAX = 2048
 _N_START = 16                   # first order of the doubling
 _GAMMA_MIN = -16.0
@@ -103,8 +104,8 @@ def _check_args(s: float, gamma: float, rho: float, n: int) -> None:
         raise DomainError(f"s = {s} outside the kernel evaluation range (0, {_S_MAX}]")
     if not _GAMMA_MIN < gamma <= 1.0:
         raise DomainError(f"gamma = {gamma} outside ({_GAMMA_MIN}, 1]")
-    if not math.isfinite(rho):
-        raise DomainError(f"rho must be finite, got {rho}")
+    if not abs(rho) <= kernel._RHO_MAX:
+        raise DomainError(f"rho = {rho} outside [-{kernel._RHO_MAX}, {kernel._RHO_MAX}]")
     if not 1 <= n <= _N_MAX:
         raise DomainError(f"quadrature order {n} outside [1, {_N_MAX}]")
 

@@ -65,7 +65,7 @@ from .asymptotics import theta3, vartheta
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
 _S_ANCHOR_MIN = 4.0
-_S_ANCHOR_MAX = 12.0
+_S_ANCHOR_MAX = fredholm._S_MAX  # the anchor's square spans the kernel's |x| <= 12
 _ANCHOR_N_START = 32            # first Nystrom order of the anchor's doubling
 _ANCHOR_N_MAX = 512             # last one
 _ANCHOR_RTOL = 1e-9             # per-block change that accepts an order, at gamma <= 1/2
@@ -191,12 +191,6 @@ def hamiltonian_partials(state: HamState) -> tuple[np.ndarray, np.ndarray, compl
     ], dtype=complex)
     ds = st.p3 * st.q1 - b * b / (2.0 * s * s)
     return dp, dq, ds
-
-
-def hamiltonian_flow_derivative(state: HamState, rhs: np.ndarray) -> complex:
-    """dH/ds along the flow by exact composition of the right-hand side ``rhs`` at ``state``."""
-    dp, dq, ds = hamiltonian_partials(state)
-    return ds + (dp * rhs[:4]).sum(axis=0) + (dq * rhs[4:]).sum(axis=0)
 
 
 def asymptotic_state(s: float, params: ModelParams) -> HamState:
@@ -344,6 +338,8 @@ def resolvent_anchor_state(s0: float, params: ModelParams) -> AnchorState:
         raise DomainError(f"anchor must lie in [{_S_ANCHOR_MIN}, {_S_ANCHOR_MAX}]")
     if params.gamma == 1.0:
         raise DomainError("anchor extraction requires gamma < 1")
+    # the extraction's domain, rho included, also where gamma = 0 builds no square
+    fredholm._check_args(s0, params.gamma, params.rho, _ANCHOR_N_START)
     if params.gamma == 0.0:
         return AnchorState(**vars(asymptotic_state(s0, params)), order=None, err=0.0)
     tol = _ANCHOR_RTOL * max(1.0, 0.5 / (1.0 - params.gamma))
@@ -465,17 +461,14 @@ class Trajectory:
     def constraint_drift(self) -> np.ndarray:
         return np.abs(HamState.from_array(self.s, self.states.T).constraint_sum())
 
-    def _state_at(self, s_val: np.ndarray) -> HamState:
-        """The dense output at s_val; DomainError outside the swept range, where
-        the solution's end polynomial would only extrapolate."""
+    def h_at(self, s_val: np.ndarray) -> np.ndarray:
+        """H from the dense output at s_val; DomainError outside the swept range,
+        where the solution's end polynomial would only extrapolate."""
         s_val = np.atleast_1d(np.asarray(s_val, dtype=float))
         lo, hi = sorted((self.s[0], self.s[-1]))
         if not np.all((s_val >= lo) & (s_val <= hi)):
             raise DomainError(f"s outside the swept range [{lo}, {hi}]")
-        return HamState.from_array(s_val, self.dense(s_val))
-
-    def h_at(self, s_val: np.ndarray) -> np.ndarray:
-        return hamiltonian_value(self._state_at(s_val))
+        return hamiltonian_value(HamState.from_array(s_val, self.dense(s_val)))
 
 
 def integrate(s_from: float, s_to: float, init: HamState,
@@ -574,9 +567,8 @@ def p0_q0_derivatives(state: HamState) -> dict[str, complex]:
             "d_p2q2": d_p2q2, "d_p3q3": d_p3q3}
 
 
-def coupled_p0q0_residual(traj: Trajectory, params: ModelParams,
-                          s_values: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    """Relative residuals of the coupled third/second-order p0-q0 equations.
+def coupled_p0q0_residual(traj: Trajectory, params: ModelParams) -> dict[str, np.ndarray]:
+    """Per-sample relative residuals of the coupled third/second-order p0-q0 equations.
 
     Residuals are normalized by the largest absolute term entering each
     equation.  States where the pivot denominator p0 + q0 - rho/sqrt(2)
@@ -584,10 +576,7 @@ def coupled_p0q0_residual(traj: Trajectory, params: ModelParams,
     fixed point (where both equations reduce to 0 = 0).
     """
     rho = params.rho
-    if s_values is None:
-        st = HamState.from_array(traj.s, traj.states.T)
-    else:
-        st = traj._state_at(s_values)
+    st = HamState.from_array(traj.s, traj.states.T)
     s = st.s
     d = p0_q0_derivatives(st)
     p0d, q0d, p0dd, q0dd, p0ddd = (d[k] for k in ("p0d", "q0d", "p0dd", "q0dd", "p0ddd"))
@@ -646,7 +635,9 @@ def identity_report(traj: Trajectory, params: ModelParams) -> dict[str, np.ndarr
     denom = np.where(regular, denom, 1.0)
     out = {}
 
-    hdot = hamiltonian_flow_derivative(st, rhs)
+    # dH/ds along the flow by exact composition of the right-hand side
+    dp, dq, ds = hamiltonian_partials(st)
+    hdot = ds + (dp * rhs[:4]).sum(axis=0) + (dq * rhs[4:]).sum(axis=0)
     form1 = st.p3 * st.q1 - 2.0 / (s * s) * (st.p2 * st.q2) ** 2
     form2 = np.where(regular,
                      -denom / _SQRT2 - (p0d * q0d) ** 2 / (s * s * denom * denom),

@@ -42,8 +42,10 @@ and the band branch then takes the Q bundle at the rows as the tail of the
 column bundle, so a square and a half block each cost one P and one Q
 bundle.  The P and Q bundles are real by construction, so only
 ``kernel_rh``, built from complex contour solutions, checks that its value
-is real.  The point entries share one domain: finite rho and |x|, |y| <= 12,
-outside which they raise DomainError.
+is real.  The point entries share one domain: |rho| <= 4 and |x|, |y| <= 12,
+outside which they raise DomainError.  ``_XY_MAX`` and ``_RHO_MAX`` are the
+one definition of that domain: ``fredholm`` reads them, and ``hamiltonian``
+through ``fredholm``.
 """
 from __future__ import annotations
 
@@ -57,7 +59,9 @@ from .pearcey import (V_RAY, _p_bundle, _q_bundle, _ray_tables, _shifted_ray_sum
                       _upper_v_bundle, tilde_psi_matrices)
 
 DIAG_BAND_HALF_WIDTH = 1e-3
-_XY_MAX = 12.0
+_XY_MAX = 12.0                  # |x|, |y| of the validated kernel
+_RHO_MAX = 4.0                  # |rho| of the validated kernel, the range the ODE,
+                                # moments and anchor tests cover
 _INTEGRAL_Z = 25.0
 _INTEGRAL_NODES = 16            # Gauss-Legendre nodes per z-panel
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_INTEGRAL_NODES)
@@ -66,10 +70,10 @@ _REALNESS_TOL = 1e-9
 
 
 def _check_domain(who: str, x, y, rho: float) -> None:
-    """Every representation is validated for finite rho and |x|, |y| <= 12 (NaN fails)."""
-    if not (math.isfinite(rho) and np.all(np.abs(x) <= _XY_MAX)
+    """Every representation is validated for |rho| <= 4 and |x|, |y| <= 12 (NaN fails)."""
+    if not (abs(rho) <= _RHO_MAX and np.all(np.abs(x) <= _XY_MAX)
             and np.all(np.abs(y) <= _XY_MAX)):
-        raise DomainError(f"{who} validated for finite rho and |x|,|y| <= {_XY_MAX}")
+        raise DomainError(f"{who} validated for |rho| <= {_RHO_MAX} and |x|,|y| <= {_XY_MAX}")
 
 
 def _real_checked(values: np.ndarray, what: str) -> np.ndarray:
@@ -100,7 +104,7 @@ def _diag_and_slope(rho: float, x: np.ndarray, p=None, q=None):
 def kernel_point(x: float, y: float, rho: float) -> float:
     """K(x, y) by the rational form, or by its Taylor branch when |x - y| < 1e-3.
 
-    Raises DomainError outside finite rho and |x|, |y| <= 12, as the oracles do.
+    Raises DomainError outside |rho| <= 4 and |x|, |y| <= 12, as the oracles do.
     """
     _check_domain("kernel_point", x, y, rho)
     if abs(x - y) < DIAG_BAND_HALF_WIDTH:

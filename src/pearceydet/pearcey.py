@@ -246,11 +246,9 @@ def _contour_sum(j: int, legs: dict) -> np.ndarray:
     return total
 
 
-def _pj_bundle(j: int, z: np.ndarray, rho: float, kmax: int = 2, *,
-               rule: _RayRule | None = None) -> np.ndarray:
-    """(kmax+1, len(z)) derivatives of P_j(z) = int_{Gamma_j} exp(-t^4/4 - rho t^2/2 + itz) dt."""
-    return _contour_sum(j, {rot: _ray_bundle(rot, z, rho, kmax, weight_sign=-1.0, rule=rule)
-                            for _, rot in _GAMMA_LEGS[j]})
+def _pj_bundle(j: int, z: np.ndarray, rho: float) -> np.ndarray:
+    """(3, len(z)) derivatives of P_j(z) = int_{Gamma_j} exp(-t^4/4 - rho t^2/2 + itz) dt."""
+    return _contour_sum(j, {rot: _ray_bundle(rot, z, rho) for _, rot in _GAMMA_LEGS[j]})
 
 
 _PSI_COLUMNS = (0, 1, 4)

@@ -41,8 +41,8 @@ _SERIES_MAX_TERMS = 10000
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def _is_nonpositive_integer(z: complex, tol: float = 1e-14) -> bool:
-    return abs(z.imag) < tol and z.real <= 0.5 and abs(z.real - round(z.real)) < tol
+def _is_nonpositive_integer(z: complex) -> bool:
+    return abs(z.imag) < 1e-14 and z.real <= 0.5 and abs(z.real - round(z.real)) < 1e-14
 
 
 def _log_sin_pi(z: complex) -> complex:

@@ -78,7 +78,7 @@ class TestLargeGap:
 class TestGamma1:
     def test_printed_coefficients_at_s1(self):
         # direct evaluation: -9/2^{17/3} = -0.17717636...
-        val = asym.f_gamma1(1.0, 0.0, 0.0)
+        val = asym.f_gamma1(1.0, 0.0)
         assert val == pytest.approx(-9.0 / 2.0 ** (17.0 / 3.0), rel=1e-14)
         assert val == pytest.approx(-0.1771763976, abs=1e-9)
 
@@ -87,7 +87,8 @@ class TestGamma1:
         expected = (-9 * s ** (8 / 3) / 2 ** (17 / 3) + rho * s * s / 4
                     - rho * rho * s ** (4 / 3) / 2 ** (10 / 3)
                     - (2 / 9) * math.log(s) + rho ** 4 / 216 + 0.3)
-        assert asym.f_gamma1(s, rho, 0.3) == pytest.approx(expected, rel=1e-14)
+        # the undetermined constant, here 0.3, is the caller's to add
+        assert asym.f_gamma1(s, rho) + 0.3 == pytest.approx(expected, rel=1e-14)
 
 
 class TestHTails:
@@ -188,7 +189,7 @@ class TestGamma1Fit:
         s_grid = np.linspace(6.0, 10.0, 9)
         rng = np.random.default_rng(0)
         c_true = -0.31
-        f_vals = np.array([asym.f_gamma1(s, 0.0, c_true) + 0.9 * s ** (-2 / 3)
+        f_vals = np.array([asym.f_gamma1(s, 0.0) + c_true + 0.9 * s ** (-2 / 3)
                            for s in s_grid])
         fit = asym.fit_gamma1_constant(s_grid, f_vals, 0.0)
         assert fit.c == pytest.approx(c_true, abs=1e-10)

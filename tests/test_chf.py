@@ -84,7 +84,7 @@ class TestJumps:
 
         def side(ray, r, sector, arg):
             z = r * cmath.exp(1j * chf.SECTOR_ANGLES[ray - 1])
-            return chf._base_matrix(z, arg, beta) @ sectors[sector - 1]
+            return chf._base_matrix(z, arg, chf._BetaFactors.of(beta)) @ sectors[sector - 1]
 
         expected = {}
         for ray in range(1, 7):
@@ -232,4 +232,4 @@ class TestArraySeries:
         got = chf._base_matrix(z, arg, bf)
         assert got.shape == (30, 2, 2)
         for zi, gi, m in zip(z, arg, got):
-            assert m.tobytes() == chf._base_matrix(complex(zi), float(gi), 0.2j).tobytes()
+            assert m.tobytes() == chf._base_matrix(complex(zi), float(gi), bf).tobytes()

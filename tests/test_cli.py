@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from pearceydet import fredholm as fr
+from pearceydet import kernel as kn
 from pearceydet.cli import main
 
 
@@ -232,7 +233,7 @@ class TestKernelGrid:
             assert f"# {key}" in keys
 
 
-    @pytest.mark.parametrize("rho", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("rho", ["nan", "inf", "-inf", "4.5", "-4.5", "50", "1e300"])
     def test_non_finite_rho_exit_1(self, rho, capsys):
         code, out, err = run_cli(["kernel", f"--rho={rho}", "--s-steps", "2"], capsys)
         assert code == 1
@@ -380,6 +381,38 @@ class TestUsage:
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--rho", "1e300", "--s-steps", "2"],
+        ["clt", "--s", "4", "--rho", "50"],
+        ["hamiltonian", "--gamma", "0.5", "--rho", "1e300", "--s-max", "8"],
+        ["hamiltonian", "--gamma", "0", "--rho", "1e300", "--s-max", "8"],
+        ["det", "--s", "4", "--gamma", "0.5", "--rho", "-50"],
+    ])
+    def test_rho_outside_domain_exit_1(self, argv, capsys, monkeypatch):
+        # these printed NaN or a distance of 1.29e16, raised a ValueError or an
+        # OverflowError, or doubled to n = 2048; now |rho| > 4 fails before any quadrature
+        monkeypatch.setattr(kn, "_p_bundle", lambda *a: pytest.fail("quadrature ran"))
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--rho", "4", "--s-steps", "2"],
+        ["kernel", "--rho", "-4", "--s-steps", "2", "--oracle", "integral"],
+        ["det", "--s", "4", "--rho", "-4"],
+        ["scan", "--rho", "4", "--s", "4"],
+        ["moments", "--s", "4", "--rho", "-4"],
+        ["clt", "--s", "4", "--rho", "4"],
+        ["hamiltonian", "--gamma", "0", "--rho", "-4", "--s-max", "8"],
+        ["hamiltonian", "--gamma", "0.5", "--rho", "4", "--s-max", "6"],
+    ])
+    def test_rho_domain_ends_accepted(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0
+        assert err == ""
+        assert "nan" not in out
 
     def test_missing_grid_is_numerical_error(self, capsys):
         code, _, err = run_cli(["scan", "--gamma", "0.5"], capsys)

@@ -303,9 +303,9 @@ class TestLogdetGrid:
             with pytest.raises(DomainError):
                 fr.logdet_converged([(4.0, 0.5)], 0.0, tol)
 
-    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf, 4.5, -4.5, 50.0, 1e300])
     def test_non_finite_rho(self, rho, monkeypatch):
-        # a non-finite rho doubled to n = 2048 and raised ConvergenceError
+        # a rho outside [-4, 4] doubled to n = 2048 and raised ConvergenceError
         monkeypatch.setattr(fr, "_nystrom", lambda *a: pytest.fail("quadrature ran"))
         for points in ([(4.0, 0.5), (6.0, 0.9)], [(3.0, 0.0)]):
             with pytest.raises(DomainError):
@@ -433,7 +433,7 @@ class TestMoments:
         at384 = fr.moments_trace(*fr.moments_operator(s, rho, 384))
         assert at256 == pytest.approx(at384, rel=2e-11)
 
-    @pytest.mark.parametrize("rho", [math.nan, math.inf])
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, 4.5, -4.5, 50.0, 1e300])
     def test_non_finite_rho(self, rho, monkeypatch):
         # a NaN rho gave NaN trace moments and a SignError from the MGF route
         monkeypatch.setattr(fr, "_nystrom", lambda *a: pytest.fail("quadrature ran"))

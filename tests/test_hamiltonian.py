@@ -489,28 +489,22 @@ class TestIdentityReport:
             assert abs(ham.hamiltonian_value(ham.HamState.from_array(s, y)) - h) \
                 <= 1e-15 * abs(h)
 
-    def test_coupled_subset_matches_full_grid(self, traj):
-        p, t = traj
-        idx = np.array([0, 7, 150, 201, len(t.s) - 1])
-        full = ham.coupled_p0q0_residual(t, p)
-        sub = ham.coupled_p0q0_residual(t, p, s_values=t.s[idx])
-        for key in ("third_order", "second_order"):
-            assert sub[key].shape == idx.shape
-            np.testing.assert_allclose(sub[key], full[key][idx], rtol=0, atol=1e-15)
-
     def test_coupled_equations(self, traj):
         p, t = traj
-        res = ham.coupled_p0q0_residual(t, p, s_values=np.array([2.0, 5.0, 8.0]))
-        assert res["third_order"].max() < 1e-6
-        assert res["second_order"].max() < 1e-7
+        res = ham.coupled_p0q0_residual(t, p)
+        # the samples nearest s = 2, 5 and 8
+        idx = [int(np.abs(t.s - s).argmin()) for s in (2.0, 5.0, 8.0)]
+        assert res["third_order"][idx].max() < 1e-6
+        assert res["second_order"][idx].max() < 1e-7
 
     def test_coupled_beta_zero(self):
         p = ModelParams(0.0, 1.0)
         ic = ham.asymptotic_state(8.0, p)
         t = ham.integrate(8.0, 2.0, ic, 1e-10)
-        res = ham.coupled_p0q0_residual(t, p, s_values=np.array([4.0]))
-        assert res["third_order"][0] == 0.0
-        assert res["second_order"][0] == 0.0
+        res = ham.coupled_p0q0_residual(t, p)
+        assert res["third_order"].shape == res["second_order"].shape == t.s.shape
+        assert np.all(res["third_order"] == 0.0)
+        assert np.all(res["second_order"] == 0.0)
 
     def test_dense_output_stays_in_the_swept_range(self):
         # the sweep runs 8 -> 2: beyond it the dense output would extrapolate
@@ -519,12 +513,9 @@ class TestIdentityReport:
         for s_bad in ([1.0, 0.5], [3.0, 8.5], [math.nan]):
             with pytest.raises(DomainError):
                 t.h_at(s_bad)
-            with pytest.raises(DomainError):
-                ham.coupled_p0q0_residual(t, p, s_values=np.array(s_bad))
         inside = np.array([2.0, 3.7, 8.0])
         direct = ham.hamiltonian_value(ham.HamState.from_array(inside, t.dense(inside)))
         assert np.array_equal(t.h_at(inside), direct)
-        assert ham.coupled_p0q0_residual(t, p, s_values=inside)["third_order"].shape == (3,)
 
 
 class TestIntegralRepresentation:

@@ -27,14 +27,20 @@ class TestRationalForm:
             assert abs(num[0]) < 1e-10
 
     def test_domain(self):
-        # the range of the oracles: a NaN anywhere, |x| or |y| above 12, or a non-finite rho
+        # the range of the oracles: a NaN anywhere, |x| or |y| above 12, or |rho| above 4;
+        # rho = 1e300 printed NaN
         for x, y, rho in ((-50.0, 0.0, 0.0), (0.0, 12.5, 0.0), (12.5, 12.5, 0.0),
                           (np.nan, 0.0, 0.0), (0.0, np.nan, 0.0), (np.nan, np.nan, 0.0),
-                          (0.0, 1.0, np.nan), (1.0, 1.0, np.inf), (0.0, 1.0, -np.inf)):
+                          (0.0, 1.0, np.nan), (1.0, 1.0, np.inf), (0.0, 1.0, -np.inf),
+                          (0.0, 1.0, 4.5), (1.0, 1.0, -4.5), (0.0, 1.0, 50.0),
+                          (0.0, 1.0, 1e300)):
             with pytest.raises(DomainError):
                 kn.kernel_point(x, y, rho)
         assert np.isfinite(kn.kernel_point(-12.0, 12.0, 0.0))
         assert np.isfinite(kn.kernel_point(12.0, 12.0, 0.0))
+        for rho in (-4.0, 4.0):
+            assert np.isfinite(kn.kernel_point(0.0, 1.0, rho))
+            assert np.isfinite(kn.kernel_point(1.0, 1.0, rho))
 
 
 class TestDiagonalBand:
@@ -73,9 +79,12 @@ class TestIntegralForm:
             kn.kernel_integral(np.array([0.0, 1.0]), np.array([0.5, -12.5]), 0.0)
         # a NaN anywhere would never pass the tail check
         for x, y, rho in ((np.nan, 0.0, 0.0), (0.0, np.array([1.0, np.nan]), 0.0),
-                          (0.0, 0.0, np.nan), (0.0, 0.0, np.inf)):
+                          (0.0, 0.0, np.nan), (0.0, 0.0, np.inf), (0.0, 0.0, 4.5),
+                          (0.0, 0.0, -4.5), (0.0, 0.0, 50.0), (0.0, 0.0, 1e300)):
             with pytest.raises(DomainError):
                 kn.kernel_integral(x, y, rho)
+        for rho in (-4.0, 4.0):
+            assert np.isfinite(kn.kernel_integral(0.0, 1.0, rho))
 
     def test_tail_doubling_is_bounded(self):
         # from z_max = 0.5 two doublings reach only z = 2, short of the tail
@@ -222,9 +231,13 @@ class TestRhForm:
     def test_domain(self):
         # the range of kernel_point and kernel_integral, NaN included
         for x, y, rho in ((-50.0, 0.0, 0.0), (0.0, 12.5, 0.0), (np.nan, 0.0, 0.0),
-                          (np.nan, np.nan, 0.0), (0.0, 1.0, np.nan), (0.0, 1.0, np.inf)):
+                          (np.nan, np.nan, 0.0), (0.0, 1.0, np.nan), (0.0, 1.0, np.inf),
+                          (0.0, 1.0, 4.5), (0.0, 1.0, -4.5), (0.0, 1.0, 50.0),
+                          (0.0, 1.0, 1e300)):
             with pytest.raises(DomainError):
                 kn.kernel_rh(x, y, rho)
+        for rho in (-4.0, 4.0):
+            assert np.isfinite(kn.kernel_rh(0.0, 1.0, rho))
 
 
 class TestTripleAgreement:
