@@ -6,6 +6,7 @@ tolerances are pinned here, not in the tests.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from dataclasses import dataclass
@@ -25,9 +26,9 @@ from .fredholm import (
     moments_trace,
     resolvent_boundary_trace,
 )
-from .kernel import kernel_integral, kernel_point, kernel_rh
+from .kernel import DIAG_BAND_HALF_WIDTH, kernel_integral, kernel_point, kernel_rh
 from .pearcey import _p_bundle, _q_bundle
-from .specfun import EULER_GAMMA, barnes_ln_g, kummer_phi, kummer_psi_b1, ln_gamma
+from .specfun import EULER_GAMMA, barnes_ln_g, digamma, kummer_phi, kummer_psi_b1, ln_gamma
 
 
 @dataclass
@@ -35,20 +36,13 @@ class CriterionResult:
     name: str
     ok: bool
     detail: str
-    elapsed: float
     extras: dict | None = None
 
 
-def _result(name: str, ok: bool, detail: str, t0: float,
-            extras: dict | None = None) -> CriterionResult:
-    return CriterionResult(name, ok, detail, time.time() - t0, extras)
-
-
 def criterion_1_kernel_triple_agreement() -> CriterionResult:
-    t0 = time.time()
     grid = np.linspace(-3.0, 3.0, 9)
     xs, ys = (g.ravel() for g in np.meshgrid(grid, grid, indexing="ij"))
-    off = np.abs(xs - ys) >= 1e-3
+    off = np.abs(xs - ys) >= DIAG_BAND_HALF_WIDTH
     xs, ys = xs[off], ys[off]
     worst = 0.0
     for rho in (-1.0, 0.0, 1.0):
@@ -56,12 +50,11 @@ def criterion_1_kernel_triple_agreement() -> CriterionResult:
             kr = kernel_point(float(x), float(y), rho)
             kh = kernel_rh(float(x), float(y), rho)
             worst = max(worst, abs(kr - ki), abs(kr - kh), abs(ki - kh))
-    return _result("1 kernel triple agreement", worst <= 1e-7,
-                   f"max pairwise diff {worst:.3e} (tol 1e-7)", t0)
+    return CriterionResult("1 kernel triple agreement", worst <= 1e-7,
+                           f"max pairwise diff {worst:.3e} (tol 1e-7)")
 
 
 def criterion_2_pearcey_ode_residuals() -> CriterionResult:
-    t0 = time.time()
     xs = np.linspace(-10.0, 10.0, 41)
     worst = 0.0
     for rho in (-1.0, 0.0, 1.0):
@@ -70,12 +63,11 @@ def criterion_2_pearcey_ode_residuals() -> CriterionResult:
         qb = _q_bundle(xs, rho, kmax=3)
         res_q = np.abs(qb[3] + xs * qb[0] - rho * qb[1]).max()
         worst = max(worst, res_p, res_q)
-    return _result("2 pearcey ODE residuals", worst <= 1e-7,
-                   f"max residual {worst:.3e} (tol 1e-7)", t0)
+    return CriterionResult("2 pearcey ODE residuals", worst <= 1e-7,
+                           f"max residual {worst:.3e} (tol 1e-7)")
 
 
 def criterion_3_determinant_sanity() -> CriterionResult:
-    t0 = time.time()
     checks = []
     for s in (1.0, 4.0):
         for rho in (0.0, 1.0):
@@ -96,12 +88,11 @@ def criterion_3_determinant_sanity() -> CriterionResult:
                                  abs(fredholm_logdet(s, g, 0.0, 256).f
                                      - fredholm_logdet(s, g, 0.0, 128).f))
     checks.append(worst_doubling <= 1e-10)
-    return _result("3 determinant sanity", all(checks),
-                   f"zero/sign/monotone {checks[:-1]}, doubling {worst_doubling:.2e}", t0)
+    return CriterionResult("3 determinant sanity", all(checks),
+                           f"zero/sign/monotone {checks[:-1]}, doubling {worst_doubling:.2e}")
 
 
 def criterion_4_resolvent_identity() -> CriterionResult:
-    t0 = time.time()
     h = 1e-3
     worst = 0.0
     for s in (2.0, 3.0, 4.0):
@@ -110,12 +101,11 @@ def criterion_4_resolvent_identity() -> CriterionResult:
                   - fredholm_logdet(s - h, g, 0.0, 128).f) / (2.0 * h)
             rt = resolvent_boundary_trace(s, ModelParams(g, 0.0), 128)
             worst = max(worst, abs(fd - rt))
-    return _result("4 resolvent identity", worst <= 1e-6,
-                   f"max |dF/ds - trace| {worst:.3e} (tol 1e-6)", t0)
+    return CriterionResult("4 resolvent identity", worst <= 1e-6,
+                           f"max |dF/ds - trace| {worst:.3e} (tol 1e-6)")
 
 
 def criterion_5_large_gap_law() -> CriterionResult:
-    t0 = time.time()
     p = ModelParams(0.5, 0.0)
     s_grid = [4.0, 6.0, 8.0, 10.0]
     errs = []
@@ -132,17 +122,15 @@ def criterion_5_large_gap_law() -> CriterionResult:
     slope_ok = -1.1 <= slope <= -0.35
     const_ok = err_noconst >= 10.0 * err_full
     ok = monotone and slope_ok and const_ok
-    return _result("5 large-gap law with constant", ok,
-                   f"errs {['%.3e' % e for e in errs]} monotone={monotone}, "
-                   f"slope {slope:.3f} ok={slope_ok}, "
-                   f"constant improvement {err_noconst / err_full:.1f}x ok={const_ok}",
-                   t0,
-                   extras={"monotone": monotone, "slope_ok": slope_ok,
-                           "const_ok": const_ok, "errs": errs})
+    return CriterionResult("5 large-gap law with constant", ok,
+                           f"errs {['%.3e' % e for e in errs]} monotone={monotone}, "
+                           f"slope {slope:.3f} ok={slope_ok}, "
+                           f"constant improvement {err_noconst / err_full:.1f}x ok={const_ok}",
+                           extras={"monotone": monotone, "slope_ok": slope_ok,
+                                   "const_ok": const_ok, "errs": errs})
 
 
 def criterion_6_h_asymptotics() -> CriterionResult:
-    t0 = time.time()
     p = ModelParams(0.5, 0.0)
     s = 10.0
     half_trace = 0.5 * resolvent_boundary_trace(s, p, 256)
@@ -153,13 +141,11 @@ def criterion_6_h_asymptotics() -> CriterionResult:
     rel_full = abs(half_trace - h_asy) / abs(half_trace)
     rel_noosc = abs(half_trace - (h_asy - osc)) / abs(half_trace)
     ok = rel_full <= 2e-2 and rel_full < rel_noosc
-    return _result("6 H asymptotics", ok,
-                   f"rel {rel_full:.3e} (tol 2e-2), without cos term {rel_noosc:.3e}",
-                   t0)
+    return CriterionResult("6 H asymptotics", ok,
+                           f"rel {rel_full:.3e} (tol 2e-2), without cos term {rel_noosc:.3e}")
 
 
 def criterion_7_trajectory_suite() -> CriterionResult:
-    t0 = time.time()
     p = ModelParams(0.5, 0.0)
     traj = ham.asymptotic_trajectory(p, s_from=10.0, s_to=0.5, tol=1e-11)
     drift = float(traj.constraint_drift().max())
@@ -177,14 +163,12 @@ def criterion_7_trajectory_suite() -> CriterionResult:
         h_rel = max(h_rel, abs(ht - hf) / abs(hf))
     ok = (drift <= 1e-6 and im_h <= 1e-6 and dh_cross <= 1e-9
           and zc <= 1e-8 and cp <= 1e-6 and h_rel <= 0.02)
-    return _result("7 ODE trajectory suite", ok,
-                   f"drift {drift:.1e}, |Im H| {im_h:.1e}, dH forms {dh_cross:.1e}, "
-                   f"zero-curvature {zc:.1e}, coupled {cp:.1e}, H vs F' {h_rel:.1e}",
-                   t0)
+    return CriterionResult("7 ODE trajectory suite", ok,
+                           f"drift {drift:.1e}, |Im H| {im_h:.1e}, dH forms {dh_cross:.1e}, "
+                           f"zero-curvature {zc:.1e}, coupled {cp:.1e}, H vs F' {h_rel:.1e}")
 
 
 def criterion_8_integral_representation() -> CriterionResult:
-    t0 = time.time()
     p = ModelParams(0.5, 0.0)
     out = ham.integral_representation_check(0.5, 4.0, p, s_anchor=10.0)
     rel = out["discrepancy"] / abs(out["delta_f"])
@@ -192,16 +176,14 @@ def criterion_8_integral_representation() -> CriterionResult:
     disc8 = ham.integral_representation_check(0.5, 4.0, p, s_anchor=8.0)["discrepancy"]
     disc12 = ham.integral_representation_check(0.5, 4.0, p, s_anchor=12.0)["discrepancy"]
     shrinks = disc12 < disc8
-    return _result("8 integral representation", within and shrinks,
-                   f"rel discrepancy {rel:.3e} (tol 3e-2) ok={within}; "
-                   f"anchor sweep 8->12: {disc8:.3e} -> {disc12:.3e} shrinks={shrinks}",
-                   t0,
-                   extras={"within": within, "shrinks": shrinks, "rel": rel,
-                           "disc8": disc8, "disc12": disc12})
+    return CriterionResult("8 integral representation", within and shrinks,
+                           f"rel discrepancy {rel:.3e} (tol 3e-2) ok={within}; "
+                           f"anchor sweep 8->12: {disc8:.3e} -> {disc12:.3e} shrinks={shrinks}",
+                           extras={"within": within, "shrinks": shrinks, "rel": rel,
+                                   "disc8": disc8, "disc12": disc12})
 
 
 def criterion_9_counting_statistics() -> CriterionResult:
-    t0 = time.time()
     res = moments(3.0, 0.0)
     route_diff = max(abs(m - t) / t for t, m in zip(res.trace, res.mgf))
     agree = route_diff <= 1e-11
@@ -218,16 +200,15 @@ def criterion_9_counting_statistics() -> CriterionResult:
     d10 = asym.clt_distance(10.0, 0.0, t_grid)
     clt_ok = d10 < d4 and d10 < 0.2
     ok = agree and var_ok and mean_monotone and clt_ok
-    return _result("9 counting statistics", ok,
-                   f"trace/mgf rel diff {route_diff:.1e} at order {res.order} (tol 1e-11) "
-                   f"ok={agree}, Var-sigma2 {var_gap:.5f} ok={var_ok}, "
-                   f"|EN-mu| monotone={mean_monotone}, CLT {d10:.3f}<{d4:.3f} "
-                   f"and <0.2 ok={clt_ok}", t0,
-                   extras={"order": res.order, "route_diff": route_diff, "agree": agree})
+    return CriterionResult("9 counting statistics", ok,
+                           f"trace/mgf rel diff {route_diff:.1e} at order {res.order} (tol 1e-11) "
+                           f"ok={agree}, Var-sigma2 {var_gap:.5f} ok={var_ok}, "
+                           f"|EN-mu| monotone={mean_monotone}, CLT {d10:.3f}<{d4:.3f} "
+                           f"and <0.2 ok={clt_ok}",
+                           extras={"order": res.order, "route_diff": route_diff, "agree": agree})
 
 
 def criterion_10_gamma1_regime() -> CriterionResult:
-    t0 = time.time()
     s_grid = np.linspace(6.0, 10.0, 9)
     fits = {}
     slopes = {}
@@ -244,14 +225,13 @@ def criterion_10_gamma1_regime() -> CriterionResult:
     rho_indep = dc <= bars
     decay_ok = all(-1.1 <= sl <= -0.35 for sl in slopes.values())
     ok = rho_indep and decay_ok
-    return _result("10 gamma=1 regime", ok,
-                   f"C(0)={fits[0.0].c:.5f}+-{fits[0.0].err:.1e}, "
-                   f"C(1)={fits[1.0].c:.5f}+-{fits[1.0].err:.1e}, |dC|={dc:.1e} "
-                   f"ok={rho_indep}; residual slopes {slopes} ok={decay_ok}", t0)
+    return CriterionResult("10 gamma=1 regime", ok,
+                           f"C(0)={fits[0.0].c:.5f}+-{fits[0.0].err:.1e}, "
+                           f"C(1)={fits[1.0].c:.5f}+-{fits[1.0].err:.1e}, |dC|={dc:.1e} "
+                           f"ok={rho_indep}; residual slopes {slopes} ok={decay_ok}")
 
 
 def criterion_11_chf_parametrix() -> CriterionResult:
-    t0 = time.time()
     worst_jump = 0.0
     worst_u0 = 0.0
     worst_u1 = 0.0
@@ -263,7 +243,6 @@ def criterion_11_chf_parametrix() -> CriterionResult:
         # against the constructed parametrix and raises on mismatch; the
         # comparison below re-transcribes the closed forms independently.
         exp = chf_origin_expansion(beta)
-        import cmath
         u0_closed = np.array([
             [cmath.exp(ln_gamma(1 - beta) - beta * math.pi * 1j),
              cmath.exp(-ln_gamma(beta)) * _digamma_combo(1 - beta)],
@@ -275,19 +254,16 @@ def criterion_11_chf_parametrix() -> CriterionResult:
             / cmath.sin(beta * math.pi)
         worst_u1 = max(worst_u1, abs(exp.upsilon1_21 - u1_closed))
     ok = worst_jump <= 1e-9 and worst_u0 <= 1e-12 and worst_u1 <= 1e-10
-    return _result("11 CHF parametrix", ok,
-                   f"jump {worst_jump:.2e} (1e-9), Upsilon0 {worst_u0:.2e} (1e-12), "
-                   f"Upsilon1_21 {worst_u1:.2e} (1e-10)", t0)
+    return CriterionResult("11 CHF parametrix", ok,
+                           f"jump {worst_jump:.2e} (1e-9), Upsilon0 {worst_u0:.2e} (1e-12), "
+                           f"Upsilon1_21 {worst_u1:.2e} (1e-10)")
 
 
 def _digamma_combo(a: complex) -> complex:
-    from .specfun import digamma
     return digamma(a) + 2.0 * EULER_GAMMA
 
 
 def criterion_12_special_functions() -> CriterionResult:
-    t0 = time.time()
-    import cmath
     rec = max(abs(barnes_ln_g(2.0 + z) - barnes_ln_g(1.0 + z) - ln_gamma(1.0 + z))
               for z in np.linspace(0.0, 2.0, 9))
     z = 1e-3
@@ -310,10 +286,9 @@ def criterion_12_special_functions() -> CriterionResult:
             d2 = (-f_m2 + 16 * f_m1 - 30 * f_0 + 16 * f_p1 - f_p2) / (12 * h * h)
             kum = max(kum, abs(zz * d2 + (b_eff - zz) * d1 - a * f_0))
     ok = rec <= 1e-10 and small <= 1e-8 and refl <= 1e-12 and kum <= 1e-7
-    return _result("12 special functions", ok,
-                   f"Barnes recurrence {rec:.2e} (1e-10), series {small:.2e} (1e-8), "
-                   f"reflection {refl:.2e} (1e-12), Kummer residual {kum:.2e} (1e-7)",
-                   t0)
+    return CriterionResult("12 special functions", ok,
+                           f"Barnes recurrence {rec:.2e} (1e-10), series {small:.2e} (1e-8), "
+                           f"reflection {refl:.2e} (1e-12), Kummer residual {kum:.2e} (1e-7)")
 
 
 ALL_CRITERIA: list[Callable[[], CriterionResult]] = [
@@ -336,8 +311,9 @@ def run_all() -> list[CriterionResult]:
     """Every criterion in order, each printed as it finishes."""
     results = []
     for fn in ALL_CRITERIA:
+        t0 = time.time()
         res = fn()
         results.append(res)
         status = "PASS" if res.ok else "FAIL"
-        print(f"[{status}] {res.name}: {res.detail} ({res.elapsed:.1f}s)")
+        print(f"[{status}] {res.name}: {res.detail} ({time.time() - t0:.1f}s)")
     return results

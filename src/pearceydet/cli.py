@@ -26,7 +26,7 @@ from . import chf as chf_mod
 from . import hamiltonian as ham
 from .fredholm import (_N_START, _check_args, fredholm_logdet, logdet_converged, moments,
                        moments_mgf, moments_trace)
-from .kernel import _check_domain, kernel_integral, kernel_point, kernel_rh
+from .kernel import DIAG_BAND_HALF_WIDTH, _check_domain, kernel_integral, kernel_point, kernel_rh
 
 
 def _emit(args, rows: list[dict], diagnostics: dict) -> None:
@@ -89,7 +89,7 @@ def _cmd_kernel(args) -> None:
                 row["k_rational"] = kernel_point(x, y, args.rho)
             elif kind == "integral":
                 row["k_integral"] = float(k_int[i])
-            elif abs(x - y) > 1e-3:
+            elif abs(x - y) > DIAG_BAND_HALF_WIDTH:
                 row["k_rh"] = kernel_rh(x, y, args.rho)
             else:
                 # the matrix form is singular on the band, where its domain still holds

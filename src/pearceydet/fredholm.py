@@ -73,24 +73,24 @@ def gauss_legendre(n: int) -> QuadratureRule:
     """
     if not 1 <= n <= _N_MAX:
         raise DomainError(f"gauss_legendre order must be in [1, {_N_MAX}], got {n}")
-    k = np.arange((n + 1) // 2)
-    x = np.cos(math.pi * (k + 0.75) / (n + 0.5))        # descending, nonnegative
-    for _ in range(100):
+    def legendre(x):
+        """P_n(x) and P_n'(x) by the three-term recurrence."""
         p_prev = np.ones_like(x)
         p = x.copy()
         for m in range(2, n + 1):
             p, p_prev = ((2 * m - 1) * x * p - (m - 1) * p_prev) / m, p
-        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+    k = np.arange((n + 1) // 2)
+    x = np.cos(math.pi * (k + 0.75) / (n + 0.5))        # descending, nonnegative
+    for _ in range(100):
+        p, dp = legendre(x)
         dx = p / dp
         x -= dx
         if np.abs(dx).max() < 1e-15:
             break
     x[n // 2:] = 0.0                                    # the centre of an odd rule
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for m in range(2, n + 1):
-        p, p_prev = ((2 * m - 1) * x * p - (m - 1) * p_prev) / m, p
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
+    dp = legendre(x)[1]
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     x = np.concatenate([-x[:n // 2], x[::-1]])
     w = np.concatenate([w[:n // 2], w[::-1]])

@@ -69,6 +69,7 @@ _S_ANCHOR_MAX = fredholm._S_MAX  # the anchor's square spans the kernel's |x| <=
 _ANCHOR_N_START = 32            # first Nystrom order of the anchor's doubling
 _ANCHOR_N_MAX = 512             # last one
 _ANCHOR_RTOL = 1e-9             # per-block change that accepts an order, at gamma <= 1/2
+_ANCHOR_GAMMA_MIN = 1e-300      # smallest nonzero gamma the extraction serves
 _SAMPLES = 400                  # trajectory sample grid
 _MAX_STEP = 0.05                # DOP853 step cap
 _RTOL_MIN = 100 * np.finfo(float).eps   # DOP853 raises a smaller rtol to this
@@ -97,11 +98,6 @@ class HamState:
         """Shape (8,) for one sample, (8, N) for N."""
         return np.array([self.p0, self.p1, self.p2, self.p3,
                          self.q0, self.q1, self.q2, self.q3], dtype=complex)
-
-    @staticmethod
-    def from_array(s: float | np.ndarray, y: np.ndarray) -> "HamState":
-        """y of shape (8,) at one s, or (8, N) at the N values of s."""
-        return HamState(s, *y)
 
     def constraint_sum(self) -> complex:
         """sum_{k=1..3} p_k q_k (zero on the invariant manifold)."""
@@ -321,7 +317,10 @@ def resolvent_anchor_state(s0: float, params: ModelParams) -> AnchorState:
     0.3, 2e-9 at 0.9, 6.9e-9 at 0.95 (0.69 of a * 1e-9), 1.6e-9 at 0.99
     and 6e-9 at 0.9999.  A fixed 1e-9 would let the rounding alone refuse
     every order at gamma = 0.9999, rho = -4, s0 = 12.  gamma = 0 gives the
-    exact constant solution, with no order and ``err`` 0.
+    exact constant solution, with no order and ``err`` 0.  A nonzero gamma
+    below 1e-300 raises DomainError before any quadrature: from about 1e-307
+    down the order never settles, and below about 1e-322 the (p0, q0) solve
+    is singular.
 
     Accuracy.  At gamma = 0.5, rho = 0 and the accepted n = 64, rounding
     noise of relative size 2.2e-16 in K moves the anchor by at most 1.6e-14
@@ -342,6 +341,8 @@ def resolvent_anchor_state(s0: float, params: ModelParams) -> AnchorState:
     fredholm._check_args(s0, params.gamma, params.rho, _ANCHOR_N_START)
     if params.gamma == 0.0:
         return AnchorState(**vars(asymptotic_state(s0, params)), order=None, err=0.0)
+    if params.gamma < _ANCHOR_GAMMA_MIN:
+        raise DomainError(f"gamma = {params.gamma} below the anchor's floor {_ANCHOR_GAMMA_MIN:g}")
     tol = _ANCHOR_RTOL * max(1.0, 0.5 / (1.0 - params.gamma))
     prev = _extract(s0, params, _ANCHOR_N_START)
     n = 2 * _ANCHOR_N_START
@@ -459,7 +460,7 @@ class Trajectory:
     anchor_err: float = math.nan      # ... and its error; NaN for a given initial state
 
     def constraint_drift(self) -> np.ndarray:
-        return np.abs(HamState.from_array(self.s, self.states.T).constraint_sum())
+        return np.abs(HamState(self.s, *self.states.T).constraint_sum())
 
     def h_at(self, s_val: np.ndarray) -> np.ndarray:
         """H from the dense output at s_val; DomainError outside the swept range,
@@ -468,12 +469,11 @@ class Trajectory:
         lo, hi = sorted((self.s[0], self.s[-1]))
         if not np.all((s_val >= lo) & (s_val <= hi)):
             raise DomainError(f"s outside the swept range [{lo}, {hi}]")
-        return hamiltonian_value(HamState.from_array(s_val, self.dense(s_val)))
+        return hamiltonian_value(HamState(s_val, *self.dense(s_val)))
 
 
-def integrate(s_from: float, s_to: float, init: HamState,
-              tol: float = 1e-10) -> Trajectory:
-    """Adaptive high-order Runge-Kutta run from s_from to s_to with dense output.
+def integrate(init: HamState, s_to: float, tol: float = 1e-10) -> Trajectory:
+    """Adaptive high-order Runge-Kutta run from init.s to s_to with dense output.
 
     The sweep advances the eight real coordinates of the family (module
     notes) with the right-hand side on Python floats; the three extra
@@ -490,6 +490,7 @@ def integrate(s_from: float, s_to: float, init: HamState,
     if not (math.isfinite(tol) and tol >= _RTOL_MIN):
         raise DomainError(f"tol = {tol} is not finite or below the solver's "
                           f"floor {_RTOL_MIN:.1e}")
+    s_from = init.s
     if not (math.isfinite(s_from) and math.isfinite(s_to)):
         raise DomainError(f"sweep ends must be finite, got {s_from} -> {s_to}")
     if s_from == s_to:
@@ -498,8 +499,6 @@ def integrate(s_from: float, s_to: float, init: HamState,
         raise DomainError("trajectory must stay in s > 0")
     if max(s_from, s_to) > _S_ANCHOR_MAX:
         raise DomainError(f"anchor capped at s = {_S_ANCHOR_MAX} (scale-spread guard)")
-    if init.s != s_from:
-        raise DomainError(f"initial state is at s = {init.s}, not s_from = {s_from}")
     y0 = init.to_array()
     if (y0.imag[_REAL_PART] != 0).any() or (y0.real[~_REAL_PART] != 0).any():
         raise DomainError("initial state is off the family: p0 and q0 must be real, "
@@ -515,7 +514,7 @@ def integrate(s_from: float, s_to: float, init: HamState,
     sample = _DenseSampler.of(sol.sol)
     grid = np.linspace(s_from, s_to, _SAMPLES)
     ys = _complex_states(sample(grid))
-    traj = Trajectory(grid, ys.T, hamiltonian_value(HamState.from_array(grid, ys)),
+    traj = Trajectory(grid, ys.T, hamiltonian_value(HamState(grid, *ys)),
                       lambda s_val: _complex_states(sample(s_val)),
                       steps=len(sample.h), nfev=int(sol.nfev),
                       min_step=float(np.abs(sample.h).min()))
@@ -532,7 +531,7 @@ def asymptotic_trajectory(params: ModelParams, s_from: float = 10.0, s_to: float
     The trajectory records the anchor's order and error.
     """
     anchor = resolvent_anchor_state(s_from, params)
-    return replace(integrate(s_from, s_to, anchor, tol),
+    return replace(integrate(anchor, s_to, tol),
                    anchor_order=anchor.order, anchor_err=anchor.err)
 
 
@@ -576,7 +575,7 @@ def coupled_p0q0_residual(traj: Trajectory, params: ModelParams) -> dict[str, np
     fixed point (where both equations reduce to 0 = 0).
     """
     rho = params.rho
-    st = HamState.from_array(traj.s, traj.states.T)
+    st = HamState(traj.s, *traj.states.T)
     s = st.s
     d = p0_q0_derivatives(st)
     p0d, q0d, p0dd, q0dd, p0ddd = (d[k] for k in ("p0d", "q0d", "p0dd", "q0dd", "p0ddd"))
@@ -623,7 +622,7 @@ def identity_report(traj: Trajectory, params: ModelParams) -> dict[str, np.ndarr
     """
     rho = params.rho
     y = traj.states.T
-    st = HamState.from_array(traj.s, y)
+    st = HamState(traj.s, *y)
     s = st.s
     p_arr, q_arr = y[:4], y[4:]
     rhs = _rhs_array(s, y)

@@ -76,15 +76,6 @@ def _check_domain(who: str, x, y, rho: float) -> None:
         raise DomainError(f"{who} validated for |rho| <= {_RHO_MAX} and |x|,|y| <= {_XY_MAX}")
 
 
-def _real_checked(values: np.ndarray, what: str) -> np.ndarray:
-    values = np.asarray(values)
-    scale = 1.0 + np.abs(values.real)
-    bad = np.abs(values.imag) / scale
-    if bad.size and bad.max() > _REALNESS_TOL:
-        raise RealnessError(f"{what}: |Im| = {bad.max():.3e} exceeds {_REALNESS_TOL}")
-    return np.ascontiguousarray(values.real)
-
-
 def _diag_and_slope(rho: float, x: np.ndarray, p=None, q=None):
     """Exact diagonal K(x,x) and the Taylor slope in (y - x).
 
@@ -107,10 +98,7 @@ def kernel_point(x: float, y: float, rho: float) -> float:
     Raises DomainError outside |rho| <= 4 and |x|, |y| <= 12, as the oracles do.
     """
     _check_domain("kernel_point", x, y, rho)
-    if abs(x - y) < DIAG_BAND_HALF_WIDTH:
-        diag, slope = _diag_and_slope(rho, np.array([float(x)]))
-        return float(diag[0] + slope[0] * (y - x))
-    return _kernel_matrix_from_session(rho, np.array([x]), np.array([y]))[0, 0]
+    return float(_kernel_matrix_from_session(rho, np.array([x]), np.array([y]))[0, 0])
 
 
 def _kernel_matrix_from_session(rho: float, x: np.ndarray, y: np.ndarray, *,
@@ -232,4 +220,7 @@ def kernel_rh(x: float, y: float, rho: float) -> float:
         raise DomainError(f"tilde_psi({y}) numerically singular")
     v = np.linalg.solve(ay, ax @ np.array([1.0, 0.0, 0.0]))
     val = (v[1] + v[2]) / (2j * math.pi * (x - y))
-    return float(_real_checked(np.array([val]), "kernel_rh")[0])
+    bad = abs(val.imag) / (1.0 + abs(val.real))
+    if bad > _REALNESS_TOL:
+        raise RealnessError(f"kernel_rh: |Im| = {bad:.3e} exceeds {_REALNESS_TOL}")
+    return float(val.real)

@@ -136,14 +136,11 @@ def barnes_ln_g(one_plus_z: complex) -> complex:
             total += (b - a) / 2 * (_BARNES_WEIGHTS * vals).sum()
         return z * total
 
-    prev = segment_integral(1)
+    integral = segment_integral(1)
     for panels in (2, 4, 8, 16, 32):
-        cur = segment_integral(panels)
-        if abs(cur - prev) <= 1e-13 * max(1.0, abs(cur)):
-            prev = cur
+        prev, integral = integral, segment_integral(panels)
+        if abs(integral - prev) <= 1e-13 * max(1.0, abs(integral)):
             break
-        prev = cur
-    integral = prev
     return (z / 2.0) * math.log(2.0 * math.pi) - z * (z + 1.0) / 2.0 \
         + z * ln_gamma(1.0 + z) - integral
 

@@ -15,7 +15,7 @@ from pearceydet import acceptance as acc
 
 def _report(res):
     status = "PASS" if res.ok else "FAIL"
-    print(f"[{status}] criterion {res.name}: {res.detail} ({res.elapsed:.1f}s)")
+    print(f"[{status}] criterion {res.name}: {res.detail}")
 
 
 @pytest.mark.parametrize("fn", [

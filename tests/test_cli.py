@@ -309,6 +309,24 @@ class TestHamiltonian:
         assert out == ""
         assert json.loads(err)["error"] == "DomainError"
 
+    @pytest.mark.parametrize("gamma", ["5e-324", "1e-310"])
+    def test_tiny_gamma_exit_1(self, gamma, capsys, monkeypatch):
+        # the anchor's (p0, q0) solve was singular (a traceback) or its order
+        # never settled; now a gamma below 1e-300 fails before any quadrature
+        monkeypatch.setattr(kn, "_p_bundle", lambda *a: pytest.fail("quadrature ran"))
+        code, out, err = run_cli(["hamiltonian", "--gamma", gamma, "--s-max", "6",
+                                  "--s-min", "5"], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
+    def test_gamma_at_anchor_floor_accepted(self, capsys):
+        code, out, err = run_cli(["hamiltonian", "--gamma", "1e-300", "--s-max", "6",
+                                  "--s-min", "5"], capsys)
+        assert code == 0
+        assert err == ""
+        assert len([ln for ln in out.splitlines() if not ln.startswith("#")]) == 401
+
 
 class TestUsage:
     def test_unknown_command_exit_2(self):

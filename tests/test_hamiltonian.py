@@ -70,8 +70,8 @@ class TestSystemStructure:
                     yp[idx] += h_step
                     ym[idx] -= h_step
                     arr[idx % 4] = (
-                        ham.hamiltonian_value(ham.HamState.from_array(st.s, yp))
-                        - ham.hamiltonian_value(ham.HamState.from_array(st.s, ym))
+                        ham.hamiltonian_value(ham.HamState(st.s, *yp))
+                        - ham.hamiltonian_value(ham.HamState(st.s, *ym))
                     ) / (2 * h_step)
             assert np.abs(rhs[4:] - grad_p).max() < 1e-7   # q' = dH/dp
             assert np.abs(rhs[:4] + grad_q).max() < 1e-7   # p' = -dH/dq
@@ -307,7 +307,7 @@ class TestTrajectory:
         # leading-order data supports only short backward sweeps
         p = ModelParams(0.5, 0.0)
         ic = ham.project_invariants(ham.asymptotic_state(10.0, p), p)
-        traj = ham.integrate(10.0, 8.0, ic, 1e-10)
+        traj = ham.integrate(ic, 8.0, 1e-10)
         assert traj.constraint_drift().max() < 1e-10  # projected exactly
 
     @pytest.mark.parametrize("rho", [-2.0, 0.0, 1.7])
@@ -322,7 +322,7 @@ class TestTrajectory:
         from scipy.integrate import solve_ivp
         p = ModelParams(0.5, 0.3)
         ic = ham.resolvent_anchor_state(8.0, p)
-        t = ham.integrate(8.0, 0.5, ic, 1e-10)
+        t = ham.integrate(ic, 0.5, 1e-10)
         sol = solve_ivp(printed_rhs, (8.0, 0.5), ic.to_array(), method="DOP853",
                         rtol=1e-10, atol=1e-15, max_step=0.05, dense_output=True)
         ref = sol.sol(t.s).T
@@ -336,13 +336,26 @@ class TestTrajectory:
         ic = ham.resolvent_anchor_state(8.0, ModelParams(0.5, 0.0))
         bad = replace(ic, **{field: getattr(ic, field) + shift})
         with pytest.raises(DomainError):
-            ham.integrate(8.0, 4.0, bad)
+            ham.integrate(bad, 4.0)
+
+    def test_sweep_starts_at_initial_state(self):
+        ic = ham.resolvent_anchor_state(7.0, ModelParams(0.5, 0.0))
+        t = ham.integrate(ic, 6.0)
+        assert t.s[0] == ic.s and t.s[-1] == 6.0
+
+    def test_nan_initial_s_rejected_before_solve(self, monkeypatch):
+        from dataclasses import replace
+        ic = ham.resolvent_anchor_state(7.0, ModelParams(0.5, 0.0))
+        monkeypatch.setattr(ham, "solve_ivp",
+                            lambda *a, **kw: pytest.fail("solve_ivp ran from s = NaN"))
+        with pytest.raises(DomainError):
+            ham.integrate(replace(ic, s=math.nan), 6.0)
 
     def test_blowup_detected(self):
         # ...and a full sweep from leading-order data diverges detectably
         p = ModelParams(0.5, 0.0)
         with pytest.raises(ConvergenceError):
-            ham.integrate(10.0, 0.5, ham.project_invariants(ham.asymptotic_state(10.0, p), p),
+            ham.integrate(ham.project_invariants(ham.asymptotic_state(10.0, p), p), 0.5,
                           1e-10)
 
 
@@ -405,7 +418,7 @@ class TestDenseSampler:
         monkeypatch.setattr(ham, "solve_ivp",
                             lambda *args, **kw: calls.append((args, kw)) or real(*args, **kw))
         ic = ham.resolvent_anchor_state(8.0, ModelParams(0.5, 0.3))
-        t = ham.integrate(a, b, ic, 1e-10)
+        t = ham.integrate(ic, b, 1e-10)
         [(args, kw)] = calls
         assert kw["method"] is ham._DeferredDOP853
         # the same sweep through scipy's standard DOP853 and its dense output
@@ -476,7 +489,7 @@ class TestIdentityReport:
         # p0 + q0 - rho/sqrt2 vanishes on every sample: the pole branches run
         p = ModelParams(0.0, 1.0)
         ic = ham.asymptotic_state(8.0, p)
-        t = ham.integrate(8.0, 1.0, ic, 1e-10)
+        t = ham.integrate(ic, 1.0, 1e-10)
         rep = ham.identity_report(t, p)
         for key, vals in rep.items():
             assert vals.shape == t.s.shape, key
@@ -486,7 +499,7 @@ class TestIdentityReport:
     def test_h_matches_per_sample_evaluation(self, traj):
         _, t = traj
         for s, y, h in zip(t.s, t.states, t.h):
-            assert abs(ham.hamiltonian_value(ham.HamState.from_array(s, y)) - h) \
+            assert abs(ham.hamiltonian_value(ham.HamState(s, *y)) - h) \
                 <= 1e-15 * abs(h)
 
     def test_coupled_equations(self, traj):
@@ -500,7 +513,7 @@ class TestIdentityReport:
     def test_coupled_beta_zero(self):
         p = ModelParams(0.0, 1.0)
         ic = ham.asymptotic_state(8.0, p)
-        t = ham.integrate(8.0, 2.0, ic, 1e-10)
+        t = ham.integrate(ic, 2.0, 1e-10)
         res = ham.coupled_p0q0_residual(t, p)
         assert res["third_order"].shape == res["second_order"].shape == t.s.shape
         assert np.all(res["third_order"] == 0.0)
@@ -514,7 +527,7 @@ class TestIdentityReport:
             with pytest.raises(DomainError):
                 t.h_at(s_bad)
         inside = np.array([2.0, 3.7, 8.0])
-        direct = ham.hamiltonian_value(ham.HamState.from_array(inside, t.dense(inside)))
+        direct = ham.hamiltonian_value(ham.HamState(inside, *t.dense(inside)))
         assert np.array_equal(t.h_at(inside), direct)
 
 
@@ -546,7 +559,7 @@ class TestComposedDerivatives:
         ys = traj.dense(np.array([s - 2 * h, s - h, s, s + h, s + 2 * h]))
         p0_vals = ys[0]
         q0_vals = ys[4]
-        st = ham.HamState.from_array(s, ys[:, 2])
+        st = ham.HamState(s, *ys[:, 2])
         d = ham.p0_q0_derivatives(st)
         d1 = (p0_vals[0] - 8 * p0_vals[1] + 8 * p0_vals[3] - p0_vals[4]) / (12 * h)
         d2 = (-p0_vals[0] + 16 * p0_vals[1] - 30 * p0_vals[2]
@@ -565,7 +578,7 @@ class TestHighGammaCorner:
         # high-thinning, rho = 1: anchor at 8 keeps the full sweep accurate
         p = ModelParams(0.9, 1.0)
         ic = ham.resolvent_anchor_state(8.0, p)
-        t = ham.integrate(8.0, 0.5, ic, 1e-10)
+        t = ham.integrate(ic, 0.5, 1e-10)
         assert t.constraint_drift().max() < 1e-6
         h2 = float(t.h_at(np.array([2.0]))[0].real)
         hf = 0.5 * resolvent_boundary_trace(2.0, p, 160)

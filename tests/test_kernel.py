@@ -4,7 +4,7 @@ import pytest
 from pearceydet import kernel as kn
 from pearceydet import pearcey as pc
 from pearceydet.fredholm import gauss_legendre
-from pearceydet.errors import ConvergenceError, DomainError
+from pearceydet.errors import ConvergenceError, DomainError, RealnessError
 
 
 class TestRationalForm:
@@ -223,6 +223,26 @@ class TestRhForm:
         c = 3.7 - 0.2j
         scaled = left @ np.linalg.solve(c * mats[1], (c * mats[0]) @ right)
         assert abs(base - scaled) < 1e-12 * abs(base)
+
+    @pytest.mark.parametrize("ratio", [2.0, 0.5])
+    def test_imaginary_part_budget(self, ratio, monkeypatch):
+        # the value tilted to Im K = ratio * 1e-9 (1 + |Re K|): raises above the budget
+        x, y, rho = -1.0, 3.0, 0.0
+        val = kn.kernel_rh(x, y, rho)
+        tilt = 1.0 + 1j * ratio * 1e-9 * (1.0 + abs(val)) / abs(val)
+        real = kn.tilde_psi_matrices
+
+        def tilted(pts, r):
+            mats = real(pts, r).copy()
+            mats[0] *= tilt
+            return mats
+
+        monkeypatch.setattr(kn, "tilde_psi_matrices", tilted)
+        if ratio > 1.0:
+            with pytest.raises(RealnessError):
+                kn.kernel_rh(x, y, rho)
+        else:
+            assert kn.kernel_rh(x, y, rho) == pytest.approx(val, rel=1e-12)
 
     def test_rejects_diagonal(self):
         with pytest.raises(DomainError):
