@@ -4,6 +4,9 @@ Computes ln det(I - gamma K^Pe) on (-s, s) by Nystrom quadrature, integrates
 the associated 8-function Hamiltonian system from its large-s boundary data,
 and cross-validates both against closed-form large-gap expansions, counting
 statistics, and the confluent hypergeometric parametrix.
+
+``hamiltonian`` is not imported here: it loads scipy, which the determinants,
+the asymptotics and the parametrix never need.
 """
 
 from .params import ModelParams, beta_of_gamma
@@ -20,19 +23,6 @@ from .fredholm import (
     moments_operator,
     moments_trace,
     resolvent_boundary_trace,
-)
-from .hamiltonian import (
-    HamState,
-    Trajectory,
-    asymptotic_state,
-    asymptotic_trajectory,
-    coupled_p0q0_residual,
-    hamiltonian_value,
-    identity_report,
-    integral_representation_check,
-    integrate,
-    project_invariants,
-    resolvent_anchor_state,
 )
 from .asymptotics import (
     CountingStats,

@@ -23,7 +23,6 @@ from .errors import ConvergenceError, NumericsError
 from .params import ModelParams
 from . import asymptotics as asym
 from . import chf as chf_mod
-from . import hamiltonian as ham
 from .fredholm import (_N_START, _check_args, fredholm_logdet, logdet_converged, moments,
                        moments_mgf, moments_trace)
 from .kernel import DIAG_BAND_HALF_WIDTH, _check_domain, kernel_integral, kernel_point, kernel_rh
@@ -145,6 +144,7 @@ def _cmd_scan(args) -> None:
 
 
 def _cmd_hamiltonian(args) -> None:
+    from . import hamiltonian as ham   # loads scipy.integrate, which no other command needs
     params = ModelParams(args.gamma, args.rho)
     s_hi = args.s_max if args.s_max is not None else 10.0
     s_lo = args.s_min if args.s_min is not None else 0.5

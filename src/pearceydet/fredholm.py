@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from . import kernel
 from .errors import ConvergenceError, DomainError, SignError
@@ -284,6 +283,7 @@ def _resolvent_solves(kmat: np.ndarray, w: np.ndarray, g: float,
     dual system is A^T (W y) = W h: a transposed solve with the same factors,
     refined in W y.  ``f`` and ``h`` hold one right-hand side per column.
     """
+    import scipy.linalg   # this module's one scipy use: the determinants load none
     a = np.eye(len(w)) - g * kmat * w[None, :]
     lu = scipy.linalg.lu_factor(a)
     x = scipy.linalg.lu_solve(lu, f)

@@ -327,11 +327,16 @@ def resolvent_anchor_state(s0: float, params: ModelParams) -> AnchorState:
     of a block's largest component, but the state swept back to s = 0.5 by
     1.4e-6 from s0 = 10 (a growth of about 1e8), 7.7e-10 from s0 = 8 and
     2e-12 from s0 = 6: last-bit changes of K are amplified up to about
-    1e10-fold.  So against its largest component a sweep to s = 0.5 keeps
-    about 6 digits when theta3(s0; rho) is about 16 and about 9 when it is
-    12 or less; a column small against that component keeps fewer.  Anchors
-    with theta3 beyond ~18 (e.g. s0 = 10 at rho = 1) sit near the
-    sweep-to-0.5 cliff -- prefer s0 around 8 for long sweeps at large rho.
+    1e10-fold.  Against its largest component that sweep to s = 0.5 kept
+    about 6 digits from s0 = 10 (theta3(s0; rho) = 16.2) and about 9 from
+    s0 = 8 (theta3 = 12); a column small against that component keeps
+    fewer.  These are the figures of one anchor, not a bound: at
+    gamma = 0.503, rho = -0.099 and s0 = 9.8508 (theta3 = 15.6) the swept
+    2 int Re H misses F(s0) - F(0.5) by 1.2e-2 relative, while s0 = 9.80
+    and 9.90 agree.  Which anchors lose digits depends on their last bits
+    (ROADMAP item 1).  Anchors with theta3 beyond ~18 (e.g. s0 = 10 at
+    rho = 1) sit near the sweep-to-0.5 cliff -- prefer s0 around 8 for
+    long sweeps at large rho.
     """
     if not _S_ANCHOR_MIN <= s0 <= _S_ANCHOR_MAX:
         raise DomainError(f"anchor must lie in [{_S_ANCHOR_MIN}, {_S_ANCHOR_MAX}]")

@@ -462,3 +462,46 @@ class TestEntryPoint:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
 
+
+
+_SCIPY_PROBE = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import pearceydet
+seen = {"package": scipy_modules()}
+from pearceydet.cli import main
+seen["codes"] = [main(argv) for argv in json.loads(sys.argv[1])]
+seen["commands"] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def _scipy_probe(argvs, tmp_path):
+    argvs = [argv + ["--out", str(tmp_path / f"out{i}.txt")] for i, argv in enumerate(argvs)]
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestColdStart:
+    def test_numpy_only_commands_load_no_scipy(self, tmp_path):
+        # only the sweep (hamiltonian, selftest) and the resolvent solves import scipy
+        seen = _scipy_probe([
+            ["scan", "--gamma", "0.5", "--s-min", "1", "--s-max", "4", "--s-steps", "2"],
+            ["det", "--s", "4", "--nu", "-0.05"],
+            ["moments", "--s", "4", "--rho", "0.3"],
+            ["clt", "--s", "4"],
+            ["kernel", "--oracle", "all", "--rho", "0.3", "--s-min", "-2", "--s-max", "2",
+             "--s-steps", "2"],
+            ["chf-verify", "--beta-im", "0.11"],
+        ], tmp_path)
+        assert seen == {"package": [], "codes": [0] * 6, "commands": []}
+
+    def test_hamiltonian_loads_scipy_on_demand(self, tmp_path):
+        seen = _scipy_probe([["hamiltonian", "--gamma", "0.5", "--rho", "0.3",
+                              "--s-max", "6", "--s-min", "5"]], tmp_path)
+        assert seen["package"] == []
+        assert seen["codes"] == [0]
+        assert {"scipy.integrate", "scipy.linalg"} <= set(seen["commands"])

@@ -429,6 +429,21 @@ class TestDenseSampler:
         assert t.nfev == ref.nfev
         assert t.min_step == np.abs(np.diff(ref.t)).min() > 0
 
+    def test_scipy_private_names(self):
+        # the dependency contract: every private scipy name _DeferredDOP853 and
+        # _DenseSampler read, on a toy ODE, so a scipy that drops one fails here by name
+        from scipy.integrate import DOP853, solve_ivp
+        solver = DOP853(lambda t, y: -y, 0.0, [1.0], 1.0)
+        solver.step()
+        sol = solve_ivp(lambda t, y: -y, (0.0, 1.0), [1.0], method="DOP853",
+                        dense_output=True).sol
+        wanted = {"DOP853": (DOP853, ("A_EXTRA", "C_EXTRA", "D", "_dense_output_impl")),
+                  "stepped DOP853": (solver, ("h_previous", "K", "t_old", "y_old")),
+                  "OdeSolution": (sol, ("interpolants", "ts_sorted", "side", "ascending"))}
+        missing = [f"{owner}.{name}" for owner, (obj, names) in wanted.items()
+                   for name in names if not hasattr(obj, name)]
+        assert missing == []
+
     def test_scipy_internals(self):
         # what _DeferredDOP853 records and _DenseSampler.of reads of scipy's DOP853
         from scipy.integrate import DOP853
