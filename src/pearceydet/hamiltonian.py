@@ -38,9 +38,9 @@ The family is real in fixed coordinates: p0 and q0 are real and the six
 oscillators purely imaginary, p_k = i a_k and q_k = i b_k (k = 1..3), and the
 flow maps such states to such states.  The eight equations are written once,
 in the real coordinates (p0, a1, a2, a3, q0, b1, b2, b3) (``_flow``), and the
-sweep advances those on Python floats; the complex right-hand side used by
-the identity checks maps onto the same equations.  States handed out stay
-complex.
+sweep advances those in scipy's compiled DOP853, the right-hand side on
+Python floats; the complex right-hand side used by the identity checks maps
+onto the same equations.  States handed out stay complex.
 
 A ``HamState`` holds one sample or all samples of a trajectory: every formula
 here is elementwise, so the identity checks evaluate a whole trajectory in one
@@ -49,12 +49,14 @@ pass.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import DOP853, simpson, solve_ivp
+from scipy.integrate import DOP853, ode, simpson
 
 from . import fredholm
 from .errors import ConvergenceError, DomainError
@@ -72,7 +74,11 @@ _ANCHOR_RTOL = 1e-9             # per-block change that accepts an order, at gam
 _ANCHOR_GAMMA_MIN = 1e-300      # smallest nonzero gamma the extraction serves
 _SAMPLES = 400                  # trajectory sample grid
 _MAX_STEP = 0.05                # DOP853 step cap
-_RTOL_MIN = 100 * np.finfo(float).eps   # DOP853 raises a smaller rtol to this
+# a sweep spans less than _S_ANCHOR_MAX, 240 capped steps; error control may
+# shorten or reject steps, so DOP853 may try four times that many
+_NSTEPS = 4 * math.ceil(_S_ANCHOR_MAX / _MAX_STEP)
+_EPS = np.finfo(float).eps
+_RTOL_MIN = 100 * _EPS          # smallest rtol: scipy's floor for DOP853
 _CHECK_DET_TOL = 1e-9           # determinant tolerance of the integral check
 
 
@@ -131,11 +137,6 @@ def _flow(s, p0, a1, a2, a3, q0, b1, b2, b3) -> list:
         _SQRT2 * p0 * b1 + b3 - 2.0 * inv_s * a2 * b2 * b2,
         s * b1 + _SQRT2 * q0 * b2 + 2.0 * inv_s * a2 * b2 * b3,
     ]
-
-
-def _sweep_rhs(s: float, y: np.ndarray) -> list:
-    # Python floats: numpy scalar arithmetic costs several times more per term
-    return _flow(float(s), *y.tolist())
 
 
 def _rhs_array(s: float | np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -362,83 +363,134 @@ def resolvent_anchor_state(s0: float, params: ModelParams) -> AnchorState:
                            f"rho = {params.rho}")
 
 
-class _StepRecord(NamedTuple):
-    """What DOP853's dense output of one step reads, kept for a later pass."""
+class _Steps(NamedTuple):
+    """The accepted steps of one DOP853 run, as ``_DenseSampler.of`` reads them."""
 
-    t_old: float
-    t: float
-    h: float                  # the solver's h_previous
-    y_old: np.ndarray         # (8,) real coordinates at the step start
-    y: np.ndarray             # (8,) ... and at its end
-    k: np.ndarray             # (13, 8) the step's stages, the last one f(t, y)
+    t: np.ndarray             # (steps + 1,) the sweep's start, then each step's end
+    y: np.ndarray             # (steps + 1, 8) real coordinates there
+    nfev: int                 # right-hand-side calls the stepping made
 
 
-class _DeferredDOP853(DOP853):
-    """DOP853 whose dense output only records the step.
+class _Dop853:
+    """scipy's compiled DOP853 (``scipy.integrate.ode``) at one rtol, recording each step.
 
-    scipy's ``_dense_output_impl`` evaluates three extra stages per step, one
-    call at a time; ``_DenseSampler.of`` evaluates them for all steps at once.
-    They still count towards ``nfev``.
+    The right-hand side counts its calls, and the solout callback records the
+    start and the end of every accepted step.  scipy 1.17's dop853 wrapper
+    never frees an integrator that has a solout callback, nor what the
+    callback holds: a fresh integrator per sweep grew the process by 2.5 KB a
+    sweep, and by ~65 KB a sweep when the 151-step records stayed with it.
+    So one integrator is built per tolerance and kept (``_dop853``), and its
+    records are cleared after every run, also one that raises.  Like scipy's
+    dop853 itself, one instance runs one sweep at a time.
     """
 
-    def _dense_output_impl(self) -> _StepRecord:
-        self.nfev += len(self.A_EXTRA)
-        return _StepRecord(self.t_old, self.t, self.h_previous, self.y_old, self.y,
-                           self.K.copy())
+    def __init__(self, rtol: float):
+        self._t: list[float] = []
+        self._y: list[list[float]] = []
+        self._calls = 0
+        # atol must sit far below the exponentially small q-components near the
+        # anchor: absolute step noise there is amplified by exp(dtheta3/2) on the
+        # way down, so a loose atol (not rtol) is what destroys backward sweeps.
+        self._ode = ode(self._rhs).set_integrator("dop853", rtol=rtol, atol=1e-15,
+                                                  max_step=_MAX_STEP, nsteps=_NSTEPS)
+        self._ode.set_solout(self._record)
+
+    def _rhs(self, s: float, y: np.ndarray) -> list:
+        # Python floats: numpy scalar arithmetic costs several times more per term
+        self._calls += 1
+        return _flow(s, *y.tolist())
+
+    def _record(self, s: float, y: np.ndarray) -> None:
+        self._t.append(s)
+        self._y.append(y.tolist())
+
+    def run(self, s_from: float, s_to: float, y0: np.ndarray) -> _Steps:
+        """The steps from (s_from, y0) to s_to; ConvergenceError if the run stops short."""
+        self._calls = 0
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                self._ode.set_initial_value(y0, s_from).integrate(s_to)
+            if self._ode.get_return_code() < 0:
+                why = "; ".join(str(w.message) for w in caught)
+                raise ConvergenceError(f"integrator failed: {why}")
+            # the last step ends at X + (s_to - X), within rounding of s_to
+            if abs(self._t[-1] - s_to) > 2 * _EPS * (abs(s_to) + abs(s_to - s_from)):
+                raise ConvergenceError(f"integrator stopped at s = {self._t[-1]}, not {s_to}")
+            self._t[-1] = s_to
+            return _Steps(np.array(self._t), np.array(self._y), self._calls)
+        finally:
+            self._t.clear()
+            self._y.clear()
+
+
+@functools.cache
+def _dop853(rtol: float) -> _Dop853:
+    return _Dop853(rtol)
 
 
 @dataclass(frozen=True)
 class _DenseSampler:
     """DOP853's dense output with every step interpolant stacked, sampled in one pass.
 
-    ``of`` builds the interpolant coefficients of all steps with the
-    operations of scipy's ``DOP853._dense_output_impl``, and ``__call__``
-    runs the Horner recurrence of ``Dop853DenseOutput`` for all samples at
-    once, so both give scipy's values bit for bit.  Segments are picked by
-    ``OdeSolution``'s own rule.
+    ``of`` rebuilds the interpolants from the recorded step ends alone: it
+    evaluates f at every record (each step's first stage and its f at the
+    step end), then the other 11 stages and the 3 extra stages of every step,
+    one ``_flow`` call per stage over all steps at once, then
+    forms the coefficients of Hairer's DOP853 interpolant (Hairer, Norsett &
+    Wanner, Solving ODEs I, II.10) from scipy's ``DOP853`` coefficient tables.
+    The interpolant gives each step's start exactly and its end to rounding.
+    ``__call__`` runs the Horner recurrence of scipy's ``Dop853DenseOutput``
+    for all samples at once; a sample on a step boundary belongs to the
+    segment that ``OdeSolution`` picks.
     """
 
     ts_sorted: np.ndarray     # step boundaries, ascending
-    side: str                 # searchsorted side: which segment owns a boundary
     ascending: bool           # direction of the sweep
     t_old: np.ndarray         # (steps,) start of each step
     h: np.ndarray             # (steps,) signed step sizes
     f: np.ndarray             # (steps, 7, 8) interpolant coefficients
     y_old: np.ndarray         # (steps, 8) real coordinates at each step start
+    nfev: int                 # right-hand-side evaluations, stepping and rebuild
 
     @classmethod
-    def of(cls, sol) -> "_DenseSampler":
-        """From ``solve_ivp(..., method=_DeferredDOP853, dense_output=True).sol``."""
-        steps = sol.interpolants            # _StepRecord of each step
-        t_old = np.array([st.t_old for st in steps])
-        h = np.array([st.h for st in steps])
-        y_old = np.stack([st.y_old for st in steps])
-        y = np.stack([st.y for st in steps])
-        n_done = steps[0].k.shape[0]
-        k = np.empty((len(steps), n_done + len(DOP853.A_EXTRA), y.shape[1]))
-        k[:, :n_done] = [st.k for st in steps]
-        # the three extra stages, each for all steps at once, then F: the
-        # statements of DOP853._dense_output_impl with a leading step axis
-        for i, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=n_done):
+    def of(cls, steps: _Steps) -> "_DenseSampler":
+        t, y = steps.t, steps.y
+        t_old, y_old, h = t[:-1], y[:-1], np.diff(t)
+        n = DOP853.n_stages
+        # (stage, its row of A, its node) for stages 1..11 and the 3 extra
+        # stages 13..15; stage 0 is f at the step start and stage 12 f at its end
+        rows = [*zip(range(1, n), DOP853.A[1:], DOP853.C[1:]),
+                *zip(range(n + 1, n + 1 + len(DOP853.C_EXTRA)), DOP853.A_EXTRA,
+                     DOP853.C_EXTRA)]
+        k = np.empty((len(h), n + 1 + len(DOP853.C_EXTRA), y.shape[1]))
+        f_ends = np.array(_flow(t, *y.T)).T
+        k[:, 0], k[:, n] = f_ends[:-1], f_ends[1:]
+        # each stage for all steps at once: the statements of scipy's rk_step
+        # and DOP853._dense_output_impl with a leading step axis
+        for i, a, c in rows:
             dy = np.matmul(a[:i], k[:, :i]) * h[:, None]
             k[:, i] = np.array(_flow(t_old + c * h, *(y_old + dy).T)).T
         hh = h[:, None]
         f_old = k[:, 0]
-        delta_y = y - y_old
-        f = np.empty((len(steps), 3 + len(DOP853.D), y.shape[1]))
+        delta_y = y[1:] - y_old
+        f = np.empty((len(h), 3 + len(DOP853.D), y.shape[1]))
         f[:, 0] = delta_y
         f[:, 1] = hh * f_old - delta_y
-        f[:, 2] = 2 * delta_y - hh * (k[:, n_done - 1] + f_old)
+        f[:, 2] = 2 * delta_y - hh * (k[:, n] + f_old)
         f[:, 3:] = hh[:, None] * np.matmul(DOP853.D, k)
-        # sampling divides by t - t_old, as Dop853DenseOutput does
-        t_end = np.array([st.t for st in steps])
-        return cls(sol.ts_sorted, sol.side, sol.ascending, t_old, t_end - t_old, f, y_old)
+        ascending = bool(t[-1] > t[0])
+        nfev = steps.nfev + len(t) + len(rows) * len(h)
+        return cls(t if ascending else t[::-1], ascending, t_old, h, f, y_old, nfev)
 
     def __call__(self, t: float | np.ndarray) -> np.ndarray:
         """Real coordinates at t: shape (8,) for a scalar, (8, N) for N samples."""
         t = np.asarray(t, dtype=float)
         last = len(self.h) - 1
-        seg = np.clip(np.searchsorted(self.ts_sorted, t, side=self.side) - 1, 0, last)
+        # OdeSolution's rule: a boundary belongs to the step that ends there,
+        # the sweep's start to the first step
+        side = "left" if self.ascending else "right"
+        seg = np.clip(np.searchsorted(self.ts_sorted, t, side=side) - 1, 0, last)
         if not self.ascending:
             seg = last - seg
         x = ((t - self.t_old[seg]) / self.h[seg])[..., None]
@@ -448,6 +500,16 @@ class _DenseSampler:
             y *= x if i % 2 == 0 else 1 - x
         y += self.y_old[seg]
         return y.T
+
+
+def solve_ivp(s_from: float, s_to: float, y0: np.ndarray, rtol: float) -> _DenseSampler:
+    """DOP853 from (s_from, y0) to s_to on the real coordinates, with its dense output.
+
+    The program's own driver of scipy's compiled DOP853; it keeps the name of
+    the scipy function it replaced, because ``bench/tracing.py`` wraps
+    ``hamiltonian.solve_ivp`` and reads the result's ``nfev``.
+    """
+    return _DenseSampler.of(_dop853(rtol).run(s_from, s_to, y0))
 
 
 @dataclass(frozen=True)
@@ -480,17 +542,23 @@ class Trajectory:
 def integrate(init: HamState, s_to: float, tol: float = 1e-10) -> Trajectory:
     """Adaptive high-order Runge-Kutta run from init.s to s_to with dense output.
 
-    The sweep advances the eight real coordinates of the family (module
-    notes) with the right-hand side on Python floats; the three extra
-    dense-output stages of every step are evaluated in one array pass after
-    the sweep (``_DeferredDOP853``).  The samples and the dense output are
-    complex states again, both read from one ``_DenseSampler``.  The trajectory records the solver's step count,
-    right-hand-side evaluations and smallest step.  Raises ConvergenceError on step
-    failure or if the conserved constraint blows past 1e-3 (a diverged
-    trajectory, not a tolerance issue), and DomainError for a tol that is not
-    finite or below the solver's floor, for sweep ends that are not finite or
-    equal, or for an initial state whose p0 or q0 is not real or whose
-    oscillators are not purely imaginary.
+    scipy's compiled DOP853 (``_Dop853``) advances the eight real
+    coordinates of the family (module notes), with the right-hand side on
+    Python floats, at rtol ``tol``, atol 1e-15 and steps capped at 0.05 in s;
+    the dense output is rebuilt from the accepted steps in one array pass
+    (``_DenseSampler``).  The samples and the dense output are complex states
+    again.  The trajectory records ``steps``, the accepted steps; ``min_step``,
+    the smallest |step| among them, the last one included; and ``nfev``, every
+    right-hand-side evaluation: the stepping's calls (12 per accepted step,
+    11 per rejected one and 2 for the first step size), counted as the
+    right-hand side is called, plus the rebuild's 15 per step and one more
+    (f at the start and at every step end, and 14 stages a step).  Raises
+    ConvergenceError if the integrator stops short of s_to (too many steps,
+    a step too small, stiffness) or if the conserved constraint blows past
+    1e-3 (a diverged trajectory, not a tolerance issue), and DomainError for
+    a tol that is not finite or below the solver's floor, for sweep ends that
+    are not finite or equal, or for an initial state whose p0 or q0 is not
+    real or whose oscillators are not purely imaginary.
     """
     if not (math.isfinite(tol) and tol >= _RTOL_MIN):
         raise DomainError(f"tol = {tol} is not finite or below the solver's "
@@ -508,20 +576,13 @@ def integrate(init: HamState, s_to: float, tol: float = 1e-10) -> Trajectory:
     if (y0.imag[_REAL_PART] != 0).any() or (y0.real[~_REAL_PART] != 0).any():
         raise DomainError("initial state is off the family: p0 and q0 must be real, "
                           "p1..p3 and q1..q3 purely imaginary")
-    # atol must sit far below the exponentially small q-components near the
-    # anchor: absolute step noise there is amplified by exp(dtheta3/2) on the
-    # way down, so a loose atol (not rtol) is what destroys backward sweeps.
-    sol = solve_ivp(_sweep_rhs, (s_from, s_to), np.where(_REAL_PART, y0.real, y0.imag),
-                    method=_DeferredDOP853, rtol=tol, atol=1e-15, max_step=_MAX_STEP,
-                    dense_output=True)
-    if not sol.success:
-        raise ConvergenceError(f"integrator failed: {sol.message}")
-    sample = _DenseSampler.of(sol.sol)
+    sample = solve_ivp(float(s_from), float(s_to), np.where(_REAL_PART, y0.real, y0.imag),
+                       float(tol))
     grid = np.linspace(s_from, s_to, _SAMPLES)
     ys = _complex_states(sample(grid))
     traj = Trajectory(grid, ys.T, hamiltonian_value(HamState(grid, *ys)),
                       lambda s_val: _complex_states(sample(s_val)),
-                      steps=len(sample.h), nfev=int(sol.nfev),
+                      steps=len(sample.h), nfev=sample.nfev,
                       min_step=float(np.abs(sample.h).min()))
     drift = traj.constraint_drift().max()
     if drift > 1e-3:

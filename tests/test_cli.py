@@ -309,6 +309,18 @@ class TestHamiltonian:
         assert out == ""
         assert json.loads(err)["error"] == "DomainError"
 
+    def test_integrator_failure_exit_1(self):
+        # the step size collapses on a pole below the anchor: stderr holds the
+        # one JSON line and no warning of scipy's beside it
+        proc = subprocess.run(
+            [sys.executable, "-W", "always", "-m", "pearceydet.cli", "hamiltonian",
+             "--gamma", "0.95", "--rho", "2", "--s-max", "12", "--s-min", "0.3"],
+            capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        [line] = proc.stderr.splitlines()
+        assert json.loads(line) == {"error": "ConvergenceError", "message":
+                                    "integrator failed: dop853: step size becomes too small"}
+
     @pytest.mark.parametrize("gamma", ["5e-324", "1e-310"])
     def test_tiny_gamma_exit_1(self, gamma, capsys, monkeypatch):
         # the anchor's (p0, q0) solve was singular (a traceback) or its order

@@ -351,123 +351,195 @@ class TestTrajectory:
         with pytest.raises(DomainError):
             ham.integrate(replace(ic, s=math.nan), 6.0)
 
-    def test_blowup_detected(self):
-        # ...and a full sweep from leading-order data diverges detectably
+    def test_blowup_detected(self, recwarn):
+        # ...and a full sweep from leading-order data diverges detectably: the
+        # integrator's step size collapses on the pole, with no warning
         p = ModelParams(0.5, 0.0)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="integrator failed: dop853: step size"):
             ham.integrate(ham.project_invariants(ham.asymptotic_state(10.0, p), p), 0.5,
                           1e-10)
+        assert len(recwarn) == 0
 
 
 _SWEEP_OPTIONS = dict(rtol=1e-10, atol=1e-15, max_step=0.05, dense_output=True)
 
 
+def _flow(s, y):
+    return ham._flow(s, *y)
+
+
 @pytest.fixture(scope="module")
 def sweeps():
-    """A backward sweep 8 -> 5 and a forward one back to 8, each run twice.
+    """A backward sweep 6 -> 4 and a forward one back to 6, short enough to amplify little.
 
-    Each entry is (a, b, ref, run): ``ref`` is scipy's standard DOP853 with
-    its own dense output, ``run`` the same sweep through ``_DeferredDOP853``.
+    Each entry is (a, b, steps, sample, ref): the recorded steps of the
+    compiled DOP853, the dense output rebuilt from them, and scipy's
+    ``solve_ivp`` DOP853 with its own dense output on the same sweep.
     """
     from scipy.integrate import solve_ivp
-    ic = ham.resolvent_anchor_state(8.0, ModelParams(0.5, 0.3))
+    ic = ham.resolvent_anchor_state(6.0, ModelParams(0.5, 0.3))
     y = real_coordinates(ic.to_array())
     out = []
-    for a, b in ((8.0, 5.0), (5.0, 8.0)):
-        ref = solve_ivp(ham._sweep_rhs, (a, b), y, method="DOP853", **_SWEEP_OPTIONS)
-        run = solve_ivp(ham._sweep_rhs, (a, b), y, method=ham._DeferredDOP853,
-                        **_SWEEP_OPTIONS)
-        out.append((a, b, ref, run))
-        y = ref.y[:, -1]
+    for a, b in ((6.0, 4.0), (4.0, 6.0)):
+        steps = ham._dop853(1e-10).run(a, b, y)
+        ref = solve_ivp(_flow, (a, b), y, method="DOP853", **_SWEEP_OPTIONS)
+        out.append((a, b, steps, ham._DenseSampler.of(steps), ref))
+        y = steps.y[-1]
     return out
 
 
 class TestDenseSampler:
-    """The deferred dense output reproduces scipy's DOP853 dense output bit for bit.
+    """The dense output rebuilt from the compiled DOP853's accepted steps.
 
-    ``_DenseSampler.of`` rebuilds every step interpolant from the recorded
-    steps with scipy's own operations; a scipy release that changes them
-    fails here (see also ``test_scipy_internals``).
+    ``_DenseSampler.of`` evaluates every stage again, for all steps at once,
+    so it matches scipy's own DOP853 dense output to rounding of the stages,
+    not bit for bit.
     """
 
     @pytest.mark.parametrize("direction", [0, 1], ids=["backward", "forward"])
-    def test_bitwise_against_ode_solution(self, sweeps, direction):
-        a, b, ref, run = sweeps[direction]
-        assert run.t.tobytes() == ref.t.tobytes()
-        assert run.nfev == ref.nfev
-        sample = ham._DenseSampler.of(run.sol)
-        # the trajectory grid, every step point (segment boundaries) and both ends
+    def test_reproduces_recorded_steps(self, sweeps, direction):
+        a, b, steps, sample, _ = sweeps[direction]
+        assert steps.t[0] == a and steps.t[-1] == b
+        assert len(sample.h) == len(steps.t) - 1
+        # every step's interpolant starts at the recorded state, bit for bit...
+        assert sample.y_old.tobytes() == steps.y[:-1].tobytes()
+        assert sample(a).tobytes() == steps.y[0].tobytes()
+        # ...and a boundary samples the step that ends there, to rounding
+        scale = np.abs(steps.y).max(axis=0)
+        assert (np.abs(sample(steps.t) - steps.y.T).max(axis=1) <= 4e-16 * scale).all()
+
+    @pytest.mark.parametrize("direction", [0, 1], ids=["backward", "forward"])
+    def test_matches_scipy_dense_output(self, sweeps, direction):
+        a, b, _, sample, ref = sweeps[direction]
+        # the trajectory grid, scipy's step points and both ends
         for s in (np.linspace(a, b, 400), ref.t, np.array([a, b]), ref.t[::-1]):
-            got = sample(s)
+            got, want = sample(s), ref.sol(s)
             assert got.shape == (8, len(s))
-            assert got.tobytes() == ref.sol(s).tobytes()
+            assert (np.abs(got - want).max(axis=1) <= 1e-12 * np.abs(want).max(axis=1)).all()
+
+    @pytest.mark.parametrize("direction", [0, 1], ids=["backward", "forward"])
+    def test_matches_tight_reference(self, sweeps, direction):
+        from scipy.integrate import solve_ivp
+        a, b, steps, sample, _ = sweeps[direction]
+        tight = solve_ivp(_flow, (a, b), steps.y[0], method="DOP853",
+                          **{**_SWEEP_OPTIONS, "rtol": 1e-13, "max_step": 0.005})
+        s = np.linspace(a, b, 400)
+        want = tight.sol(s)
+        assert (np.abs(sample(s) - want).max(axis=1) <= 1e-10 * np.abs(want).max(axis=1)).all()
 
     @pytest.mark.parametrize("direction", [0, 1], ids=["backward", "forward"])
     def test_scalar_gives_one_state(self, sweeps, direction):
-        a, b, ref, run = sweeps[direction]
-        sample = ham._DenseSampler.of(run.sol)
-        for s in (a, b, float(ref.t[7]), 0.5 * (a + b)):
-            got = sample(s)
+        a, b, steps, sample, _ = sweeps[direction]
+        s = np.array([a, b, steps.t[7], 0.5 * (a + b)])
+        many = sample(s)
+        for j, s_j in enumerate(s):
+            got = sample(float(s_j))
             assert got.shape == (8,)
-            assert got.tobytes() == ref.sol(s).tobytes()
+            assert got.tobytes() == many[:, j].tobytes()
 
-    def test_trajectory_samples_and_step_statistics(self, sweeps, monkeypatch):
-        a, b, ref_fixture, _ = sweeps[0]
-        calls = []
+    def test_trajectory_samples_and_step_statistics(self, monkeypatch):
+        built = []
         real = ham.solve_ivp
         monkeypatch.setattr(ham, "solve_ivp",
-                            lambda *args, **kw: calls.append((args, kw)) or real(*args, **kw))
-        ic = ham.resolvent_anchor_state(8.0, ModelParams(0.5, 0.3))
-        t = ham.integrate(ic, b, 1e-10)
-        [(args, kw)] = calls
-        assert kw["method"] is ham._DeferredDOP853
-        # the same sweep through scipy's standard DOP853 and its dense output
-        ref = real(*args, **{**kw, "method": "DOP853"})
-        assert real_coordinates(t.states).tobytes() == ref.sol(t.s).T.tobytes()
-        assert real_coordinates(t.dense(6.5)).tobytes() == ref.sol(6.5).tobytes()
-        assert t.steps == len(ref.t) - 1 == len(ref_fixture.t) - 1
-        assert t.nfev == ref.nfev
-        assert t.min_step == np.abs(np.diff(ref.t)).min() > 0
+                            lambda *args: built.append((args, real(*args))) or built[-1][1])
+        ic = ham.resolvent_anchor_state(6.0, ModelParams(0.5, 0.3))
+        t = ham.integrate(ic, 4.0, 1e-10)
+        [(args, sample)] = built
+        assert args[:2] == (6.0, 4.0) and args[3] == 1e-10
+        assert real_coordinates(t.states).tobytes() == sample(t.s).T.tobytes()
+        assert real_coordinates(t.dense(5.5)).tobytes() == sample(5.5).tobytes()
+        # the same sweep again: the recorded steps and the stepping's calls
+        steps = ham._dop853(1e-10).run(*args[:3])
+        assert t.steps == len(steps.t) - 1 >= 40
+        assert t.min_step == np.abs(np.diff(steps.t)).min() > 0
+        # 12 calls per accepted step, more for the first step size and any
+        # rejected one; then the rebuild: f at every record and 14 stages a step
+        assert steps.nfev >= 12 * t.steps
+        assert t.nfev == sample.nfev == steps.nfev + len(steps.t) + 14 * t.steps
 
     def test_scipy_private_names(self):
-        # the dependency contract: every private scipy name _DeferredDOP853 and
-        # _DenseSampler read, on a toy ODE, so a scipy that drops one fails here by name
-        from scipy.integrate import DOP853, solve_ivp
-        solver = DOP853(lambda t, y: -y, 0.0, [1.0], 1.0)
-        solver.step()
-        sol = solve_ivp(lambda t, y: -y, (0.0, 1.0), [1.0], method="DOP853",
-                        dense_output=True).sol
-        wanted = {"DOP853": (DOP853, ("A_EXTRA", "C_EXTRA", "D", "_dense_output_impl")),
-                  "stepped DOP853": (solver, ("h_previous", "K", "t_old", "y_old")),
-                  "OdeSolution": (sol, ("interpolants", "ts_sorted", "side", "ascending"))}
-        missing = [f"{owner}.{name}" for owner, (obj, names) in wanted.items()
-                   for name in names if not hasattr(obj, name)]
-        assert missing == []
-
-    def test_scipy_internals(self):
-        # what _DeferredDOP853 records and _DenseSampler.of reads of scipy's DOP853
+        # the dependency contract: the DOP853 coefficient tables _DenseSampler
+        # reads, so a scipy that drops or reshapes one fails here by name
         from scipy.integrate import DOP853
-        from scipy.integrate._ivp import dop853_coefficients as coef
-        stages = coef.N_STAGES_EXTENDED
-        assert DOP853.A_EXTRA.shape == (3, stages)
-        assert DOP853.C_EXTRA.shape == (3,)
-        assert DOP853.D.shape == (coef.INTERPOLATOR_POWER - 3, stages)
-        assert coef.INTERPOLATOR_POWER == 7
-        assert DOP853.n_stages + 1 + len(DOP853.A_EXTRA) == stages
-        ic = ham.resolvent_anchor_state(8.0, ModelParams(0.5, 0.3))
-        solver, plain = (method(ham._sweep_rhs, 8.0, real_coordinates(ic.to_array()), 5.0,
-                                rtol=1e-10, atol=1e-15, max_step=0.05)
-                         for method in (ham._DeferredDOP853, DOP853))
-        solver.step()
-        plain.step()
-        step = solver.dense_output()
-        plain.dense_output()
-        assert step.k.shape == (DOP853.n_stages + 1, 8) == (13, 8)
-        assert (step.t_old, step.t) == (8.0, solver.t)
-        assert step.h == step.t - step.t_old
-        # the last stage is f at the step's end, which the interpolant reads as f_new
-        assert step.k[-1].tobytes() == np.asarray(ham._sweep_rhs(step.t, step.y)).tobytes()
-        assert solver.nfev == plain.nfev
+        shapes = {"A": (12, 12), "C": (12,), "A_EXTRA": (3, 16), "C_EXTRA": (3,), "D": (4, 16)}
+        got = {name: np.shape(getattr(DOP853, name, None)) for name in shapes}
+        assert got == shapes
+        assert getattr(DOP853, "n_stages", None) == 12
+
+
+class TestCompiledDriver:
+    """The cached compiled DOP853: its records, its failures, its memory."""
+
+    def test_no_memory_growth_across_sweeps(self):
+        import gc
+        import tracemalloc
+        ic = ham.resolvent_anchor_state(6.0, ModelParams(0.5, 0.3))
+        y = real_coordinates(ic.to_array())
+        driver = ham._dop853(1e-10)
+        for _ in range(10):
+            ham.solve_ivp(6.0, 5.5, y, 1e-10)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(200):
+                ham.solve_ivp(6.0, 5.5, y, 1e-10)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # a fresh integrator per sweep is never freed: ~40 KB a sweep
+        assert grown < 100_000
+        assert ham._dop853(1e-10) is driver
+        assert (driver._t, driver._y) == ([], [])
+
+    def test_failure_leaves_no_records(self):
+        p = ModelParams(0.5, 0.0)
+        ic = ham.project_invariants(ham.asymptotic_state(10.0, p), p)
+        y = real_coordinates(ic.to_array())
+        driver = ham._dop853(1e-10)
+        with pytest.raises(ConvergenceError, match="dop853: step size becomes too small"):
+            driver.run(10.0, 0.5, y)
+        assert (driver._t, driver._y) == ([], [])
+
+    def test_too_many_steps_raises(self, monkeypatch):
+        monkeypatch.setattr(ham, "_NSTEPS", 5)
+        ic = ham.resolvent_anchor_state(6.0, ModelParams(0.5, 0.3))
+        driver = ham._Dop853(1e-10)
+        with pytest.raises(ConvergenceError, match="dop853: larger nsteps is needed"):
+            driver.run(6.0, 4.0, real_coordinates(ic.to_array()))
+        assert (driver._t, driver._y) == ([], [])
+
+
+    def test_last_step_lands_on_the_end(self):
+        # the compiled code's last step ends at X + (s_to - X), an ulp off s_to
+        # below s ~ 0.05; the records end on s_to itself
+        ic = ham.resolvent_anchor_state(4.0, ModelParams(0.3, 0.0))
+        for s_to in (0.001, 0.0027836299928834184, 0.010381374872202241):
+            steps = ham._dop853(1e-10).run(4.0, s_to, real_coordinates(ic.to_array()))
+            assert steps.t[-1] == s_to
+
+    def test_stopping_short_raises(self, monkeypatch):
+        driver = ham._dop853(1e-10)
+
+        class Short:
+            """An integrator that reports success one step short of the end."""
+
+            def set_initial_value(self, y, s):
+                driver._record(s, y)
+                driver._record(s - 0.5, y)
+                return self
+
+            def integrate(self, s):
+                pass
+
+            def get_return_code(self):
+                return 1
+
+        monkeypatch.setattr(driver, "_ode", Short())
+        with pytest.raises(ConvergenceError, match="stopped at s = 5.5, not 4.0"):
+            driver.run(6.0, 4.0, np.zeros(8))
+        assert (driver._t, driver._y) == ([], [])
 
 
 @pytest.fixture(scope="module")
